@@ -1,115 +1,16 @@
 """Sparse NLMS adaptive filtering for MIMO multipath channel estimation."""
 
-from .channel import (
-    ChannelMatrix,
-    NoiseModel,
-    apply_channel,
-    generate_sparse_channel,
-)
-from .filters import (
-    ISS_NLMS,
-    ISS_RZA_NLMS,
-    ISS_ZA_NLMS,
-    VARIANTS,
-    VSS_NLMS,
-    VSS_RZA_NLMS,
-    VSS_ZA_NLMS,
-    AlgorithmConfig,
-    FilterState,
-    componentwise_sign,
-    compute_vss,
-    initial_state,
-    prediction_error,
-    reweighted_zero_attract_term,
-    step,
-    update_grad_avg,
-    zero_attract_term,
-)
-from .harness import (
-    TRUE_CHANNEL,
-    BerCurve,
-    ExperimentConfig,
-    MseCurve,
-    TrialResult,
-    channel_error,
-    check_stop,
-    run_ber_sweep,
-    run_estimation_trial,
-    run_monte_carlo_mse,
-    select_receive_antenna,
-    steady_state_mean,
-    write_ber_csv,
-    write_mse_csv,
-    write_stepsize_csv,
-)
-from .modem import (
-    QAM_ORDERS,
-    DetectionError,
-    QamConstellation,
-    detect_mimo_subcarrier,
-    qam_constellation,
-    qam_demodulate,
-    qam_modulate,
-)
-from .signals import (
-    OfdmFrame,
-    add_cyclic_prefix,
-    dft_matrix,
-    generate_training_regressor,
-    make_ofdm_frame,
-    remove_cyclic_prefix,
-)
+from .filters import VARIANTS, AlgorithmConfig, initial_state, step
+from .harness import ExperimentConfig, run_ber_sweep, run_monte_carlo_mse
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AlgorithmConfig",
-    "BerCurve",
-    "ChannelMatrix",
-    "DetectionError",
     "ExperimentConfig",
-    "FilterState",
-    "ISS_NLMS",
-    "ISS_RZA_NLMS",
-    "ISS_ZA_NLMS",
-    "MseCurve",
-    "NoiseModel",
-    "OfdmFrame",
-    "QAM_ORDERS",
-    "QamConstellation",
-    "TRUE_CHANNEL",
-    "TrialResult",
     "VARIANTS",
-    "VSS_NLMS",
-    "VSS_RZA_NLMS",
-    "VSS_ZA_NLMS",
-    "add_cyclic_prefix",
-    "apply_channel",
-    "channel_error",
-    "check_stop",
-    "componentwise_sign",
-    "compute_vss",
-    "detect_mimo_subcarrier",
-    "dft_matrix",
-    "generate_sparse_channel",
-    "generate_training_regressor",
     "initial_state",
-    "make_ofdm_frame",
-    "prediction_error",
-    "qam_constellation",
-    "qam_demodulate",
-    "qam_modulate",
-    "remove_cyclic_prefix",
-    "reweighted_zero_attract_term",
     "run_ber_sweep",
-    "run_estimation_trial",
     "run_monte_carlo_mse",
-    "select_receive_antenna",
-    "steady_state_mean",
     "step",
-    "update_grad_avg",
-    "write_ber_csv",
-    "write_mse_csv",
-    "write_stepsize_csv",
-    "zero_attract_term",
 ]

@@ -8,14 +8,10 @@ exactly ``sparsity`` nonzero taps at uniformly drawn positions, values
 drawn circularly Gaussian with unit variance, and every row is scaled
 to unit Euclidean norm afterwards so that all receive antennas observe
 the same average signal power.
-
-Links are numbered ``link_id = receive_index * n_t + transmit_index``
-(zero based) in the CSV serialization.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,13 +45,9 @@ class NoiseModel:
 class ChannelMatrix:
     """One static channel realization.
 
-    Attributes
-    ----------
-    entries : ndarray
-        Complex matrix of shape ``(n_r, n_t * tap_length)``.
-    support : ndarray
-        Integer array of shape ``(n_r, n_t, sparsity)`` listing the
-        nonzero tap positions of each link, sorted ascending.
+    ``entries`` is the complex ``(n_r, n_t * tap_length)`` matrix;
+    ``entries.reshape(n_r, n_t, tap_length)`` gives the per-link
+    impulse responses.
     """
 
     entries: np.ndarray
@@ -63,78 +55,6 @@ class ChannelMatrix:
     n_r: int
     tap_length: int
     sparsity: int
-    support: np.ndarray
-
-    def row(self, receive_index):
-        """Stacked impulse responses seen by one receive antenna."""
-        return self.entries[receive_index]
-
-    def link_cir(self, receive_index, transmit_index):
-        """Impulse response of one transmit/receive link."""
-        start = transmit_index * self.tap_length
-        return self.entries[receive_index, start : start + self.tap_length]
-
-    def link_cirs(self):
-        """All impulse responses, shaped ``(n_r, n_t, tap_length)``."""
-        return self.entries.reshape(self.n_r, self.n_t, self.tap_length)
-
-    def to_csv(self, path):
-        """Write the nonzero taps as ``link_id, tap_index, re, im`` rows."""
-        with open(path, "w", newline="") as handle:
-            handle.write(
-                f"# channel n_t={self.n_t} n_r={self.n_r} "
-                f"tap_length={self.tap_length} sparsity={self.sparsity}\n"
-            )
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["link_id", "tap_index", "re", "im"])
-            for ir in range(self.n_r):
-                for it in range(self.n_t):
-                    cir = self.link_cir(ir, it)
-                    for tap in self.support[ir, it]:
-                        value = cir[tap]
-                        writer.writerow(
-                            [
-                                ir * self.n_t + it,
-                                int(tap),
-                                repr(float(value.real)),
-                                repr(float(value.imag)),
-                            ]
-                        )
-
-    @classmethod
-    def from_csv(cls, path):
-        """Rebuild a realization written by :meth:`to_csv`."""
-        with open(path, newline="") as handle:
-            header = handle.readline().strip()
-            if not header.startswith("# channel "):
-                raise ValueError(f"{path} is not a channel CSV")
-            meta = dict(part.split("=") for part in header[10:].split())
-            n_t = int(meta["n_t"])
-            n_r = int(meta["n_r"])
-            tap_length = int(meta["tap_length"])
-            sparsity = int(meta["sparsity"])
-            reader = csv.reader(handle)
-            next(reader)  # column names
-            entries = np.zeros((n_r, n_t * tap_length), dtype=np.complex128)
-            support = np.zeros((n_r, n_t, sparsity), dtype=np.int64)
-            counts = np.zeros((n_r, n_t), dtype=np.int64)
-            for link_id, tap_index, re, im in reader:
-                link = int(link_id)
-                ir, it = divmod(link, n_t)
-                tap = int(tap_index)
-                entries[ir, it * tap_length + tap] = float(re) + 1j * float(im)
-                support[ir, it, counts[ir, it]] = tap
-                counts[ir, it] += 1
-        if not np.all(counts == sparsity):
-            raise ValueError(f"{path} does not list {sparsity} taps per link")
-        return cls(
-            entries=entries,
-            n_t=n_t,
-            n_r=n_r,
-            tap_length=tap_length,
-            sparsity=sparsity,
-            support=support,
-        )
 
 
 def generate_sparse_channel(rng, n_t, n_r, tap_length, sparsity):
@@ -158,7 +78,6 @@ def generate_sparse_channel(rng, n_t, n_r, tap_length, sparsity):
         raise ValueError("sparsity must lie in [1, tap_length]")
 
     entries = np.zeros((n_r, n_t * tap_length), dtype=np.complex128)
-    support = np.empty((n_r, n_t, sparsity), dtype=np.int64)
     for ir in range(n_r):
         for it in range(n_t):
             positions = np.sort(rng.choice(tap_length, size=sparsity, replace=False))
@@ -166,7 +85,6 @@ def generate_sparse_channel(rng, n_t, n_r, tap_length, sparsity):
                 rng.standard_normal(sparsity) + 1j * rng.standard_normal(sparsity)
             )
             entries[ir, it * tap_length + positions] = values
-            support[ir, it] = positions
         entries[ir] /= np.linalg.norm(entries[ir])
     return ChannelMatrix(
         entries=entries,
@@ -174,7 +92,6 @@ def generate_sparse_channel(rng, n_t, n_r, tap_length, sparsity):
         n_r=n_r,
         tap_length=tap_length,
         sparsity=sparsity,
-        support=support,
     )
 
 

@@ -135,9 +135,12 @@ def build_config(invocation):
     if invocation.trials is not None:
         data["num_trials"] = invocation.trials
     try:
-        return ExperimentConfig.from_dict(data)
+        config = ExperimentConfig.from_dict(data)
+        if invocation.subcommand == "ber-sweep":
+            config.validate_ofdm()
     except (ValueError, TypeError) as exc:
         raise CliError(str(exc)) from exc
+    return config
 
 
 def _artifact_name(subcommand, algorithm, config, snr_db, qam_order=None):

@@ -174,17 +174,6 @@ def initial_state(length, config):
     )
 
 
-def prediction_error(state, x, y):
-    """Instantaneous error ``e = y - w.T @ x`` (no conjugation)."""
-    x = np.asarray(x)
-    if x.shape != state.weights.shape:
-        raise ValueError(
-            f"regressor shape {x.shape} does not match taps "
-            f"{state.weights.shape}"
-        )
-    return y - np.dot(state.weights, x)
-
-
 def componentwise_sign(values):
     """Signum applied separately to real and imaginary parts.
 
@@ -193,20 +182,6 @@ def componentwise_sign(values):
     """
     values = np.asarray(values)
     return np.sign(values.real) + 1j * np.sign(values.imag)
-
-
-def update_grad_avg(grad_avg, x, e, beta):
-    """Exponentially smoothed normalized gradient.
-
-    Returns ``beta * grad_avg + (1 - beta) * e * conj(x) / ||x||^2``.
-    """
-    if not 0.0 <= beta < 1.0:
-        raise ValueError("beta must lie in [0, 1)")
-    x = np.asarray(x)
-    energy = np.vdot(x, x).real
-    if energy == 0.0:
-        raise ValueError("regressor energy is zero; cannot normalize")
-    return beta * grad_avg + (1.0 - beta) * (e / energy) * np.conj(x)
 
 
 def compute_vss(grad_avg, mu_max, c_threshold):
@@ -274,8 +249,7 @@ def step(state, x, y, config):
         grad_avg = config.beta * state.grad_avg + (
             (1.0 - config.beta) * (e / energy)
         ) * np.conj(x)
-        p_energy = np.vdot(grad_avg, grad_avg).real
-        mu = float(config.mu_max * p_energy / (p_energy + config.c_threshold))
+        mu = compute_vss(grad_avg, config.mu_max, config.c_threshold)
     else:
         grad_avg = state.grad_avg
         mu = config.mu

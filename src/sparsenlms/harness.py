@@ -23,11 +23,21 @@ regularization weight and reweighting scale).
 
 The bit-error-rate sweep trains each algorithm at a fixed SNR, freezes
 the estimates, and transmits Gray-coded QAM over cyclic-prefixed OFDM
-frames through the true channel, detecting per subcarrier by zero
-forcing with either the frozen estimates or the true channel ("genie"
-baseline, reported as algorithm ``true_channel``).  All detectors see
-identical frames, bits and noise, so BER differences reflect only
-channel-estimate quality.
+frames of ``K`` subcarriers through the true channel, detecting per
+subcarrier by zero forcing with either the frozen estimates or the true
+channel ("genie" baseline, reported as algorithm ``true_channel``).
+All detectors see identical frames, bits and noise, so BER differences
+reflect only channel-estimate quality.
+
+Frames are synthesized directly in the frequency domain.  Because the
+cyclic prefix is at least as long as the channel memory (``cp_length
+>= tap_length - 1``, enforced by ``validate_ofdm``), the linear
+convolution of a prefixed block with each link's impulse response is
+circular over the kept ``K`` samples, so subcarrier ``k`` sees exactly
+``Y_k = H_k X_k + N_k``.  ``H_k`` is the ``K``-point DFT of the impulse
+responses and ``N_k`` the unitary DFT of the time-domain noise after
+prefix removal.  The full prefixed noise block is still drawn, so the
+random streams match a time-domain simulation of the same frames.
 
 Reproducibility: every random stream is derived from ``rng_seed``
 together with the trial (or frame) index through seed sequences, and
@@ -55,13 +65,6 @@ TRUE_CHANNEL = "true_channel"
 DEFAULT_RHO_ZA = {1: 0.006, "denser": 0.002}
 DEFAULT_RHO_RZA = {1: 0.0006, "denser": 0.0002}
 
-# Alternative threshold schedule for the adaptive step-size law, keyed
-# by SNR in dB.  Not applied by default: a flat ``c_threshold`` of 1e-4
-# keeps the adaptive step in its productive range during the transient
-# (1e-5 pins it against mu_max where the normalized update barely
-# contracts); see ExperimentConfig.c_by_snr.
-ALTERNATE_C_BY_SNR = {5.0: 1e-4, 10.0: 1e-5, 20.0: 1e-5}
-
 
 @dataclass
 class ExperimentConfig:
@@ -78,6 +81,15 @@ class ExperimentConfig:
     small-error updates long before the average error settles, which
     truncates convergence curves; set it explicitly when early
     stopping is wanted.
+
+    ``c_by_snr`` optionally maps an SNR in dB to its own ``c_threshold``.
+    It is unset by default: a flat 1e-4 keeps the adaptive step in its
+    productive range during the transient, while 1e-5 pins the step
+    against ``mu_max``, where the normalized update barely contracts.
+
+    Every algorithm is resolved at every SNR it can run at (``snr_db``
+    and ``ber_training_snr_db``) on construction, so an invalid filter
+    parameter is rejected here rather than partway through a run.
     """
 
     n_t: int = 4
@@ -143,8 +155,9 @@ class ExperimentConfig:
             raise ValueError("ber stopping thresholds must be nonnegative")
         if self.ber_max_frames < 1:
             raise ValueError("ber_max_frames must be at least 1")
-        # The remaining AlgorithmConfig constraints (mu, mu_max, beta,
-        # c_threshold, epsilon_rza) are enforced on resolution below.
+        for name in self.algorithms:
+            for snr in [*self.snr_db, self.ber_training_snr_db]:
+                self.algorithm_config(name, snr)
 
     # -- resolution helpers -------------------------------------------------
 
@@ -436,10 +449,10 @@ def run_ber_sweep(config):
     """
     config.validate_ofdm()
     detectors = [TRUE_CHANNEL] + list(config.algorithms)
-    k = config.subcarrier_count
+    k, cp = config.subcarrier_count, config.cp_length
     n_t, n_r = config.n_t, config.n_r
 
-    channels = []
+    true_responses = []
     zf_tables = []
     for trial in range(config.ber_num_channels):
         tables = {}
@@ -450,16 +463,17 @@ def run_ber_sweep(config):
                 algorithm=algorithm,
                 snr_db=config.ber_training_snr_db,
             )
-            chan = result.channel
             tables[algorithm] = _zero_forcing_tables(
                 _frequency_responses(
                     result.final_estimate, n_t, n_r, config.tap_length, k
                 )
             )
-        tables[TRUE_CHANNEL] = _zero_forcing_tables(
-            _frequency_responses(chan.entries, n_t, n_r, config.tap_length, k)
+        # The channel depends on the trial only, not on the algorithm.
+        true_response = _frequency_responses(
+            result.channel.entries, n_t, n_r, config.tap_length, k
         )
-        channels.append(chan)
+        tables[TRUE_CHANNEL] = _zero_forcing_tables(true_response)
+        true_responses.append(true_response)
         zf_tables.append(tables)
 
     curves = []
@@ -475,44 +489,25 @@ def run_ber_sweep(config):
             frames = 0
             while frames < config.ber_max_frames:
                 trial = frames % config.ber_num_channels
-                chan = channels[trial]
                 rng = np.random.default_rng(
                     [config.rng_seed, 2, int(order), point_index, frames]
                 )
                 tx_bits = rng.integers(0, 2, size=(n_t, k * table.bits_per_symbol))
-                tx_time = np.empty((n_t, k + config.cp_length), dtype=np.complex128)
-                for it in range(n_t):
-                    symbols = qam_modulate(tx_bits[it], order)
-                    block = np.fft.ifft(symbols) * np.sqrt(k)
-                    tx_time[it, : config.cp_length] = block[-config.cp_length :]
-                    tx_time[it, config.cp_length :] = block
-                block_len = k + config.cp_length
+                symbols = qam_modulate(tx_bits, order).reshape(n_t, k)
                 noise = np.sqrt(n0 / 2.0) * (
-                    rng.standard_normal((n_r, block_len))
-                    + 1j * rng.standard_normal((n_r, block_len))
+                    rng.standard_normal((n_r, k + cp))
+                    + 1j * rng.standard_normal((n_r, k + cp))
                 )
-                rx_freq = np.empty((k, n_r), dtype=np.complex128)
-                cirs = chan.link_cirs()
-                for ir in range(n_r):
-                    acc = np.zeros(block_len, dtype=np.complex128)
-                    for it in range(n_t):
-                        acc += np.convolve(cirs[ir, it], tx_time[it])[:block_len]
-                    acc += noise[ir]
-                    rx_freq[:, ir] = np.fft.fft(acc[config.cp_length :]) / np.sqrt(k)
+                rx_freq = np.einsum(
+                    "kij,jk->ki", true_responses[trial], symbols
+                ) + np.fft.fft(noise[:, cp:], axis=1).T / np.sqrt(k)
+                sent = tx_bits.reshape(n_t, k, table.bits_per_symbol)
                 for detector in detectors:
                     pinv, failed = zf_tables[trial][detector]
                     detected = np.einsum("kij,kj->ki", pinv, rx_freq)
-                    wrong = 0
-                    for it in range(n_t):
-                        rx_bits = qam_demodulate(detected[:, it], order)
-                        diff = (
-                            rx_bits.reshape(k, table.bits_per_symbol)
-                            != tx_bits[it].reshape(k, table.bits_per_symbol)
-                        )
-                        if failed.any():
-                            diff[failed] = True
-                        wrong += int(diff.sum())
-                    errors[detector] += wrong
+                    diff = qam_demodulate(detected.T, order).reshape(sent.shape) != sent
+                    diff[:, failed] = True
+                    errors[detector] += int(diff.sum())
                 bits_sent += bits_per_frame
                 frames += 1
                 if bits_sent >= config.ber_min_bits and all(

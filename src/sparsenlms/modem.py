@@ -1,4 +1,4 @@
-"""Gray-coded square QAM and per-subcarrier zero-forcing MIMO detection.
+"""Gray-coded square QAM modulation and hard-decision demodulation.
 
 Square constellations of order 16, 64 and 256 are supported.  Each
 symbol carries ``log2(order)`` bits, the first half Gray-coding the
@@ -19,10 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 QAM_ORDERS = (16, 64, 256)
-
-
-class DetectionError(ValueError):
-    """Raised when zero-forcing detection is impossible (rank-deficient channel)."""
 
 
 def _gray_encode(index):
@@ -118,38 +114,14 @@ def _nearest_level_codes(values, table):
 
 
 def qam_demodulate(symbols, order):
-    """Hard-decide symbols back to bits (inverse of :func:`qam_modulate`)."""
+    """Hard-decide symbols back to a flat bit array (inverse of :func:`qam_modulate`).
+
+    Symbols of any shape are read in C order.
+    """
     table = qam_constellation(order)
     symbols = np.asarray(symbols)
     i_codes = _nearest_level_codes(symbols.real, table)
     q_codes = _nearest_level_codes(symbols.imag, table)
     codes = (i_codes << table.bits_per_axis) | q_codes
     shifts = np.arange(table.bits_per_symbol - 1, -1, -1)
-    return ((codes[:, None] >> shifts) & 1).reshape(-1).astype(np.int64)
-
-
-def detect_mimo_subcarrier(h_freq, y_freq):
-    """Zero-forcing estimate of the transmitted symbols on one subcarrier.
-
-    Solves ``h_freq @ x = y_freq`` in the least-squares sense, where
-    ``h_freq`` holds the per-link frequency responses (receive antennas
-    by transmit antennas) on this subcarrier.
-
-    Raises
-    ------
-    DetectionError
-        If ``h_freq`` is rank deficient; callers should count the
-        affected symbols as erased.
-    """
-    h_freq = np.asarray(h_freq)
-    y_freq = np.asarray(y_freq)
-    if h_freq.ndim != 2 or y_freq.shape != (h_freq.shape[0],):
-        raise ValueError(
-            f"incompatible shapes {h_freq.shape} and {y_freq.shape}"
-        )
-    solution, _, rank, _ = np.linalg.lstsq(h_freq, y_freq, rcond=None)
-    if rank < h_freq.shape[1]:
-        raise DetectionError(
-            f"channel matrix rank {rank} < {h_freq.shape[1]} transmit streams"
-        )
-    return solution
+    return ((codes[..., None] >> shifts) & 1).reshape(-1).astype(np.int64)

@@ -1,21 +1,11 @@
-"""Training regressors, unitary DFT and cyclic-prefix plumbing.
+"""Training regressors for channel estimation.
 
-Training for channel estimation uses fresh i.i.d. circular complex
-Gaussian regressors with unit total power: a stacked vector of length
-``n_t * tap_length`` has per-entry variance ``1 / (n_t * tap_length)``.
-
-The OFDM helpers use the unitary DFT convention (``1 / sqrt(K)`` both
-ways) so that transforming never changes signal or noise power, which
-keeps SNR bookkeeping consistent across time and frequency domains.
-With a cyclic prefix at least as long as the channel memory, linear
-convolution with an impulse response of ``L`` taps acts on each
-subcarrier as multiplication by the ``K``-point (unnormalized) DFT of
-the impulse response.
+Training uses fresh i.i.d. circular complex Gaussian regressors with
+unit total power: a stacked vector of length ``n_t * tap_length`` has
+per-entry variance ``1 / (n_t * tap_length)``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,63 +22,4 @@ def generate_training_regressor(rng, n_t, tap_length):
     scale = np.sqrt(0.5 / length)
     return scale * (
         rng.standard_normal(length) + 1j * rng.standard_normal(length)
-    )
-
-
-def dft_matrix(k):
-    """Unitary ``k x k`` DFT matrix, entries ``exp(-2j pi m n / k) / sqrt(k)``."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    indices = np.arange(k)
-    return np.exp(-2j * np.pi * np.outer(indices, indices) / k) / np.sqrt(k)
-
-
-def add_cyclic_prefix(time_samples, cp_length):
-    """Prepend the last ``cp_length`` samples to the block."""
-    time_samples = np.asarray(time_samples)
-    if time_samples.ndim != 1:
-        raise ValueError("time_samples must be one-dimensional")
-    if not 0 <= cp_length < time_samples.size:
-        raise ValueError("cp_length must lie in [0, block length)")
-    if cp_length == 0:
-        return time_samples.copy()
-    return np.concatenate([time_samples[-cp_length:], time_samples])
-
-
-def remove_cyclic_prefix(rx_samples, cp_length):
-    """Drop the first ``cp_length`` samples."""
-    rx_samples = np.asarray(rx_samples)
-    if rx_samples.ndim != 1:
-        raise ValueError("rx_samples must be one-dimensional")
-    if not 0 <= cp_length < rx_samples.size:
-        raise ValueError("cp_length must lie in [0, block length)")
-    return rx_samples[cp_length:]
-
-
-@dataclass
-class OfdmFrame:
-    """One OFDM block: frequency symbols plus prefixed time samples."""
-
-    freq_symbols: np.ndarray
-    time_samples: np.ndarray
-    subcarrier_count: int
-    cp_length: int
-
-
-def make_ofdm_frame(freq_symbols, cp_length):
-    """Modulate frequency symbols to a cyclic-prefixed time block.
-
-    Uses the unitary inverse DFT, so the time block (without prefix)
-    has exactly the energy of ``freq_symbols``.
-    """
-    freq_symbols = np.asarray(freq_symbols, dtype=np.complex128)
-    if freq_symbols.ndim != 1:
-        raise ValueError("freq_symbols must be one-dimensional")
-    k = freq_symbols.size
-    time = np.fft.ifft(freq_symbols) * np.sqrt(k)
-    return OfdmFrame(
-        freq_symbols=freq_symbols,
-        time_samples=add_cyclic_prefix(time, cp_length),
-        subcarrier_count=k,
-        cp_length=cp_length,
     )

@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from sparsenlms.channel import (
-    ChannelMatrix,
-    NoiseModel,
-    apply_channel,
-    generate_sparse_channel,
-)
+from sparsenlms.channel import NoiseModel, apply_channel, generate_sparse_channel
 
 
 def test_noise_model_from_snr():
@@ -26,23 +21,18 @@ def test_sparsity_counts_per_link_and_row():
     rng = np.random.default_rng(100)
     chan = generate_sparse_channel(rng, 4, 4, 16, 1)
     assert chan.entries.shape == (4, 64)
-    cirs = chan.link_cirs()
+    cirs = chan.entries.reshape(4, 4, 16)
     for ir in range(4):
         assert np.count_nonzero(chan.entries[ir]) == 4
         for it in range(4):
-            link = cirs[ir, it]
-            nz = np.flatnonzero(link)
-            assert nz.size == 1
-            assert np.array_equal(nz, chan.support[ir, it])
-    assert chan.support.min() >= 0 and chan.support.max() <= 15
+            assert np.count_nonzero(cirs[ir, it]) == 1
 
 
 def test_denser_channel_sparsity():
     rng = np.random.default_rng(101)
     chan = generate_sparse_channel(rng, 4, 4, 16, 4)
-    for ir in range(4):
-        for it in range(4):
-            assert np.count_nonzero(chan.link_cir(ir, it)) == 4
+    cirs = chan.entries.reshape(4, 4, 16)
+    assert np.all(np.count_nonzero(cirs, axis=2) == 4)
 
 
 def test_rows_have_unit_norm():
@@ -57,7 +47,6 @@ def test_generation_is_deterministic():
     a = generate_sparse_channel(np.random.default_rng(7), 2, 3, 8, 2)
     b = generate_sparse_channel(np.random.default_rng(7), 2, 3, 8, 2)
     assert np.array_equal(a.entries, b.entries)
-    assert np.array_equal(a.support, b.support)
 
 
 def test_generation_validates_arguments():
@@ -77,7 +66,7 @@ def test_support_positions_are_uniform():
     counts = np.zeros(16)
     for _ in range(10_000):
         chan = generate_sparse_channel(rng, 1, 1, 16, 1)
-        counts[chan.support[0, 0, 0]] += 1
+        counts[np.nonzero(chan.entries[0])[0]] += 1
     expected = 10_000 / 16
     statistic = np.sum((counts - expected) ** 2) / expected
     assert statistic < 30.578
@@ -130,24 +119,3 @@ def test_noiseless_stream_stays_aligned():
     apply_channel(h, x, NoiseModel(variance=0.0, snr_db=np.inf), rng_a)
     apply_channel(h, x, NoiseModel(variance=1.0, snr_db=0.0), rng_b)
     assert rng_a.standard_normal() == rng_b.standard_normal()
-
-
-def test_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(105)
-    chan = generate_sparse_channel(rng, 3, 2, 8, 2)
-    path = tmp_path / "channel.csv"
-    chan.to_csv(path)
-    loaded = ChannelMatrix.from_csv(path)
-    assert loaded.n_t == chan.n_t
-    assert loaded.n_r == chan.n_r
-    assert loaded.tap_length == chan.tap_length
-    assert loaded.sparsity == chan.sparsity
-    assert np.array_equal(loaded.entries, chan.entries)
-    assert np.array_equal(loaded.support, chan.support)
-
-
-def test_csv_rejects_foreign_file(tmp_path):
-    path = tmp_path / "other.csv"
-    path.write_text("a,b\n1,2\n")
-    with pytest.raises(ValueError, match="not a channel CSV"):
-        ChannelMatrix.from_csv(path)

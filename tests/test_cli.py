@@ -3,6 +3,8 @@
 import hashlib
 import json
 
+import pytest
+
 from sparsenlms.cli import parse_and_dispatch
 
 
@@ -77,6 +79,24 @@ def test_invalid_value_is_rejected(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "sparsity" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["single-run", "--override", "mu=-1", "--override", "algorithms=iss_nlms"],
+        ["single-run", "--override", "beta=5", "--override", "algorithms=vss_nlms"],
+        ["ber-sweep", "--override", "cp_length=2"],
+        ["single-run", "--dump-config", "--override", "mu=-1"],
+    ],
+)
+def test_invalid_config_is_rejected_before_running(argv, tmp_path, capsys):
+    code = run_cli(*argv, "--out", str(tmp_path / "out"))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_output_file_naming(tmp_path, capsys):

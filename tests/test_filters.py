@@ -15,13 +15,15 @@ def make_config(variant, **kwargs):
     return filters.AlgorithmConfig(variant=variant, **kwargs)
 
 
-# -- prediction error ---------------------------------------------------------
+# -- prediction error (returned by step) --------------------------------------
 
 
 def test_error_zero_estimator_passes_observation_through():
-    state = filters.initial_state(4, make_config(filters.ISS_NLMS))
+    config = make_config(filters.ISS_NLMS)
+    state = filters.initial_state(4, config)
     x = np.array([1.0, 2.0, -1.0, 0.5], dtype=np.complex128)
-    assert filters.prediction_error(state, x, 3 + 1j) == 3 + 1j
+    _, e = filters.step(state, x, 3 + 1j, config)
+    assert e == 3 + 1j
 
 
 def test_error_perfect_estimator_is_zero():
@@ -29,24 +31,27 @@ def test_error_perfect_estimator_is_zero():
     w = complex_normal(rng, 6)
     x = complex_normal(rng, 6)
     state = filters.FilterState(weights=w, grad_avg=np.zeros(6, complex), step_size=0.2)
-    y = np.dot(w, x)
-    assert filters.prediction_error(state, x, y) == 0
+    _, e = filters.step(state, x, np.dot(w, x), make_config(filters.ISS_NLMS))
+    assert e == 0
 
 
 def test_error_hand_example():
+    # Plain transpose, no conjugation: e = 3 - [1, 0] . [1, 1] = 2.
     state = filters.FilterState(
         weights=np.array([1.0, 0.0], dtype=np.complex128),
         grad_avg=np.zeros(2, dtype=np.complex128),
         step_size=0.2,
     )
     x = np.array([1.0, 1.0], dtype=np.complex128)
-    assert filters.prediction_error(state, x, 3.0) == 2.0
+    _, e = filters.step(state, x, 3.0, make_config(filters.ISS_NLMS))
+    assert e == 2.0
 
 
 def test_error_rejects_shape_mismatch():
-    state = filters.initial_state(4, make_config(filters.ISS_NLMS))
+    config = make_config(filters.ISS_NLMS)
+    state = filters.initial_state(4, config)
     with pytest.raises(ValueError, match="does not match"):
-        filters.prediction_error(state, np.ones(3, dtype=np.complex128), 1.0)
+        filters.step(state, np.ones(3, dtype=np.complex128), 1.0, config)
 
 
 # -- componentwise sign -------------------------------------------------------
@@ -102,46 +107,53 @@ def test_vss_rejects_nonpositive_threshold():
         filters.compute_vss(np.zeros(2, dtype=complex), 2.0, 0.0)
 
 
-# -- gradient smoothing -------------------------------------------------------
+# -- gradient smoothing (new_state.grad_avg of step) --------------------------
+
+
+def vss_step(grad_avg, x, y, beta):
+    """One vss_nlms update from zero taps; returns ``(new_state, error)``."""
+    config = make_config(filters.VSS_NLMS, beta=beta)
+    state = filters.FilterState(
+        weights=np.zeros(x.size, dtype=complex),
+        grad_avg=np.asarray(grad_avg, dtype=complex),
+        step_size=0.0,
+    )
+    return filters.step(state, x, y, config)
 
 
 def test_grad_avg_no_smoothing_equals_normalized_gradient():
     rng = np.random.default_rng(7)
     x = complex_normal(rng, 5)
     e = 0.3 - 0.7j
-    out = filters.update_grad_avg(np.zeros(5, dtype=complex), x, e, 0.0)
+    new_state, error = vss_step(np.zeros(5), x, e, 0.0)
+    assert error == e
     expected = (e / np.vdot(x, x).real) * np.conj(x)
-    assert np.allclose(out, expected, rtol=0, atol=0)
+    assert np.allclose(new_state.grad_avg, expected, rtol=0, atol=0)
 
 
 def test_grad_avg_zero_history_scales_by_one_minus_beta():
     rng = np.random.default_rng(8)
     x = complex_normal(rng, 5)
     e = 1.0 + 2.0j
-    out = filters.update_grad_avg(np.zeros(5, dtype=complex), x, e, 0.75)
+    new_state, _ = vss_step(np.zeros(5), x, e, 0.75)
     expected = 0.25 * (e / np.vdot(x, x).real) * np.conj(x)
-    assert np.allclose(out, expected, rtol=1e-15)
+    assert np.allclose(new_state.grad_avg, expected, rtol=1e-15)
 
 
 def test_grad_avg_hand_example():
-    out = filters.update_grad_avg(
-        np.array([0.1], dtype=complex), np.array([1.0], dtype=complex), 1.0, 0.99
-    )
-    assert out[0] == pytest.approx(0.109, rel=1e-12)
+    new_state, _ = vss_step([0.1], np.array([1.0], dtype=complex), 1.0, 0.99)
+    assert new_state.grad_avg[0] == pytest.approx(0.109, rel=1e-12)
 
 
 def test_grad_avg_rejects_zero_regressor():
     with pytest.raises(ValueError, match="zero"):
-        filters.update_grad_avg(
-            np.zeros(3, dtype=complex), np.zeros(3, dtype=complex), 1.0, 0.5
-        )
+        vss_step(np.zeros(3), np.zeros(3, dtype=complex), 1.0, 0.5)
 
 
 def test_grad_avg_rejects_bad_beta():
-    with pytest.raises(ValueError, match="beta"):
-        filters.update_grad_avg(
-            np.zeros(2, dtype=complex), np.ones(2, dtype=complex), 1.0, 1.0
-        )
+    for beta in (1.0, -0.1):
+        with pytest.raises(ValueError, match="beta"):
+            make_config(filters.VSS_NLMS, beta=beta)
 
 
 # -- penalties ----------------------------------------------------------------

@@ -86,7 +86,6 @@ def anchors():
 def test_mse_curves_match_golden(anchors):
     got = mse_samples()
     assert sorted(got) == sorted(anchors["mse"])
-    assert len(got) == 12
     for key, values in anchors["mse"].items():
         np.testing.assert_allclose(got[key], values, rtol=1e-12, atol=0, err_msg=key)
 

@@ -200,6 +200,16 @@ def test_config_validation_errors():
         ExperimentConfig(qam_orders=[32])
     with pytest.raises(ValueError, match="cp_length"):
         ExperimentConfig(cp_length=3).validate_ofdm()
+    # Filter parameters are checked for every algorithm at every SNR,
+    # the BER training SNR included.
+    with pytest.raises(ValueError, match="mu must be positive"):
+        ExperimentConfig(mu=-1.0, algorithms=["iss_nlms"])
+    with pytest.raises(ValueError, match="beta"):
+        ExperimentConfig(beta=5.0, algorithms=["vss_nlms"])
+    with pytest.raises(ValueError, match="c_threshold"):
+        ExperimentConfig(
+            snr_db=[20.0], ber_training_snr_db=10.0, c_by_snr={10.0: 0.0}
+        )
 
 
 def test_config_dict_round_trip():
@@ -275,6 +285,19 @@ def test_ber_sweep_all_detectors_share_frames():
     config = ber_config(esn0_range_db=[30.0], max_iterations=20)
     curves = {c.algorithm: c for c in run_ber_sweep(config)}
     assert curves[TRUE_CHANNEL].bits_total == curves["vss_nlms"].bits_total
+
+
+def test_ber_sweep_erases_rank_deficient_subcarriers():
+    # One training update touches only the first receive antenna, so the
+    # estimate has a zero row and its zero-forcing matrix is rank
+    # deficient on every subcarrier: every bit counts as an error.
+    config = ber_config(max_iterations=1, esn0_range_db=[30.0])
+    curves = {c.algorithm: c for c in run_ber_sweep(config)}
+    estimator = curves["vss_nlms"]
+    assert estimator.bits_total.tolist() == [2048]
+    assert estimator.bit_errors.tolist() == [2048]
+    assert estimator.ber.tolist() == [1.0]
+    assert curves[TRUE_CHANNEL].bit_errors.tolist() == [0]
 
 
 # -- persistence --------------------------------------------------------------

@@ -1,18 +1,12 @@
-"""Unit tests for Gray QAM mapping and zero-forcing detection."""
+"""Unit tests for Gray QAM mapping and per-subcarrier zero-forcing detection."""
 
 import math
 
 import numpy as np
 import pytest
 
-from sparsenlms.modem import (
-    DetectionError,
-    QAM_ORDERS,
-    detect_mimo_subcarrier,
-    qam_constellation,
-    qam_demodulate,
-    qam_modulate,
-)
+from sparsenlms.harness import _zero_forcing_tables
+from sparsenlms.modem import QAM_ORDERS, qam_constellation, qam_demodulate, qam_modulate
 
 
 def q_function(x):
@@ -83,39 +77,46 @@ def test_awgn_ber_matches_analytic_approximation():
     assert measured == pytest.approx(analytic, rel=0.10)
 
 
+def zero_force(freq_resp, rx):
+    """Detect ``(k, n_t)`` symbols from ``(k, n_r)`` observations."""
+    pinv, failed = _zero_forcing_tables(freq_resp)
+    return np.einsum("kij,kj->ki", pinv, rx), failed
+
+
+def complex_normal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 def test_zero_forcing_identity_channel():
     rng = np.random.default_rng(302)
-    sent = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    out = detect_mimo_subcarrier(np.eye(4, dtype=complex), sent)
+    sent = complex_normal(rng, (3, 4))
+    identity = np.broadcast_to(np.eye(4, dtype=complex), (3, 4, 4))
+    out, failed = zero_force(identity, sent)
     assert np.allclose(out, sent, atol=1e-12)
+    assert not failed.any()
 
 
 def test_zero_forcing_inverts_noiseless_channel():
     rng = np.random.default_rng(303)
-    h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    sent = qam_modulate(rng.integers(0, 2, size=16), 16)
-    out = detect_mimo_subcarrier(h, h @ sent)
+    h = complex_normal(rng, (3, 4, 4))
+    sent = qam_modulate(rng.integers(0, 2, size=48), 16).reshape(3, 4)
+    out, failed = zero_force(h, np.einsum("kij,kj->ki", h, sent))
     assert np.allclose(out, sent, atol=1e-10)
+    assert not failed.any()
 
 
 def test_zero_forcing_scale_invariance():
     rng = np.random.default_rng(304)
-    h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    y = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    h = complex_normal(rng, (3, 4, 4))
+    y = complex_normal(rng, (3, 4))
     alpha = 0.3 - 1.7j
     assert np.allclose(
-        detect_mimo_subcarrier(h, y),
-        detect_mimo_subcarrier(alpha * h, alpha * y),
-        atol=1e-12,
+        zero_force(h, y)[0], zero_force(alpha * h, alpha * y)[0], atol=1e-12
     )
 
 
 def test_zero_forcing_rejects_rank_deficiency():
-    h = np.ones((4, 4), dtype=complex)
-    with pytest.raises(DetectionError, match="rank"):
-        detect_mimo_subcarrier(h, np.ones(4, dtype=complex))
-
-
-def test_zero_forcing_rejects_bad_shapes():
-    with pytest.raises(ValueError, match="incompatible"):
-        detect_mimo_subcarrier(np.eye(4, dtype=complex), np.ones(3, dtype=complex))
+    # Only the all-ones subcarrier is flagged; its neighbor is invertible.
+    h = np.stack([np.ones((4, 4), dtype=complex), np.eye(4, dtype=complex)])
+    _, failed = _zero_forcing_tables(h)
+    assert failed.tolist() == [True, False]

@@ -1,15 +1,10 @@
-"""Unit tests for training regressors and OFDM framing primitives."""
+"""Unit tests for training regressors and the frequency-domain OFDM model."""
 
 import numpy as np
 import pytest
 
-from sparsenlms.signals import (
-    add_cyclic_prefix,
-    dft_matrix,
-    generate_training_regressor,
-    make_ofdm_frame,
-    remove_cyclic_prefix,
-)
+from sparsenlms.harness import _frequency_responses
+from sparsenlms.signals import generate_training_regressor
 
 
 def test_regressor_length():
@@ -37,79 +32,31 @@ def test_regressor_validates_arguments():
         generate_training_regressor(np.random.default_rng(0), 0, 8)
 
 
-def test_dft_degenerate():
-    assert np.array_equal(dft_matrix(1), np.array([[1.0 + 0j]]))
-
-
-def test_dft_is_unitary():
-    f = dft_matrix(8)
-    assert np.allclose(f.conj().T @ f, np.eye(8), atol=1e-12)
-
-
-def test_dft_preserves_norm():
-    rng = np.random.default_rng(201)
-    v = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    assert np.linalg.norm(dft_matrix(16) @ v) == pytest.approx(
-        np.linalg.norm(v), rel=1e-12
-    )
-
-
-def test_dft_hand_example():
-    out = dft_matrix(4) @ np.ones(4)
-    assert np.allclose(out, [2.0, 0.0, 0.0, 0.0], atol=1e-12)
-
-
-def test_add_prefix_hand_example():
-    a, b, c, d = 1 + 1j, 2.0, 3 - 1j, 4j
-    out = add_cyclic_prefix(np.array([a, b, c, d]), 2)
-    assert np.array_equal(out, np.array([c, d, a, b, c, d]))
-
-
-def test_prefix_round_trip():
-    rng = np.random.default_rng(202)
-    for cp in (0, 1, 3, 7):
-        v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        assert np.array_equal(remove_cyclic_prefix(add_cyclic_prefix(v, cp), cp), v)
-
-
-def test_prefix_validates_length():
-    v = np.zeros(4, dtype=complex)
-    with pytest.raises(ValueError, match="cp_length"):
-        add_cyclic_prefix(v, 4)
-    with pytest.raises(ValueError, match="cp_length"):
-        remove_cyclic_prefix(v, 4)
-    with pytest.raises(ValueError, match="one-dimensional"):
-        add_cyclic_prefix(np.zeros((2, 2)), 1)
-
-
-def test_frame_prefix_is_copy_of_tail():
-    rng = np.random.default_rng(203)
-    symbols = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    frame = make_ofdm_frame(symbols, 4)
-    assert frame.time_samples.size == 20
-    assert np.array_equal(frame.time_samples[:4], frame.time_samples[-4:])
-
-
-def test_frame_transform_preserves_energy():
-    rng = np.random.default_rng(204)
-    symbols = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-    frame = make_ofdm_frame(symbols, 8)
-    block = frame.time_samples[8:]
-    assert np.vdot(block, block).real == pytest.approx(
-        np.vdot(symbols, symbols).real, rel=1e-12
-    )
-
-
 def test_cyclic_prefix_makes_convolution_circular():
-    # Linear channel convolution on the prefixed block, after prefix
-    # removal and the forward transform, must equal per-subcarrier
-    # multiplication by the channel's frequency response.
+    # Reference OFDM link built the slow way: per-stream inverse DFT,
+    # cyclic prefix, per-link linear convolution, prefix removal and
+    # forward DFT.  With cp_length = tap_length - 1 it must equal the
+    # per-subcarrier product H_k @ X_k that run_ber_sweep synthesizes
+    # directly; one sample shorter and it must not.
     rng = np.random.default_rng(205)
-    k, cp, taps = 16, 4, 5
-    symbols = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-    h = rng.standard_normal(taps) + 1j * rng.standard_normal(taps)
-    frame = make_ofdm_frame(symbols, cp)
-    rx = np.convolve(h, frame.time_samples)[: k + cp]
-    rx_freq = np.fft.fft(remove_cyclic_prefix(rx, cp)) / np.sqrt(k)
-    expected = symbols * np.fft.fft(h, k)
-    assert np.allclose(rx_freq, expected, atol=1e-12)
+    n_t, n_r, taps, k = 2, 3, 5, 16
+    cirs = rng.standard_normal((n_r, n_t, taps)) + 1j * rng.standard_normal(
+        (n_r, n_t, taps)
+    )
+    symbols = rng.standard_normal((n_t, k)) + 1j * rng.standard_normal((n_t, k))
+
+    def slow_link(cp):
+        block = np.fft.ifft(symbols, axis=1) * np.sqrt(k)
+        tx = np.concatenate([block[:, k - cp :], block], axis=1)
+        rx_freq = np.empty((k, n_r), dtype=complex)
+        for ir in range(n_r):
+            rx = np.zeros(k + cp, dtype=complex)
+            for it in range(n_t):
+                rx += np.convolve(cirs[ir, it], tx[it])[: k + cp]
+            rx_freq[:, ir] = np.fft.fft(rx[cp:]) / np.sqrt(k)
+        return rx_freq
+
+    h = _frequency_responses(cirs.reshape(n_r, n_t * taps), n_t, n_r, taps, k)
+    expected = np.array([h[i] @ symbols[:, i] for i in range(k)])
+    assert np.abs(slow_link(taps - 1) - expected).max() < 1e-12
+    assert np.abs(slow_link(taps - 2) - expected).max() > 1e-3
