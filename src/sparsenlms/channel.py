@@ -1,4 +1,4 @@
-"""Sparse multipath MIMO channel generation and application.
+"""Sparse multipath MIMO channel generation and the observation noise model.
 
 A channel between ``n_t`` transmit and ``n_r`` receive antennas with
 ``tap_length`` taps per link is stored as an ``n_r x (n_t *
@@ -94,21 +94,3 @@ def generate_sparse_channel(rng, n_t, n_r, tap_length, sparsity):
         sparsity=sparsity,
     )
 
-
-def apply_channel(h_row, x, noise, rng):
-    """One noisy observation ``y = h_row.T @ x + z``.
-
-    ``z`` is drawn circular complex Gaussian with total variance
-    ``noise.variance``.  The noise draw happens even at zero variance so
-    that runs differing only in noise level consume identical random
-    streams.
-    """
-    h_row = np.asarray(h_row)
-    x = np.asarray(x)
-    if h_row.shape != x.shape:
-        raise ValueError(
-            f"channel row shape {h_row.shape} does not match regressor {x.shape}"
-        )
-    pair = rng.standard_normal(2)
-    z = np.sqrt(noise.variance / 2.0) * (pair[0] + 1j * pair[1])
-    return np.dot(h_row, x) + z

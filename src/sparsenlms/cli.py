@@ -172,6 +172,7 @@ def _run_single_run(config, out_dir):
                 sparsity=config.sparsity,
                 num_trials=1,
                 rng_seed=config.rng_seed,
+                diverged=int(result.diverged),
             )
             name = _artifact_name("single-run", algorithm, config, snr)
             write_mse_csv(os.path.join(out_dir, name), curve)
@@ -228,11 +229,25 @@ def _run_ber_sweep(config, out_dir):
 def _summarize_mse(subcommand, curve):
     # Final-1% window mean, the quick convergence-quality readout.
     tail = steady_state_mean(curve.values, fraction=0.01)
-    db = 10.0 * math.log10(tail) if tail > 0 else float("-inf")
+    if tail == 0.0:
+        db = float("-inf")
+    elif math.isfinite(tail):
+        db = 10.0 * math.log10(tail)
+    else:
+        db = float("nan")
     print(
         f"{subcommand} algorithm={curve.algorithm} snr_db={curve.snr_db:g} "
-        f"final-1% MSE={tail:.6e} ({db:.2f} dB)"
+        f"final-1% MSE={tail:.6e} ({db:.2f} dB) "
+        f"diverged={curve.diverged}/{curve.num_trials}"
     )
+    if curve.diverged:
+        print(
+            f"warning: {subcommand} algorithm={curve.algorithm} "
+            f"snr_db={curve.snr_db:g}: {curve.diverged}/{curve.num_trials} "
+            "trials diverged (final squared error not finite or above n_r, "
+            "the all-zero estimator's) and are averaged into the curve",
+            file=sys.stderr,
+        )
 
 
 _RUNNERS = {

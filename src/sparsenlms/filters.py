@@ -40,6 +40,13 @@ componentwise on real and imaginary parts (``sign(0) = 0``); reweighted
 zero attraction scales the pull by ``1 / (1 + epsilon_rza * |w|)`` so
 that taps well above ``1 / epsilon_rza`` in magnitude are left mostly
 alone.  Penalties always evaluate the pre-update taps.
+
+The update law is written once, in :func:`update_rows`, for ``B``
+filters (rows) that share a regressor but may differ in variant and
+parameters (:class:`RowParams`).  :func:`step` is a batch of one with
+input validation.  Row reductions go through :func:`row_dot`, whose
+rounding does not depend on ``B``, so a row's trajectory is bitwise the
+same in any batch.
 """
 
 from __future__ import annotations
@@ -178,10 +185,31 @@ def componentwise_sign(values):
     """Signum applied separately to real and imaginary parts.
 
     Zero maps to zero on each axis, so ``sign(0) = 0`` and e.g.
-    ``sign(0.5 - 0.3j) = 1 - 1j``.
+    ``sign(0.5 - 0.3j) = 1 - 1j``.  The result is complex.
     """
-    values = np.asarray(values)
-    return np.sign(values.real) + 1j * np.sign(values.imag)
+    values = np.ascontiguousarray(values, dtype=np.complex128)
+    return np.sign(values.view(np.float64)).view(np.complex128)
+
+
+def row_dot(rows, x):
+    """Plain-transpose products ``rows[..., :] @ x[..., :]`` over the last axis.
+
+    ``matmul`` reduces every stacked row with the BLAS dot product that
+    ``np.dot`` uses for one pair of vectors, so a row's result is the
+    same whatever the number of rows stacked with it.
+    """
+    return np.matmul(rows[..., None, :], x[..., :, None])[..., 0, 0]
+
+
+def row_energy(rows):
+    """Hermitian energy ``||r||^2`` of each row, as ``np.vdot(r, r).real`` gives it."""
+    return row_dot(rows.conj(), rows).real
+
+
+def _vss_steps(grad_avg, mu_max, c_threshold):
+    """The vss law for each row of ``grad_avg``; see :func:`compute_vss`."""
+    energy = row_energy(grad_avg)
+    return mu_max * energy / (energy + c_threshold)
 
 
 def compute_vss(grad_avg, mu_max, c_threshold):
@@ -193,15 +221,31 @@ def compute_vss(grad_avg, mu_max, c_threshold):
     """
     if c_threshold <= 0.0:
         raise ValueError("c_threshold must be positive")
-    energy = np.vdot(grad_avg, grad_avg).real
-    return float(mu_max * energy / (energy + c_threshold))
+    rows = np.asarray(grad_avg, dtype=np.complex128).reshape(1, -1)
+    return float(_vss_steps(rows, mu_max, c_threshold)[0])
+
+
+def _attraction(weights, gamma_za, gamma_rza, epsilon_rza):
+    """Penalty on the taps ``weights``: plain plus reweighted zero attraction.
+
+    A strength of ``None`` skips its term; array strengths broadcast
+    against ``weights``.  The pull per tap is ``gamma_za + gamma_rza /
+    (1 + epsilon_rza |w|)`` times the componentwise sign of ``w``.
+    """
+    pull = gamma_za
+    if gamma_rza is not None:
+        # Times the reciprocal: the rounding numpy applies when a complex
+        # value is divided by a real one.
+        reweighted = gamma_rza * (1.0 / (1.0 + epsilon_rza * np.abs(weights)))
+        pull = reweighted if pull is None else pull + reweighted
+    return pull * componentwise_sign(weights)
 
 
 def zero_attract_term(weights, gamma_za):
     """Zero-attraction pull ``gamma_za * sign(weights)``."""
     if gamma_za < 0.0:
         raise ValueError("gamma_za must be nonnegative")
-    return gamma_za * componentwise_sign(weights)
+    return _attraction(weights, gamma_za, None, None)
 
 
 def reweighted_zero_attract_term(weights, gamma_rza, epsilon_rza):
@@ -210,8 +254,80 @@ def reweighted_zero_attract_term(weights, gamma_rza, epsilon_rza):
         raise ValueError("gamma_rza must be nonnegative")
     if epsilon_rza <= 0.0:
         raise ValueError("epsilon_rza must be positive")
-    weights = np.asarray(weights)
-    return gamma_rza * componentwise_sign(weights) / (1.0 + epsilon_rza * np.abs(weights))
+    return _attraction(np.asarray(weights), None, gamma_rza, epsilon_rza)
+
+
+class RowParams:
+    """Parameters of ``B`` filters updated together, one entry per row.
+
+    Fixed-step rows keep their smoothed gradient at zero (their
+    smoothing weights are ``1`` and ``0``) and use ``mu``; adaptive rows
+    use the vss law.  A penalty strength is ``None`` when no row applies
+    that penalty, so :func:`update_rows` skips the work entirely; a row
+    without the penalty that shares a batch with one gets strength 0,
+    which leaves its taps bitwise unchanged.
+    """
+
+    def __init__(self, configs):
+        self.configs = tuple(configs)
+        vss = [is_vss(c.variant) for c in self.configs]
+        za = [penalty_kind(c.variant) == "za" for c in self.configs]
+        rza = [penalty_kind(c.variant) == "rza" for c in self.configs]
+
+        def per_row(name, used, unused):
+            return np.array(
+                [getattr(c, name) if u else unused for c, u in zip(self.configs, used)],
+                dtype=float,
+            )
+
+        self.any_vss = any(vss)
+        # Needed only when fixed-step and adaptive rows are mixed.
+        self.vss_rows = np.array(vss) if self.any_vss and not all(vss) else None
+        self.mu = np.array([c.mu for c in self.configs], dtype=float)
+        self.mu_max = per_row("mu_max", vss, 0.0)
+        self.c_threshold = per_row("c_threshold", vss, 1.0)
+        beta = per_row("beta", vss, 1.0)
+        self.keep = beta[:, None]
+        self.smooth = 1.0 - beta
+        gamma_za = per_row("gamma_za", za, 0.0)
+        gamma_rza = per_row("gamma_rza", rza, 0.0)
+        self.gamma_za = gamma_za[:, None] if gamma_za.any() else None
+        self.gamma_rza = gamma_rza[:, None] if gamma_rza.any() else None
+        self.epsilon_rza = per_row("epsilon_rza", rza, 1.0)[:, None]
+
+    def take(self, rows):
+        """Parameters of the given subset of rows, in that order."""
+        return RowParams([self.configs[i] for i in rows])
+
+
+def update_rows(weights, grad_avg, x, x_conj, energy, y, params):
+    """Advance ``B`` filters that share the regressor ``x`` by one update.
+
+    ``weights`` and ``grad_avg`` are ``(B, L)`` complex arrays, updated
+    in place; ``y`` holds the ``B`` observations, ``x_conj`` is
+    ``conj(x)`` and ``energy`` is ``||x||^2``.  Every row follows the
+    update sequence of :func:`step`.  Returns the prediction errors and
+    the step sizes applied, both shaped ``(B,)``.  Inputs are not
+    validated.
+    """
+    e = y - row_dot(weights, x)
+    if params.any_vss:
+        grad_avg *= params.keep
+        grad_avg += (params.smooth * (e / energy))[:, None] * x_conj
+        mu = _vss_steps(grad_avg, params.mu_max, params.c_threshold)
+        if params.vss_rows is not None:
+            mu = np.where(params.vss_rows, mu, params.mu)
+    else:
+        mu = params.mu
+    penalty = None
+    if params.gamma_za is not None or params.gamma_rza is not None:
+        penalty = _attraction(
+            weights, params.gamma_za, params.gamma_rza, params.epsilon_rza
+        )
+    weights += (mu * e / energy)[:, None] * x_conj
+    if penalty is not None:
+        weights -= penalty
+    return e, mu
 
 
 def step(state, x, y, config):
@@ -220,7 +336,8 @@ def step(state, x, y, config):
     The update sequence is: error from the current taps, step size
     (smoothed-gradient refresh for vss variants, the fixed ``mu``
     otherwise), gradient correction, penalty subtraction.  The input
-    state is not modified.
+    state is not modified.  This is :func:`update_rows` on a batch of
+    one.
 
     Raises
     ------
@@ -229,7 +346,7 @@ def step(state, x, y, config):
         regressor (the update direction would be undefined; callers
         are expected to supply persistently exciting regressors).
     """
-    x = np.asarray(x)
+    x = np.asarray(x, dtype=np.complex128)
     if x.shape != state.weights.shape:
         raise ValueError(
             f"regressor shape {x.shape} does not match taps "
@@ -243,31 +360,21 @@ def step(state, x, y, config):
     if energy == 0.0:
         raise ValueError("regressor energy is zero; cannot normalize")
 
-    e = y - np.dot(state.weights, x)
-
-    if is_vss(config.variant):
-        grad_avg = config.beta * state.grad_avg + (
-            (1.0 - config.beta) * (e / energy)
-        ) * np.conj(x)
-        mu = compute_vss(grad_avg, config.mu_max, config.c_threshold)
-    else:
-        grad_avg = state.grad_avg
-        mu = config.mu
-
-    weights = state.weights + (mu * e / energy) * np.conj(x)
-
-    kind = penalty_kind(config.variant)
-    if kind == "za" and config.gamma_za != 0.0:
-        weights = weights - zero_attract_term(state.weights, config.gamma_za)
-    elif kind == "rza" and config.gamma_rza != 0.0:
-        weights = weights - reweighted_zero_attract_term(
-            state.weights, config.gamma_rza, config.epsilon_rza
-        )
-
+    weights = np.array(state.weights, dtype=np.complex128, ndmin=2)
+    grad_avg = np.array(state.grad_avg, dtype=np.complex128, ndmin=2)
+    e, mu = update_rows(
+        weights,
+        grad_avg,
+        x,
+        np.conj(x),
+        energy,
+        np.array([y], dtype=np.complex128),
+        RowParams([config]),
+    )
     new_state = FilterState(
-        weights=weights,
-        grad_avg=grad_avg,
-        step_size=mu,
+        weights=weights[0],
+        grad_avg=grad_avg[0],
+        step_size=float(mu[0]),
         iteration=state.iteration + 1,
     )
-    return new_state, e
+    return new_state, e[0]

@@ -39,6 +39,27 @@ responses and ``N_k`` the unitary DFT of the time-domain noise after
 prefix removal.  The full prefixed noise block is still drawn, so the
 random streams match a time-domain simulation of the same frames.
 
+Estimation runs row-batched (:func:`run_trial_rows`).  The rows of one
+trial are the (algorithm, SNR) pairs that share its channel and data
+streams; one Python loop advances all of them together through
+``filters.update_rows``, whose per-row rounding does not depend on how
+many rows are batched, so a row's results equal a batch of one.
+Training data are drawn ``CHUNK_ITERATIONS`` iterations at a time as
+one ``(C, 2L + 2)`` block of normals per trial.  Row ``i`` of the block
+holds iteration ``i``'s real parts, imaginary parts and noise pair,
+which is exactly the order in which drawing them one iteration at a
+time consumes the stream, so the regressors and noise are unchanged
+bit for bit.  Each row's noise is the shared unit pair scaled by its
+own SNR.  The error metric is incremental: an update changes one
+antenna's row, so only that row's error is recomputed (O(L) rather than
+O(n_r L)) and the per-antenna errors are summed once per chunk.  The
+stop rule is a per-row frozen mask: a row freezes at its
+first update whose squared norm is at most ``stop_epsilon`` (0 turns the
+rule off); its ``iterations_run`` is recorded, its series repeat their
+last value, and it leaves the batch.  The BER sweep trains with the
+metric switched off.  A trial whose final error is not finite or
+exceeds the all-zero estimator's ``n_r`` counts as diverged.
+
 Reproducibility: every random stream is derived from ``rng_seed``
 together with the trial (or frame) index through seed sequences, and
 aggregation always runs in fixed trial order, so equal configurations
@@ -54,11 +75,15 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import filters
-from .channel import ChannelMatrix, NoiseModel, apply_channel, generate_sparse_channel
+from .channel import ChannelMatrix, NoiseModel, generate_sparse_channel
 from .modem import QAM_ORDERS, qam_constellation, qam_demodulate, qam_modulate
-from .signals import generate_training_regressor
+from .signals import training_chunk
 
 TRUE_CHANNEL = "true_channel"
+
+# Iterations whose training data are drawn and post-processed at once.
+# Larger chunks cut per-chunk overhead but raise peak memory.
+CHUNK_ITERATIONS = 100
 
 # Regularization weights (per unit noise variance) by channel sparsity:
 # single-tap links get the stronger pull.
@@ -258,19 +283,29 @@ class TrialResult:
     The error and step-size series always have ``max_iterations``
     entries; when the stop rule fires at iteration ``iterations_run``
     the remaining entries repeat the final value (the frozen estimate's
-    error stays constant once updating stops).
+    error stays constant once updating stops).  ``squared_error`` is
+    ``None`` for runs made without the error metric.
     """
 
-    squared_error: np.ndarray
+    squared_error: np.ndarray | None
     step_trace: np.ndarray
     final_estimate: np.ndarray
     channel: ChannelMatrix
     iterations_run: int
 
+    @property
+    def diverged(self):
+        """Final error not finite or above the all-zero estimator's ``n_r``."""
+        return not self.squared_error[-1] <= self.channel.n_r
+
 
 @dataclass
 class MseCurve:
-    """Trial-averaged squared identification error per iteration."""
+    """Trial-averaged squared identification error per iteration.
+
+    ``diverged`` counts the trials whose final error was not finite or
+    exceeded the all-zero estimator's level ``n_r``.
+    """
 
     values: np.ndarray
     algorithm: str
@@ -278,6 +313,7 @@ class MseCurve:
     sparsity: int
     num_trials: int
     rng_seed: int
+    diverged: int = 0
 
 
 @dataclass
@@ -295,29 +331,7 @@ class BerCurve:
     rng_seed: int
 
 
-# -- scheduling and metrics --------------------------------------------------
-
-
-def select_receive_antenna(n, n_r_count):
-    """Round-robin antenna index (1-based) for iteration ``n`` (1-based)."""
-    if n < 1:
-        raise ValueError("iteration index must be at least 1")
-    if n_r_count < 1:
-        raise ValueError("n_r_count must be at least 1")
-    return (n - 1) % n_r_count + 1
-
-
-def check_stop(h_prev, h_next, n, stop_epsilon=1e-5, max_iterations=5000):
-    """Stop when the estimate barely moved or the iteration cap is hit.
-
-    ``h_prev`` and ``h_next`` are successive channel-estimate matrices;
-    the rule compares their squared Frobenius distance to
-    ``stop_epsilon``.
-    """
-    if n > max_iterations:
-        return True
-    diff = np.asarray(h_next) - np.asarray(h_prev)
-    return float(np.sum(diff.real**2 + diff.imag**2)) <= stop_epsilon
+# -- metrics -------------------------------------------------------------------
 
 
 def channel_error(h_true, h_est):
@@ -340,6 +354,144 @@ def steady_state_mean(values, fraction=0.1):
 # -- estimation experiments ---------------------------------------------------
 
 
+def _antennas(start, count, n_r):
+    """0-based antenna updated at each iteration ``start + 1 .. start + count``."""
+    return (start + np.arange(count)) % n_r
+
+
+def _observe(entries, antennas, x, noise, noise_scale):
+    """Observations ``h_a . x + scale * noise``, shaped ``(count, B)``."""
+    clean = filters.row_dot(entries[antennas], x)
+    return clean[:, None] + noise[:, None] * noise_scale
+
+
+def _latest(values, carry, start, n_r):
+    """Per-antenna values as of each iteration of a chunk, shaped ``(count, n_r, B)``.
+
+    ``values[i]`` belongs to the antenna updated at chunk iteration
+    ``i``; ``carry[a]`` is antenna ``a``'s value before the chunk.
+    """
+    count = values.shape[0]
+    index = np.arange(count)[:, None]
+    last = index - (start + index - np.arange(n_r)) % n_r
+    return np.where(
+        (last >= 0)[..., None], values[np.maximum(last, 0)], carry[None]
+    )
+
+
+def run_trial_rows(config, trial_index, pairs, metric=True):
+    """Run one seeded trial for every ``(algorithm, snr_db)`` pair together.
+
+    Returns one :class:`TrialResult` per pair, in order.  All pairs
+    share the trial's channel, regressors and unit noise draws; only
+    the noise scale and the update rule differ per row.  Each row's
+    results equal those of a batch of one.  With ``metric=False`` no
+    error curve is computed and ``squared_error`` is ``None``.
+    """
+    if trial_index < 0:
+        raise ValueError("trial_index must be nonnegative")
+    rng_channel = np.random.default_rng([config.rng_seed, trial_index, 0])
+    chan = generate_sparse_channel(
+        rng_channel, config.n_t, config.n_r, config.tap_length, config.sparsity
+    )
+    rng_data = np.random.default_rng([config.rng_seed, trial_index, 1])
+
+    n_r, length, total = config.n_r, config.filter_length(), config.max_iterations
+    rows = len(pairs)
+    params = filters.RowParams(config.algorithm_config(a, s) for a, s in pairs)
+    power = config.received_signal_power()
+    noise_scale = np.sqrt(
+        [NoiseModel.from_snr_db(snr, power).variance / 2.0 for _, snr in pairs]
+    )
+    stop = config.stop_epsilon > 0.0
+
+    weights = np.zeros((n_r, rows, length), dtype=np.complex128)
+    grad_avg = np.zeros_like(weights)
+    squared_error = np.empty((rows, total)) if metric else None
+    step_trace = np.empty((rows, total))
+    iterations_run = np.full(rows, total)
+    final = np.empty((rows, n_r, length), dtype=np.complex128)
+    active = np.arange(rows)
+    # Error of every antenna's row before the current chunk.
+    antenna_error = np.repeat(
+        filters.row_energy(chan.entries)[:, None], rows, axis=1
+    )
+
+    for start in range(0, total, CHUNK_ITERATIONS):
+        count = min(CHUNK_ITERATIONS, total - start)
+        x, noise = training_chunk(rng_data, count, config.n_t, config.tap_length)
+        x_conj = x.conj()
+        energy = filters.row_energy(x)
+        antennas = _antennas(start, count, n_r)
+        y = _observe(chan.entries, antennas, x, noise, noise_scale[active])
+        steps = np.empty((count, active.size))
+        if metric:
+            errors = np.empty((count, active.size))
+        if stop:
+            before = weights.copy()
+            snapshots = np.empty((count, active.size, length), dtype=np.complex128)
+        for i, antenna in enumerate(antennas.tolist()):
+            w = weights[antenna]
+            _, steps[i] = filters.update_rows(
+                w, grad_avg[antenna], x[i], x_conj[i], energy[i], y[i], params
+            )
+            if metric:
+                errors[i] = filters.row_energy(chan.entries[antenna] - w)
+            if stop:
+                snapshots[i] = w
+        step_trace[active, start : start + count] = steps.T
+        if metric:
+            errors = _latest(errors, antenna_error, start, n_r)
+            antenna_error = errors[-1]
+            # Antenna by antenna, so the rounding is the same for any B.
+            totals = errors[:, 0]
+            for antenna in range(1, n_r):
+                totals = totals + errors[:, antenna]
+            squared_error[active, start : start + count] = totals.T
+        if not stop:
+            continue
+
+        # A row freezes at its first update whose squared norm is at
+        # most stop_epsilon; later updates in this chunk are discarded.
+        previous = np.concatenate(
+            [before[antennas[:n_r]], snapshots[: max(count - n_r, 0)]]
+        )
+        settled = filters.row_energy(snapshots - previous) <= config.stop_epsilon
+        moving = ~settled.any(axis=0)
+        if moving.all():
+            continue
+        first = np.argmax(settled, axis=0)
+        for k in np.flatnonzero(~moving):
+            row, i = active[k], first[k]
+            n = start + i + 1
+            iterations_run[row] = n
+            step_trace[row, n:] = step_trace[row, n - 1]
+            if metric:
+                squared_error[row, n:] = squared_error[row, n - 1]
+            kept = _latest(snapshots[: i + 1, k], before[:, k], start, n_r)
+            final[row] = kept[-1]
+        keep = np.flatnonzero(moving)
+        active = active[keep]
+        weights = weights[:, keep]
+        grad_avg = grad_avg[:, keep]
+        antenna_error = antenna_error[:, keep]
+        params = params.take(keep)
+        if not active.size:
+            break
+
+    final[active] = weights.transpose(1, 0, 2)
+    return [
+        TrialResult(
+            squared_error=None if squared_error is None else squared_error[row],
+            step_trace=step_trace[row],
+            final_estimate=final[row],
+            channel=chan,
+            iterations_run=int(iterations_run[row]),
+        )
+        for row in range(rows)
+    ]
+
+
 def run_estimation_trial(config, trial_index, algorithm=None, snr_db=None):
     """Run one seeded estimation trial and return its :class:`TrialResult`.
 
@@ -348,78 +500,38 @@ def run_estimation_trial(config, trial_index, algorithm=None, snr_db=None):
     so different algorithms face identical data and comparisons between
     them are paired.
     """
-    if trial_index < 0:
-        raise ValueError("trial_index must be nonnegative")
     algorithm = config.algorithms[0] if algorithm is None else algorithm
     snr_db = config.snr_db[0] if snr_db is None else snr_db
-    algo_config = config.algorithm_config(algorithm, snr_db)
-    noise = NoiseModel.from_snr_db(snr_db, config.received_signal_power())
-
-    rng_channel = np.random.default_rng([config.rng_seed, trial_index, 0])
-    chan = generate_sparse_channel(
-        rng_channel, config.n_t, config.n_r, config.tap_length, config.sparsity
-    )
-    rng_data = np.random.default_rng([config.rng_seed, trial_index, 1])
-
-    length = config.filter_length()
-    states = [filters.initial_state(length, algo_config) for _ in range(config.n_r)]
-    estimate = np.zeros((config.n_r, length), dtype=np.complex128)
-    squared_error = np.empty(config.max_iterations)
-    step_trace = np.empty(config.max_iterations)
-    iterations_run = config.max_iterations
-
-    for n in range(1, config.max_iterations + 1):
-        antenna = select_receive_antenna(n, config.n_r) - 1
-        x = generate_training_regressor(rng_data, config.n_t, config.tap_length)
-        y = apply_channel(chan.entries[antenna], x, noise, rng_data)
-        h_prev = estimate.copy()
-        states[antenna], _ = filters.step(states[antenna], x, y, algo_config)
-        estimate[antenna] = states[antenna].weights
-        squared_error[n - 1] = channel_error(chan.entries, estimate)
-        step_trace[n - 1] = states[antenna].step_size
-        if check_stop(
-            h_prev, estimate, n, config.stop_epsilon, config.max_iterations
-        ):
-            iterations_run = n
-            squared_error[n:] = squared_error[n - 1]
-            step_trace[n:] = step_trace[n - 1]
-            break
-
-    return TrialResult(
-        squared_error=squared_error,
-        step_trace=step_trace,
-        final_estimate=estimate,
-        channel=chan,
-        iterations_run=iterations_run,
-    )
+    return run_trial_rows(config, trial_index, [(algorithm, snr_db)])[0]
 
 
 def run_monte_carlo_mse(config):
     """Average identification error curves for every (algorithm, SNR) pair.
 
-    Trials are aggregated in index order, so repeated runs of the same
-    configuration produce identical curves.
+    Each trial runs all pairs as one batch.  Trials are aggregated in
+    index order, so repeated runs of the same configuration produce
+    identical curves.
     """
-    curves = []
-    for algorithm in config.algorithms:
-        for snr in config.snr_db:
-            total = np.zeros(config.max_iterations)
-            for trial in range(config.num_trials):
-                result = run_estimation_trial(
-                    config, trial, algorithm=algorithm, snr_db=snr
-                )
-                total += result.squared_error
-            curves.append(
-                MseCurve(
-                    values=total / config.num_trials,
-                    algorithm=algorithm,
-                    snr_db=snr,
-                    sparsity=config.sparsity,
-                    num_trials=config.num_trials,
-                    rng_seed=config.rng_seed,
-                )
-            )
-    return curves
+    pairs = [(a, snr) for a in config.algorithms for snr in config.snr_db]
+    totals = np.zeros((len(pairs), config.max_iterations))
+    diverged = np.zeros(len(pairs), dtype=int)
+    for trial in range(config.num_trials):
+        for row, result in enumerate(run_trial_rows(config, trial, pairs)):
+            totals[row] += result.squared_error
+            diverged[row] += result.diverged
+    totals /= config.num_trials
+    return [
+        MseCurve(
+            values=totals[row],
+            algorithm=algorithm,
+            snr_db=snr,
+            sparsity=config.sparsity,
+            num_trials=config.num_trials,
+            rng_seed=config.rng_seed,
+            diverged=int(diverged[row]),
+        )
+        for row, (algorithm, snr) in enumerate(pairs)
+    ]
 
 
 # -- BER experiment -----------------------------------------------------------
@@ -455,22 +567,22 @@ def run_ber_sweep(config):
     true_responses = []
     zf_tables = []
     for trial in range(config.ber_num_channels):
-        tables = {}
-        for algorithm in config.algorithms:
-            result = run_estimation_trial(
-                config,
-                trial,
-                algorithm=algorithm,
-                snr_db=config.ber_training_snr_db,
-            )
-            tables[algorithm] = _zero_forcing_tables(
+        results = run_trial_rows(
+            config,
+            trial,
+            [(a, config.ber_training_snr_db) for a in config.algorithms],
+            metric=False,
+        )
+        tables = {
+            algorithm: _zero_forcing_tables(
                 _frequency_responses(
                     result.final_estimate, n_t, n_r, config.tap_length, k
                 )
             )
-        # The channel depends on the trial only, not on the algorithm.
+            for algorithm, result in zip(config.algorithms, results)
+        }
         true_response = _frequency_responses(
-            result.channel.entries, n_t, n_r, config.tap_length, k
+            results[0].channel.entries, n_t, n_r, config.tap_length, k
         )
         tables[TRUE_CHANNEL] = _zero_forcing_tables(true_response)
         true_responses.append(true_response)
@@ -543,20 +655,47 @@ def _format(value):
     return repr(float(value))
 
 
+# Rows formatted per write: whole 100k-row curves would hold every row
+# string in memory at once.
+_ROWS_PER_WRITE = 1024
+
+
+def _write_series(handle, values, second=None):
+    """Write rows ``iteration,repr(value)[,repr(second)]`` from 1, a block at a time.
+
+    The repr of a float never needs csv quoting, so the bytes equal
+    those of ``csv.writer`` with ``lineterminator="\\n"``.
+    """
+    values = np.asarray(values, dtype=float)
+    for start in range(0, values.size, _ROWS_PER_WRITE):
+        stop = start + _ROWS_PER_WRITE
+        numbers = range(start + 1, start + 1 + values[start:stop].size)
+        if second is None:
+            lines = (
+                f"{i},{a!r}\n" for i, a in zip(numbers, values[start:stop].tolist())
+            )
+        else:
+            lines = (
+                f"{i},{a!r},{b!r}\n"
+                for i, a, b in zip(
+                    numbers, values[start:stop].tolist(), second[start:stop].tolist()
+                )
+            )
+        handle.write("".join(lines))
+
+
 def write_mse_csv(path, curve):
     """Write an MSE curve as ``iteration, mse_linear, mse_db`` rows."""
+    with np.errstate(divide="ignore"):
+        db = 10.0 * np.log10(curve.values)
     with open(path, "w", newline="") as handle:
         handle.write(
             f"# mse-curve algorithm={curve.algorithm} snr_db={curve.snr_db:g} "
             f"sparsity={curve.sparsity} num_trials={curve.num_trials} "
             f"rng_seed={curve.rng_seed}\n"
+            "iteration,mse_linear,mse_db\n"
         )
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["iteration", "mse_linear", "mse_db"])
-        with np.errstate(divide="ignore"):
-            db = 10.0 * np.log10(curve.values)
-        for i, (linear, decibel) in enumerate(zip(curve.values, db), start=1):
-            writer.writerow([i, _format(linear), _format(decibel)])
+        _write_series(handle, curve.values, db)
 
 
 def write_stepsize_csv(path, trace, algorithm, snr_db, sparsity, rng_seed):
@@ -565,11 +704,9 @@ def write_stepsize_csv(path, trace, algorithm, snr_db, sparsity, rng_seed):
         handle.write(
             f"# stepsize-trace algorithm={algorithm} snr_db={snr_db:g} "
             f"sparsity={sparsity} rng_seed={rng_seed}\n"
+            "iteration,step_size\n"
         )
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["iteration", "step_size"])
-        for i, value in enumerate(trace, start=1):
-            writer.writerow([i, _format(value)])
+        _write_series(handle, trace)
 
 
 def write_ber_csv(path, curve):

@@ -1,9 +1,12 @@
-"""Unit tests for sparse channel generation and application."""
+"""Unit tests for sparse channel generation and noisy observation."""
 
 import numpy as np
 import pytest
 
-from sparsenlms.channel import NoiseModel, apply_channel, generate_sparse_channel
+from sparsenlms.channel import NoiseModel, generate_sparse_channel
+from sparsenlms.filters import row_dot
+from sparsenlms.harness import _observe
+from sparsenlms.signals import training_chunk
 
 
 def test_noise_model_from_snr():
@@ -73,34 +76,27 @@ def test_support_positions_are_uniform():
 
 
 def test_apply_channel_dead_channel():
-    noise = NoiseModel(variance=0.0, snr_db=np.inf)
-    rng = np.random.default_rng(1)
-    y = apply_channel(np.zeros(8, complex), np.ones(8, complex), noise, rng)
-    assert y == 0
+    x, noise = training_chunk(np.random.default_rng(1), 3, 1, 8)
+    y = _observe(np.zeros((2, 8), complex), np.array([0, 1, 0]), x, noise,
+                 np.array([0.0]))
+    assert y.shape == (3, 1)
+    assert np.all(y == 0)
 
 
 def test_apply_channel_selector():
-    noise = NoiseModel(variance=0.0, snr_db=np.inf)
-    rng = np.random.default_rng(2)
-    h = np.zeros(8, dtype=complex)
-    h[5] = 1.0
-    x = (np.arange(8) + 1j * np.arange(8)).astype(complex)
-    assert apply_channel(h, x, noise, rng) == x[5]
-
-
-def test_apply_channel_rejects_mismatch():
-    noise = NoiseModel(variance=0.0, snr_db=np.inf)
-    with pytest.raises(ValueError, match="does not match"):
-        apply_channel(np.zeros(4, complex), np.zeros(3, complex), noise,
-                      np.random.default_rng(3))
+    h = np.zeros((1, 8), dtype=complex)
+    h[0, 5] = 1.0
+    x = (np.arange(8) + 1j * np.arange(8)).astype(complex)[None, :]
+    y = _observe(h, np.array([0]), x, np.ones(1, complex), np.array([0.0]))
+    assert y[0, 0] == x[0, 5]
 
 
 def test_noise_variance_matches_model():
-    rng = np.random.default_rng(104)
-    noise = NoiseModel(variance=0.05, snr_db=0.0)
-    h = np.zeros(4, dtype=complex)
-    x = np.zeros(4, dtype=complex)
-    draws = np.array([apply_channel(h, x, noise, rng) for _ in range(100_000)])
+    noise_model = NoiseModel(variance=0.05, snr_db=0.0)
+    x, noise = training_chunk(np.random.default_rng(104), 100_000, 1, 1)
+    scale = np.array([np.sqrt(noise_model.variance / 2.0)])
+    draws = _observe(np.zeros((1, 1), complex), np.zeros(x.shape[0], int), x,
+                     noise, scale)[:, 0]
     sample_variance = np.mean(np.abs(draws) ** 2)
     assert sample_variance == pytest.approx(0.05, rel=0.03)
     # Circular symmetry: real and imaginary parts carry half each.
@@ -109,13 +105,15 @@ def test_noise_variance_matches_model():
 
 
 def test_noiseless_stream_stays_aligned():
-    # Zero-variance runs consume the same rng draws as noisy ones, so
-    # the regressor stream downstream of apply_channel is unaffected by
-    # the noise setting.
-    h = np.zeros(2, dtype=complex)
-    x = np.zeros(2, dtype=complex)
-    rng_a = np.random.default_rng(9)
-    rng_b = np.random.default_rng(9)
-    apply_channel(h, x, NoiseModel(variance=0.0, snr_db=np.inf), rng_a)
-    apply_channel(h, x, NoiseModel(variance=1.0, snr_db=0.0), rng_b)
-    assert rng_a.standard_normal() == rng_b.standard_normal()
+    # The noise pair is drawn whatever the variance, so rows at every
+    # SNR share one stream; a zero-variance row observes exactly the
+    # clean product and a noisy row in the same batch does not.
+    rng = np.random.default_rng(9)
+    h = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+    x, noise = training_chunk(rng, 6, 2, 2)
+    antennas = np.array([0, 1, 0, 1, 0, 1])
+    y = _observe(h, antennas, x, noise, np.array([0.0, 1.0]))
+    clean = row_dot(h[antennas], x)
+    assert np.array_equal(y[:, 0], clean)
+    assert np.array_equal(y[:, 1], clean + noise)
+    assert np.all(y[:, 1] != clean)

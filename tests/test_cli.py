@@ -3,9 +3,11 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from sparsenlms.cli import parse_and_dispatch
+from sparsenlms.cli import _summarize_mse, parse_and_dispatch
+from sparsenlms.harness import MseCurve
 
 
 def run_cli(*args):
@@ -149,6 +151,36 @@ def test_manifest_records_checksums(tmp_path, capsys):
 def test_summary_lines_are_printed(tmp_path, capsys):
     assert run_cli("mse-convergence", "--out", str(tmp_path),
                    *small_overrides()) == 0
-    out = capsys.readouterr().out
-    assert "mse-convergence algorithm=iss_nlms snr_db=10" in out
-    assert "final-1% MSE=" in out
+    captured = capsys.readouterr()
+    assert "mse-convergence algorithm=iss_nlms snr_db=10" in captured.out
+    assert "final-1% MSE=" in captured.out
+    assert "diverged=0/2" in captured.out
+    assert "warning" not in captured.err
+
+
+def test_divergence_is_reported(tmp_path, capsys):
+    # An adaptive step pinned near 2 at -20 dB: the error ends far above
+    # the all-zero estimator's n_r = 4.  The run still succeeds and
+    # writes its usual files.
+    code = run_cli(
+        "single-run", "--out", str(tmp_path),
+        "--override", "snr_db=-20", "--override", "c_threshold=1e-9",
+        "--override", "mu_max=1.99", "--override", "algorithms=vss_nlms",
+        "--override", "max_iterations=100",
+    )
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "diverged=1/1" in captured.out
+    assert captured.err.startswith("warning: single-run algorithm=vss_nlms")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "manifest.json", "single-run_vss_nlms_T1_SNR-20.csv",
+    ]
+
+
+def test_non_finite_tail_prints_nan_db(capsys):
+    curve = MseCurve(
+        values=np.array([1.0, np.inf]), algorithm="vss_nlms", snr_db=10.0,
+        sparsity=1, num_trials=1, rng_seed=0, diverged=1,
+    )
+    _summarize_mse("single-run", curve)
+    assert "(nan dB) diverged=1/1" in capsys.readouterr().out

@@ -1,20 +1,27 @@
 """Unit tests for experiment orchestration, metrics and persistence."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
 from sparsenlms import filters
+from sparsenlms.channel import generate_sparse_channel
 from sparsenlms.harness import (
+    CHUNK_ITERATIONS,
     ExperimentConfig,
+    MseCurve,
     TRUE_CHANNEL,
+    _antennas,
     channel_error,
-    check_stop,
     run_ber_sweep,
     run_estimation_trial,
     run_monte_carlo_mse,
-    select_receive_antenna,
+    run_trial_rows,
     steady_state_mean,
     write_mse_csv,
+    write_stepsize_csv,
 )
 
 
@@ -30,37 +37,88 @@ def small_config(**kwargs):
     return ExperimentConfig(**defaults)
 
 
+def per_sample_trial(config, trial_index, algorithm, snr_db):
+    """One estimation trial written the slow way, as a reference.
+
+    Each iteration draws its regressor and noise pair on its own, calls
+    ``filters.step`` for the scheduled antenna, scores the whole
+    estimate with ``channel_error`` and applies the stop rule to the
+    whole matrix.  Returns ``(squared_error, step_trace, estimate,
+    iterations_run)`` up to the stopping iteration.
+    """
+    algo = config.algorithm_config(algorithm, snr_db)
+    chan = generate_sparse_channel(
+        np.random.default_rng([config.rng_seed, trial_index, 0]),
+        config.n_t, config.n_r, config.tap_length, config.sparsity,
+    )
+    rng = np.random.default_rng([config.rng_seed, trial_index, 1])
+    length = config.filter_length()
+    sigma = np.sqrt(config.noise_variance(snr_db) / 2.0)
+    states = [filters.initial_state(length, algo) for _ in range(config.n_r)]
+    estimate = np.zeros((config.n_r, length), dtype=complex)
+    errors, steps = [], []
+    for n in range(1, config.max_iterations + 1):
+        antenna = (n - 1) % config.n_r
+        x = np.sqrt(0.5 / length) * (
+            rng.standard_normal(length) + 1j * rng.standard_normal(length)
+        )
+        pair = rng.standard_normal(2)
+        y = np.dot(chan.entries[antenna], x) + sigma * (pair[0] + 1j * pair[1])
+        previous = estimate.copy()
+        states[antenna], _ = filters.step(states[antenna], x, y, algo)
+        estimate[antenna] = states[antenna].weights
+        errors.append(channel_error(chan.entries, estimate))
+        steps.append(states[antenna].step_size)
+        moved = channel_error(previous, estimate)
+        if 0.0 < config.stop_epsilon and moved <= config.stop_epsilon:
+            break
+    return np.array(errors), np.array(steps), estimate, n
+
+
 # -- scheduling ---------------------------------------------------------------
 
 
 def test_antenna_selection_examples():
-    assert select_receive_antenna(1, 4) == 1
-    assert select_receive_antenna(4, 4) == 4
-    assert select_receive_antenna(5, 4) == 1
-    assert all(select_receive_antenna(n, 1) == 1 for n in range(1, 10))
+    # Iteration n (1-based) updates antenna (n - 1) mod n_r (0-based).
+    assert _antennas(0, 5, 4).tolist() == [0, 1, 2, 3, 0]
+    assert _antennas(3, 1, 4).tolist() == [3]
+    assert _antennas(4, 1, 4).tolist() == [0]
+    assert _antennas(0, 9, 1).tolist() == [0] * 9
 
 
 def test_antenna_selection_rejects_bad_arguments():
-    with pytest.raises(ValueError, match="iteration"):
-        select_receive_antenna(0, 4)
-    with pytest.raises(ValueError, match="n_r_count"):
-        select_receive_antenna(1, 0)
+    # The schedule's iteration and antenna counts come from the config,
+    # which rejects zero for both.
+    with pytest.raises(ValueError, match="max_iterations"):
+        small_config(max_iterations=0)
+    with pytest.raises(ValueError, match="n_r"):
+        small_config(n_r=0)
 
 
 def test_round_robin_is_fair():
     for k in (1, 3, 7):
-        picks = [select_receive_antenna(n, 4) for n in range(1, 4 * k + 1)]
-        for antenna in (1, 2, 3, 4):
+        picks = _antennas(0, 4 * k, 4).tolist()
+        for antenna in (0, 1, 2, 3):
             assert picks.count(antenna) == k
+    # Each chunk continues the schedule where the previous one stopped.
+    split = np.concatenate([_antennas(0, 6, 4), _antennas(6, 5, 4)])
+    assert np.array_equal(split, _antennas(0, 11, 4))
+    # Three updates touch the first three antennas and leave the fourth.
+    estimate = run_estimation_trial(small_config(max_iterations=3), 0).final_estimate
+    assert [bool(np.any(row)) for row in estimate] == [True, True, True, False]
 
 
 def test_check_stop_examples():
-    same = np.ones((2, 3), dtype=complex)
-    assert check_stop(same, same, 1)
-    assert check_stop(np.zeros((1, 1)), np.ones((1, 1)), 5001)
-    moved = np.zeros((1, 1), dtype=complex)
-    moved_next = np.array([[np.sqrt(2e-5)]], dtype=complex)
-    assert not check_stop(moved, moved_next, 10)
+    # A row freezes at its first update whose squared norm is at most
+    # stop_epsilon; 0 switches the rule off.
+    assert run_estimation_trial(small_config(stop_epsilon=1e9), 0).iterations_run == 1
+    never = run_estimation_trial(small_config(stop_epsilon=0.0), 0)
+    assert never.iterations_run == 50
+    config = small_config(stop_epsilon=1e-5, max_iterations=400)
+    for variant in (filters.ISS_NLMS, filters.VSS_RZA_NLMS):
+        result = run_estimation_trial(config, 0, algorithm=variant)
+        _, _, _, stopped = per_sample_trial(config, 0, variant, 10.0)
+        assert result.iterations_run == stopped < 400
 
 
 # -- metric -------------------------------------------------------------------
@@ -152,6 +210,119 @@ def test_monte_carlo_emits_one_curve_per_pair():
         ("vss_nlms", 10.0),
         ("vss_nlms", 20.0),
     ]
+
+
+# -- row-batched kernel -------------------------------------------------------
+
+
+@pytest.mark.parametrize("stop_epsilon", [0.0, 1e-5])
+def test_kernel_matches_per_sample_reference(stop_epsilon):
+    # The chunked draws reproduce the per-iteration stream bit for bit,
+    # so estimates and step sizes are equal; the incremental metric
+    # only sums in another order.
+    config = small_config(
+        snr_db=[10.0, float("inf")], max_iterations=300, stop_epsilon=stop_epsilon
+    )
+    for variant in filters.VARIANTS:
+        for snr in config.snr_db:
+            result = run_estimation_trial(config, 1, algorithm=variant, snr_db=snr)
+            errors, steps, estimate, stopped = per_sample_trial(config, 1, variant, snr)
+            assert result.iterations_run == stopped
+            assert np.array_equal(result.final_estimate, estimate)
+            assert np.array_equal(result.step_trace[:stopped], steps)
+            np.testing.assert_allclose(
+                result.squared_error[:stopped], errors, rtol=1e-12, atol=0
+            )
+
+
+@pytest.mark.parametrize("stop_epsilon", [0.0, 1e-5])
+def test_batch_rows_equal_batch_of_one(stop_epsilon):
+    config = small_config(
+        snr_db=[10.0, 20.0],
+        algorithms=list(filters.VARIANTS),
+        max_iterations=1000,
+        stop_epsilon=stop_epsilon,
+    )
+    pairs = [(a, snr) for a in config.algorithms for snr in config.snr_db]
+    batch = run_trial_rows(config, 0, pairs)
+    for (algorithm, snr), row in zip(pairs, batch):
+        alone = run_estimation_trial(config, 0, algorithm=algorithm, snr_db=snr)
+        assert np.array_equal(row.squared_error, alone.squared_error)
+        assert np.array_equal(row.step_trace, alone.step_trace)
+        assert np.array_equal(row.final_estimate, alone.final_estimate)
+        assert row.iterations_run == alone.iterations_run
+    runs = {row.iterations_run for row in batch}
+    if stop_epsilon:
+        # Rows freeze at different iterations, in the first chunk and
+        # after it.
+        assert len(runs) >= 3 and min(runs) < CHUNK_ITERATIONS < max(runs) < 1000
+    else:
+        assert runs == {1000}
+
+
+@pytest.mark.parametrize("stop_epsilon", [0.0, 1e-4])
+def test_incremental_metric_matches_channel_error(stop_epsilon):
+    config = small_config(
+        snr_db=[10.0, 20.0],
+        algorithms=list(filters.VARIANTS),
+        max_iterations=777,
+        stop_epsilon=stop_epsilon,
+    )
+    pairs = [(a, snr) for a in config.algorithms for snr in config.snr_db]
+    for row in run_trial_rows(config, 3, pairs):
+        np.testing.assert_allclose(
+            row.squared_error[-1],
+            channel_error(row.channel.entries, row.final_estimate),
+            rtol=1e-12,
+        )
+
+
+@pytest.mark.parametrize("stop_epsilon", [0.0, 1e-5])
+def test_training_without_metric_gives_the_same_estimates(stop_epsilon):
+    config = ber_config(algorithms=list(filters.VARIANTS), stop_epsilon=stop_epsilon)
+    pairs = [(a, config.ber_training_snr_db) for a in config.algorithms]
+    with_metric = run_trial_rows(config, 1, pairs)
+    without = run_trial_rows(config, 1, pairs, metric=False)
+    for a, b in zip(with_metric, without):
+        assert b.squared_error is None
+        assert np.array_equal(a.final_estimate, b.final_estimate)
+        assert np.array_equal(a.step_trace, b.step_trace)
+        assert a.iterations_run == b.iterations_run
+
+
+def test_divergence_is_counted():
+    # An adaptive step pinned near 2 at -20 dB drives the error far
+    # above the all-zero estimator's n_r = 4.
+    diverging = small_config(
+        snr_db=[-20.0], c_threshold=1e-9, mu_max=1.99, max_iterations=100
+    )
+    curve = run_monte_carlo_mse(diverging)[0]
+    assert curve.diverged == 2
+    assert curve.values[-1] > 4.0
+    assert run_monte_carlo_mse(small_config())[0].diverged == 0
+
+
+def test_iss_nlms_steady_state_matches_theory():
+    # NLMS steady-state misalignment (Sayed): per antenna
+    # mu / (2 - mu) * noise_var * L / E||x||^2, with E||x||^2 = 1 here.
+    # E[1 / ||x||^2] = L / (L - 1) puts the simulation about 1.6% above.
+    config = ExperimentConfig(
+        algorithms=["iss_nlms"],
+        snr_db=[10.0, 20.0],
+        num_trials=4,
+        max_iterations=20_000,
+        rng_seed=12345,
+    )
+    for curve in run_monte_carlo_mse(config):
+        theory = (
+            config.n_r
+            * config.mu
+            / (2.0 - config.mu)
+            * config.noise_variance(curve.snr_db)
+            * config.filter_length()
+        )
+        simulated = curve.values[10_000:].mean()
+        assert simulated / theory == pytest.approx(1.0, abs=0.05)
 
 
 # -- configuration ------------------------------------------------------------
@@ -315,3 +486,31 @@ def test_mse_csv_format(tmp_path):
     first = lines[2].split(",")
     assert first[0] == "1"
     assert float(first[1]) == curve.values[0]
+
+
+def test_csv_writers_match_csv_module_bytes(tmp_path):
+    values = np.array([0.0, 1e-300, 1.0, 1e300])
+    curve = MseCurve(
+        values=values, algorithm="iss_nlms", snr_db=10.0, sparsity=1,
+        num_trials=1, rng_seed=3,
+    )
+    write_mse_csv(tmp_path / "mse.csv", curve)
+    write_stepsize_csv(tmp_path / "step.csv", values, "iss_nlms", 10.0, 1, 3)
+
+    expected_mse, expected_step = io.StringIO(), io.StringIO()
+    writer = csv.writer(expected_mse, lineterminator="\n")
+    writer.writerow(["iteration", "mse_linear", "mse_db"])
+    with np.errstate(divide="ignore"):
+        db = 10.0 * np.log10(values)
+    for i, (linear, decibel) in enumerate(zip(values, db), start=1):
+        writer.writerow([i, repr(float(linear)), repr(float(decibel))])
+    writer = csv.writer(expected_step, lineterminator="\n")
+    writer.writerow(["iteration", "step_size"])
+    for i, value in enumerate(values, start=1):
+        writer.writerow([i, repr(float(value))])
+
+    mse_lines = (tmp_path / "mse.csv").read_bytes().split(b"\n", 1)
+    step_lines = (tmp_path / "step.csv").read_bytes().split(b"\n", 1)
+    assert mse_lines[1] == expected_mse.getvalue().encode()
+    assert step_lines[1] == expected_step.getvalue().encode()
+    assert b"1,0.0,-inf\n" in mse_lines[1]

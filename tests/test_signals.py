@@ -1,35 +1,47 @@
-"""Unit tests for training regressors and the frequency-domain OFDM model."""
+"""Unit tests for training data and the frequency-domain OFDM model."""
 
 import numpy as np
 import pytest
 
 from sparsenlms.harness import _frequency_responses
-from sparsenlms.signals import generate_training_regressor
+from sparsenlms.signals import training_chunk
 
 
 def test_regressor_length():
-    rng = np.random.default_rng(0)
-    assert generate_training_regressor(rng, 4, 16).size == 64
+    x, noise = training_chunk(np.random.default_rng(0), 7, 4, 16)
+    assert x.shape == (7, 64)
+    assert noise.shape == (7,)
 
 
 def test_regressor_mean_power_is_unit():
-    rng = np.random.default_rng(200)
-    total = 0.0
-    for _ in range(10_000):
-        x = generate_training_regressor(rng, 4, 16)
-        total += np.vdot(x, x).real
-    assert total / 10_000 == pytest.approx(1.0, rel=0.02)
+    x, _ = training_chunk(np.random.default_rng(200), 10_000, 4, 16)
+    energy = np.sum(x.real**2 + x.imag**2, axis=1)
+    assert energy.mean() == pytest.approx(1.0, rel=0.02)
 
 
 def test_regressor_determinism():
-    a = generate_training_regressor(np.random.default_rng(42), 2, 8)
-    b = generate_training_regressor(np.random.default_rng(42), 2, 8)
-    assert np.array_equal(a, b)
+    a, noise_a = training_chunk(np.random.default_rng(42), 5, 2, 8)
+    b, noise_b = training_chunk(np.random.default_rng(42), 5, 2, 8)
+    assert np.array_equal(a, b) and np.array_equal(noise_a, noise_b)
+    # Chunks of any size continue one stream: the draws equal one
+    # iteration at a time of real parts, imaginary parts, noise pair.
+    rng = np.random.default_rng(42)
+    parts = [training_chunk(rng, count, 2, 8) for count in (2, 1, 2)]
+    assert np.array_equal(np.concatenate([p[0] for p in parts]), a)
+    assert np.array_equal(np.concatenate([p[1] for p in parts]), noise_a)
+    sequential = np.random.default_rng(42)
+    for i in range(5):
+        x = np.sqrt(0.5 / 16) * (
+            sequential.standard_normal(16) + 1j * sequential.standard_normal(16)
+        )
+        pair = sequential.standard_normal(2)
+        assert np.array_equal(x, a[i])
+        assert noise_a[i] == pair[0] + 1j * pair[1]
 
 
 def test_regressor_validates_arguments():
     with pytest.raises(ValueError, match="at least 1"):
-        generate_training_regressor(np.random.default_rng(0), 0, 8)
+        training_chunk(np.random.default_rng(0), 3, 0, 8)
 
 
 def test_cyclic_prefix_makes_convolution_circular():
