@@ -1,4 +1,4 @@
-"""Sparse multipath MIMO channel generation and the observation noise model.
+"""Sparse multipath MIMO channel generation.
 
 A channel between ``n_t`` transmit and ``n_r`` receive antennas with
 ``tap_length`` taps per link is stored as an ``n_r x (n_t *
@@ -15,30 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass
-class NoiseModel:
-    """Additive circular complex Gaussian observation noise.
-
-    ``variance`` is the total noise power (real plus imaginary part);
-    ``snr_db`` records the ratio of received signal power to
-    ``variance`` this model was built from.
-    """
-
-    variance: float
-    snr_db: float
-
-    def __post_init__(self):
-        if not self.variance >= 0.0:
-            raise ValueError("variance must be nonnegative")
-
-    @classmethod
-    def from_snr_db(cls, snr_db, signal_power=1.0):
-        """Noise model with ``variance = signal_power * 10**(-snr_db / 10)``."""
-        if signal_power <= 0.0:
-            raise ValueError("signal_power must be positive")
-        return cls(variance=signal_power * 10.0 ** (-snr_db / 10.0), snr_db=snr_db)
 
 
 @dataclass

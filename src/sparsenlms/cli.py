@@ -4,8 +4,8 @@ Four subcommands map onto the harness entry points:
 
     mse-convergence   trial-averaged identification error curves
     ber-sweep         OFDM/QAM bit error rate curves per detector
-    single-run        squared-error curve of one trial per algorithm
-    trace-stepsize    step-size trace of one trial per algorithm
+    single-run        one trial of mse-convergence (trial 0)
+    trace-stepsize    step-size traces of trial 0
 
 The effective configuration is built in three layers: built-in
 defaults, then an optional JSON config file (``--config``), then
@@ -25,14 +25,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .harness import (
     ExperimentConfig,
-    MseCurve,
     run_ber_sweep,
-    run_estimation_trial,
     run_monte_carlo_mse,
+    run_trial_rows,
     steady_state_mean,
     write_ber_csv,
     write_mse_csv,
@@ -150,58 +149,43 @@ def _artifact_name(subcommand, algorithm, config, snr_db, qam_order=None):
     return name + ".csv"
 
 
-def _run_mse_convergence(config, out_dir):
+def _run_mse_convergence(config, out_dir, subcommand="mse-convergence"):
     files = []
     for curve in run_monte_carlo_mse(config):
-        name = _artifact_name("mse-convergence", curve.algorithm, config, curve.snr_db)
+        name = _artifact_name(subcommand, curve.algorithm, config, curve.snr_db)
         write_mse_csv(os.path.join(out_dir, name), curve)
         files.append(name)
-        _summarize_mse("mse-convergence", curve)
+        _summarize_mse(subcommand, curve)
     return files
 
 
 def _run_single_run(config, out_dir):
-    files = []
-    for algorithm in config.algorithms:
-        for snr in config.snr_db:
-            result = run_estimation_trial(config, 0, algorithm=algorithm, snr_db=snr)
-            curve = MseCurve(
-                values=result.squared_error,
-                algorithm=algorithm,
-                snr_db=snr,
-                sparsity=config.sparsity,
-                num_trials=1,
-                rng_seed=config.rng_seed,
-                diverged=int(result.diverged),
-            )
-            name = _artifact_name("single-run", algorithm, config, snr)
-            write_mse_csv(os.path.join(out_dir, name), curve)
-            files.append(name)
-            _summarize_mse("single-run", curve)
-    return files
+    # Averaging a single trial returns it exactly (0.0 + x, then x / 1).
+    return _run_mse_convergence(replace(config, num_trials=1), out_dir, "single-run")
 
 
 def _run_trace_stepsize(config, out_dir):
+    pairs = [(a, snr) for a in config.algorithms for snr in config.snr_db]
     files = []
-    for algorithm in config.algorithms:
-        for snr in config.snr_db:
-            result = run_estimation_trial(config, 0, algorithm=algorithm, snr_db=snr)
-            name = _artifact_name("trace-stepsize", algorithm, config, snr)
-            write_stepsize_csv(
-                os.path.join(out_dir, name),
-                result.step_trace,
-                algorithm,
-                snr,
-                config.sparsity,
-                config.rng_seed,
-            )
-            files.append(name)
-            head = max(1, result.step_trace.size // 10)
-            print(
-                f"trace-stepsize algorithm={algorithm} snr_db={snr:g} "
-                f"first10%={float(result.step_trace[:head].mean()):.6g} "
-                f"last10%={steady_state_mean(result.step_trace):.6g}"
-            )
+    for (algorithm, snr), result in zip(
+        pairs, run_trial_rows(config, 0, pairs, metric=False)
+    ):
+        name = _artifact_name("trace-stepsize", algorithm, config, snr)
+        write_stepsize_csv(
+            os.path.join(out_dir, name),
+            result.step_trace,
+            algorithm,
+            snr,
+            config.sparsity,
+            config.rng_seed,
+        )
+        files.append(name)
+        head = max(1, result.step_trace.size // 10)
+        print(
+            f"trace-stepsize algorithm={algorithm} snr_db={snr:g} "
+            f"first10%={float(result.step_trace[:head].mean()):.6g} "
+            f"last10%={steady_state_mean(result.step_trace):.6g}"
+        )
     return files
 
 

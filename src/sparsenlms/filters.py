@@ -241,22 +241,6 @@ def _attraction(weights, gamma_za, gamma_rza, epsilon_rza):
     return pull * componentwise_sign(weights)
 
 
-def zero_attract_term(weights, gamma_za):
-    """Zero-attraction pull ``gamma_za * sign(weights)``."""
-    if gamma_za < 0.0:
-        raise ValueError("gamma_za must be nonnegative")
-    return _attraction(weights, gamma_za, None, None)
-
-
-def reweighted_zero_attract_term(weights, gamma_rza, epsilon_rza):
-    """Magnitude-reweighted pull ``gamma_rza * sign(w) / (1 + epsilon_rza |w|)``."""
-    if gamma_rza < 0.0:
-        raise ValueError("gamma_rza must be nonnegative")
-    if epsilon_rza <= 0.0:
-        raise ValueError("epsilon_rza must be positive")
-    return _attraction(np.asarray(weights), None, gamma_rza, epsilon_rza)
-
-
 class RowParams:
     """Parameters of ``B`` filters updated together, one entry per row.
 
@@ -269,21 +253,21 @@ class RowParams:
     """
 
     def __init__(self, configs):
-        self.configs = tuple(configs)
-        vss = [is_vss(c.variant) for c in self.configs]
-        za = [penalty_kind(c.variant) == "za" for c in self.configs]
-        rza = [penalty_kind(c.variant) == "rza" for c in self.configs]
+        configs = tuple(configs)
+        vss = [is_vss(c.variant) for c in configs]
+        za = [penalty_kind(c.variant) == "za" for c in configs]
+        rza = [penalty_kind(c.variant) == "rza" for c in configs]
 
         def per_row(name, used, unused):
             return np.array(
-                [getattr(c, name) if u else unused for c, u in zip(self.configs, used)],
+                [getattr(c, name) if u else unused for c, u in zip(configs, used)],
                 dtype=float,
             )
 
         self.any_vss = any(vss)
         # Needed only when fixed-step and adaptive rows are mixed.
         self.vss_rows = np.array(vss) if self.any_vss and not all(vss) else None
-        self.mu = np.array([c.mu for c in self.configs], dtype=float)
+        self.mu = np.array([c.mu for c in configs], dtype=float)
         self.mu_max = per_row("mu_max", vss, 0.0)
         self.c_threshold = per_row("c_threshold", vss, 1.0)
         beta = per_row("beta", vss, 1.0)
@@ -294,10 +278,6 @@ class RowParams:
         self.gamma_za = gamma_za[:, None] if gamma_za.any() else None
         self.gamma_rza = gamma_rza[:, None] if gamma_rza.any() else None
         self.epsilon_rza = per_row("epsilon_rza", rza, 1.0)[:, None]
-
-    def take(self, rows):
-        """Parameters of the given subset of rows, in that order."""
-        return RowParams([self.configs[i] for i in rows])
 
 
 def update_rows(weights, grad_avg, x, x_conj, energy, y, params):

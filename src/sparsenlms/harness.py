@@ -55,8 +55,10 @@ antenna's row, so only that row's error is recomputed (O(L) rather than
 O(n_r L)) and the per-antenna errors are summed once per chunk.  The
 stop rule is a per-row frozen mask: a row freezes at its
 first update whose squared norm is at most ``stop_epsilon`` (0 turns the
-rule off); its ``iterations_run`` is recorded, its series repeat their
-last value, and it leaves the batch.  The BER sweep trains with the
+rule off); its ``iterations_run`` and estimate are recorded at that
+update and its series repeat their last value.  A frozen row stays in
+the batch and its later updates are discarded; the trial ends early
+once every row is frozen.  The BER sweep trains with the
 metric switched off.  A trial whose final error is not finite or
 exceeds the all-zero estimator's ``n_r`` counts as diverged.
 
@@ -75,7 +77,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import filters
-from .channel import ChannelMatrix, NoiseModel, generate_sparse_channel
+from .channel import ChannelMatrix, generate_sparse_channel
 from .modem import QAM_ORDERS, qam_constellation, qam_demodulate, qam_modulate
 from .signals import training_chunk
 
@@ -399,10 +401,7 @@ def run_trial_rows(config, trial_index, pairs, metric=True):
     n_r, length, total = config.n_r, config.filter_length(), config.max_iterations
     rows = len(pairs)
     params = filters.RowParams(config.algorithm_config(a, s) for a, s in pairs)
-    power = config.received_signal_power()
-    noise_scale = np.sqrt(
-        [NoiseModel.from_snr_db(snr, power).variance / 2.0 for _, snr in pairs]
-    )
+    noise_scale = np.sqrt([config.noise_variance(snr) / 2.0 for _, snr in pairs])
     stop = config.stop_epsilon > 0.0
 
     weights = np.zeros((n_r, rows, length), dtype=np.complex128)
@@ -411,7 +410,7 @@ def run_trial_rows(config, trial_index, pairs, metric=True):
     step_trace = np.empty((rows, total))
     iterations_run = np.full(rows, total)
     final = np.empty((rows, n_r, length), dtype=np.complex128)
-    active = np.arange(rows)
+    frozen = np.zeros(rows, dtype=bool)
     # Error of every antenna's row before the current chunk.
     antenna_error = np.repeat(
         filters.row_energy(chan.entries)[:, None], rows, axis=1
@@ -423,63 +422,51 @@ def run_trial_rows(config, trial_index, pairs, metric=True):
         x_conj = x.conj()
         energy = filters.row_energy(x)
         antennas = _antennas(start, count, n_r)
-        y = _observe(chan.entries, antennas, x, noise, noise_scale[active])
-        steps = np.empty((count, active.size))
+        y = _observe(chan.entries, antennas, x, noise, noise_scale)
+        steps = np.empty((count, rows))
         if metric:
-            errors = np.empty((count, active.size))
-        if stop:
-            before = weights.copy()
-            snapshots = np.empty((count, active.size, length), dtype=np.complex128)
+            errors = np.empty((count, rows))
         for i, antenna in enumerate(antennas.tolist()):
             w = weights[antenna]
+            if stop:
+                before = w.copy()
             _, steps[i] = filters.update_rows(
                 w, grad_avg[antenna], x[i], x_conj[i], energy[i], y[i], params
             )
             if metric:
                 errors[i] = filters.row_energy(chan.entries[antenna] - w)
-            if stop:
-                snapshots[i] = w
-        step_trace[active, start : start + count] = steps.T
+            if not stop:
+                continue
+            # A row freezes at its first update whose squared norm is at
+            # most stop_epsilon; its later updates are discarded.
+            settled = ~frozen & (
+                filters.row_energy(w - before) <= config.stop_epsilon
+            )
+            if settled.any():
+                iterations_run[settled] = start + i + 1
+                final[settled] = weights[:, settled].transpose(1, 0, 2)
+                frozen |= settled
+                if frozen.all():
+                    count = i + 1
+                    break
+        step_trace[:, start : start + count] = steps[:count].T
         if metric:
-            errors = _latest(errors, antenna_error, start, n_r)
+            errors = _latest(errors[:count], antenna_error, start, n_r)
             antenna_error = errors[-1]
             # Antenna by antenna, so the rounding is the same for any B.
             totals = errors[:, 0]
             for antenna in range(1, n_r):
                 totals = totals + errors[:, antenna]
-            squared_error[active, start : start + count] = totals.T
-        if not stop:
-            continue
-
-        # A row freezes at its first update whose squared norm is at
-        # most stop_epsilon; later updates in this chunk are discarded.
-        previous = np.concatenate(
-            [before[antennas[:n_r]], snapshots[: max(count - n_r, 0)]]
-        )
-        settled = filters.row_energy(snapshots - previous) <= config.stop_epsilon
-        moving = ~settled.any(axis=0)
-        if moving.all():
-            continue
-        first = np.argmax(settled, axis=0)
-        for k in np.flatnonzero(~moving):
-            row, i = active[k], first[k]
-            n = start + i + 1
-            iterations_run[row] = n
-            step_trace[row, n:] = step_trace[row, n - 1]
-            if metric:
-                squared_error[row, n:] = squared_error[row, n - 1]
-            kept = _latest(snapshots[: i + 1, k], before[:, k], start, n_r)
-            final[row] = kept[-1]
-        keep = np.flatnonzero(moving)
-        active = active[keep]
-        weights = weights[:, keep]
-        grad_avg = grad_avg[:, keep]
-        antenna_error = antenna_error[:, keep]
-        params = params.take(keep)
-        if not active.size:
+            squared_error[:, start : start + count] = totals.T
+        if frozen.all():
             break
 
-    final[active] = weights.transpose(1, 0, 2)
+    for row in np.flatnonzero(frozen):
+        n = iterations_run[row]
+        step_trace[row, n:] = step_trace[row, n - 1]
+        if metric:
+            squared_error[row, n:] = squared_error[row, n - 1]
+    final[~frozen] = weights[:, ~frozen].transpose(1, 0, 2)
     return [
         TrialResult(
             squared_error=None if squared_error is None else squared_error[row],
@@ -565,6 +552,7 @@ def run_ber_sweep(config):
     n_t, n_r = config.n_t, config.n_r
 
     true_responses = []
+    # Per channel: the pseudo-inverses and erasure masks in detector order.
     zf_tables = []
     for trial in range(config.ber_num_channels):
         results = run_trial_rows(
@@ -573,30 +561,30 @@ def run_ber_sweep(config):
             [(a, config.ber_training_snr_db) for a in config.algorithms],
             metric=False,
         )
-        tables = {
-            algorithm: _zero_forcing_tables(
+        true_response = _frequency_responses(
+            results[0].channel.entries, n_t, n_r, config.tap_length, k
+        )
+        tables = [_zero_forcing_tables(true_response)] + [
+            _zero_forcing_tables(
                 _frequency_responses(
                     result.final_estimate, n_t, n_r, config.tap_length, k
                 )
             )
-            for algorithm, result in zip(config.algorithms, results)
-        }
-        true_response = _frequency_responses(
-            results[0].channel.entries, n_t, n_r, config.tap_length, k
-        )
-        tables[TRUE_CHANNEL] = _zero_forcing_tables(true_response)
+            for result in results
+        ]
         true_responses.append(true_response)
-        zf_tables.append(tables)
+        pinvs, failed = zip(*tables)
+        zf_tables.append((pinvs, np.stack(failed)))
 
     curves = []
     for order in config.qam_orders:
         table = qam_constellation(order)
         bits_per_frame = k * n_t * table.bits_per_symbol
-        point_errors = {d: [] for d in detectors}
+        point_errors = []
         point_bits = []
         for point_index, esn0 in enumerate(config.esn0_range_db):
             n0 = 10.0 ** (-esn0 / 10.0)
-            errors = {d: 0 for d in detectors}
+            errors = np.zeros(len(detectors), dtype=np.int64)
             bits_sent = 0
             frames = 0
             while frames < config.ber_max_frames:
@@ -614,24 +602,25 @@ def run_ber_sweep(config):
                     "kij,jk->ki", true_responses[trial], symbols
                 ) + np.fft.fft(noise[:, cp:], axis=1).T / np.sqrt(k)
                 sent = tx_bits.reshape(n_t, k, table.bits_per_symbol)
-                for detector in detectors:
-                    pinv, failed = zf_tables[trial][detector]
-                    detected = np.einsum("kij,kj->ki", pinv, rx_freq)
-                    diff = qam_demodulate(detected.T, order).reshape(sent.shape) != sent
-                    diff[:, failed] = True
-                    errors[detector] += int(diff.sum())
+                pinvs, failed = zf_tables[trial]
+                detected = np.stack(
+                    [np.einsum("kij,kj->ki", pinv, rx_freq) for pinv in pinvs]
+                )
+                # Every detector in one call, shaped (detector, n_t, k, bits).
+                received = qam_demodulate(detected.transpose(0, 2, 1), order)
+                diff = received.reshape(len(detectors), *sent.shape) != sent
+                diff |= failed[:, None, :, None]
+                errors += diff.sum(axis=(1, 2, 3))
                 bits_sent += bits_per_frame
                 frames += 1
-                if bits_sent >= config.ber_min_bits and all(
-                    errors[d] >= config.ber_min_errors for d in detectors
+                if bits_sent >= config.ber_min_bits and np.all(
+                    errors >= config.ber_min_errors
                 ):
                     break
-            for detector in detectors:
-                point_errors[detector].append(errors[detector])
+            point_errors.append(errors)
             point_bits.append(bits_sent)
-        for detector in detectors:
-            bit_errors = np.array(point_errors[detector], dtype=np.int64)
-            bits_total = np.array(point_bits, dtype=np.int64)
+        bits_total = np.array(point_bits, dtype=np.int64)
+        for bit_errors, detector in zip(np.array(point_errors).T, detectors):
             curves.append(
                 BerCurve(
                     esn0_db=np.asarray(config.esn0_range_db, dtype=float),

@@ -25,15 +25,6 @@ def _gray_encode(index):
     return index ^ (index >> 1)
 
 
-def _gray_decode(code):
-    index = code
-    shift = 1
-    while code >> shift:
-        index ^= code >> shift
-        shift += 1
-    return index
-
-
 @dataclass
 class QamConstellation:
     """Lookup tables for one Gray-coded square QAM order."""
@@ -45,7 +36,6 @@ class QamConstellation:
     scale: float
     points: np.ndarray          # indexed by the symbol's bit pattern
     level_codes: np.ndarray     # Gray codeword of each amplitude level
-    code_levels: np.ndarray     # amplitude level of each Gray codeword
 
 
 def qam_constellation(order):
@@ -74,7 +64,6 @@ def qam_constellation(order):
             scale=scale,
             points=points,
             level_codes=level_codes,
-            code_levels=code_levels,
         )
     return _CONSTELLATIONS[order]
 

@@ -3,21 +3,17 @@
 import numpy as np
 import pytest
 
-from sparsenlms.channel import NoiseModel, generate_sparse_channel
+from sparsenlms.channel import generate_sparse_channel
 from sparsenlms.filters import row_dot
-from sparsenlms.harness import _observe
+from sparsenlms.harness import ExperimentConfig, _observe
 from sparsenlms.signals import training_chunk
 
 
 def test_noise_model_from_snr():
-    noise = NoiseModel.from_snr_db(10.0, signal_power=1 / 64)
-    assert noise.snr_db == 10.0
-    assert noise.variance == pytest.approx((1 / 64) * 0.1, rel=1e-12)
-
-
-def test_noise_model_rejects_negative_variance():
-    with pytest.raises(ValueError, match="variance"):
-        NoiseModel(variance=-1.0, snr_db=0.0)
+    # 4 x 16 taps: received power 1/64, tenfold below it at 10 dB.
+    config = ExperimentConfig(n_t=4, tap_length=16)
+    assert config.noise_variance(10.0) == pytest.approx((1 / 64) * 0.1, rel=1e-12)
+    assert config.noise_variance(float("inf")) == 0.0
 
 
 def test_sparsity_counts_per_link_and_row():
@@ -92,9 +88,10 @@ def test_apply_channel_selector():
 
 
 def test_noise_variance_matches_model():
-    noise_model = NoiseModel(variance=0.05, snr_db=0.0)
+    # Received power 1/2, so 10 dB leaves a noise variance of 0.05.
+    variance = ExperimentConfig(n_t=1, tap_length=2).noise_variance(10.0)
     x, noise = training_chunk(np.random.default_rng(104), 100_000, 1, 1)
-    scale = np.array([np.sqrt(noise_model.variance / 2.0)])
+    scale = np.array([np.sqrt(variance / 2.0)])
     draws = _observe(np.zeros((1, 1), complex), np.zeros(x.shape[0], int), x,
                      noise, scale)[:, 0]
     sample_variance = np.mean(np.abs(draws) ** 2)

@@ -6,8 +6,18 @@ import json
 import numpy as np
 import pytest
 
-from sparsenlms.cli import _summarize_mse, parse_and_dispatch
-from sparsenlms.harness import MseCurve
+from sparsenlms.cli import (
+    _summarize_mse,
+    build_config,
+    parse_and_dispatch,
+    parse_invocation,
+)
+from sparsenlms.harness import (
+    MseCurve,
+    run_estimation_trial,
+    write_mse_csv,
+    write_stepsize_csv,
+)
 
 
 def run_cli(*args):
@@ -133,6 +143,45 @@ def test_ber_sweep_emits_one_csv_per_detector(tmp_path, capsys):
         "ber-sweep_true_channel_T1_SNR10_QAM16.csv",
         "ber-sweep_vss_nlms_T1_SNR10_QAM16.csv",
     ]
+
+
+@pytest.mark.parametrize("stop_epsilon", [0.0, 1e-5])
+def test_single_run_and_trace_match_batch_of_one(stop_epsilon, tmp_path, capsys):
+    # Both commands run the 12 rows of trial 0 as one batch; each file
+    # must equal the one written from that pair's own batch-of-one run.
+    options = [
+        "--seed", "99", "--trials", "5",
+        "--override", "max_iterations=1000",
+        "--override", f"stop_epsilon={stop_epsilon}",
+    ]
+    config = build_config(parse_invocation(["single-run", *options]))
+    assert len(config.algorithms) * len(config.snr_db) == 12
+    for command in ("single-run", "trace-stepsize"):
+        assert run_cli(command, "--out", str(tmp_path / command), *options) == 0
+    capsys.readouterr()
+    stopped = set()
+    for algorithm in config.algorithms:
+        for snr in config.snr_db:
+            alone = run_estimation_trial(config, 0, algorithm, snr)
+            stopped.add(alone.iterations_run)
+            suffix = f"_{algorithm}_T1_SNR{snr:g}.csv"
+            expected = tmp_path / "expected.csv"
+            write_mse_csv(expected, MseCurve(
+                values=alone.squared_error, algorithm=algorithm, snr_db=snr,
+                sparsity=config.sparsity, num_trials=1,
+                rng_seed=config.rng_seed, diverged=int(alone.diverged),
+            ))
+            actual = tmp_path / "single-run" / f"single-run{suffix}"
+            assert actual.read_bytes() == expected.read_bytes()
+            write_stepsize_csv(expected, alone.step_trace, algorithm, snr,
+                               config.sparsity, config.rng_seed)
+            actual = tmp_path / "trace-stepsize" / f"trace-stepsize{suffix}"
+            assert actual.read_bytes() == expected.read_bytes()
+    if stop_epsilon:
+        # Rows freeze at different iterations, in and after the first chunk.
+        assert len(stopped) >= 3 and min(stopped) < 100 < max(stopped) < 1000
+    else:
+        assert stopped == {1000}
 
 
 def test_manifest_records_checksums(tmp_path, capsys):
