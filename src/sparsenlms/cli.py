@@ -25,7 +25,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 from .harness import (
     ExperimentConfig,
@@ -39,19 +39,6 @@ from .harness import (
 )
 
 SUBCOMMANDS = ("mse-convergence", "ber-sweep", "single-run", "trace-stepsize")
-
-
-@dataclass
-class CliInvocation:
-    """One parsed command line, before any work is done."""
-
-    subcommand: str
-    config_path: str | None = None
-    overrides: list = field(default_factory=list)
-    output_dir: str = "."
-    seed: int | None = None
-    trials: int | None = None
-    dump_config: bool = False
 
 
 class CliError(Exception):
@@ -85,16 +72,8 @@ def _build_parser():
 
 
 def parse_invocation(argv):
-    namespace = _build_parser().parse_args(argv)
-    return CliInvocation(
-        subcommand=namespace.subcommand,
-        config_path=namespace.config_path,
-        overrides=list(namespace.overrides),
-        output_dir=namespace.output_dir,
-        seed=namespace.seed,
-        trials=namespace.trials,
-        dump_config=namespace.dump_config,
-    )
+    """Parse ``argv`` (no program name) into an ``argparse.Namespace``."""
+    return _build_parser().parse_args(argv)
 
 
 def _parse_override(token):
@@ -167,9 +146,7 @@ def _run_single_run(config, out_dir):
 def _run_trace_stepsize(config, out_dir):
     pairs = [(a, snr) for a in config.algorithms for snr in config.snr_db]
     files = []
-    for (algorithm, snr), result in zip(
-        pairs, run_trial_rows(config, 0, pairs, metric=False)
-    ):
+    for (algorithm, snr), result in zip(pairs, run_trial_rows(config, 0, pairs)):
         name = _artifact_name("trace-stepsize", algorithm, config, snr)
         write_stepsize_csv(
             os.path.join(out_dir, name),

@@ -50,17 +50,18 @@ holds iteration ``i``'s real parts, imaginary parts and noise pair,
 which is exactly the order in which drawing them one iteration at a
 time consumes the stream, so the regressors and noise are unchanged
 bit for bit.  Each row's noise is the shared unit pair scaled by its
-own SNR.  The error metric is incremental: an update changes one
-antenna's row, so only that row's error is recomputed (O(L) rather than
-O(n_r L)) and the per-antenna errors are summed once per chunk.  The
-stop rule is a per-row frozen mask: a row freezes at its
-first update whose squared norm is at most ``stop_epsilon`` (0 turns the
-rule off); its ``iterations_run`` and estimate are recorded at that
-update and its series repeat their last value.  A frozen row stays in
-the batch and its later updates are discarded; the trial ends early
-once every row is frozen.  The BER sweep trains with the
-metric switched off.  A trial whose final error is not finite or
-exceeds the all-zero estimator's ``n_r`` counts as diverged.
+own SNR.  The error metric is always computed, incrementally: an
+update changes one antenna's row, so only that row's entry in a running
+``(n_r, B)`` table of per-antenna errors is recomputed (O(L) rather
+than O(n_r L)).  The table is copied once per iteration and the copies
+are summed antenna by antenna once per chunk.  The stop rule is a
+per-row frozen mask: a row freezes at its first update whose squared
+norm is at most ``stop_epsilon`` (0 turns the rule off); its
+``iterations_run`` and estimate are recorded at that update and its
+series repeat their last value.  A frozen row stays in the batch and
+its later updates are discarded; the trial ends early once every row is
+frozen.  A trial whose final error is not finite or exceeds the
+all-zero estimator's ``n_r`` counts as diverged.
 
 Reproducibility: every random stream is derived from ``rng_seed``
 together with the trial (or frame) index through seed sequences, and
@@ -71,7 +72,6 @@ may be computed in any order.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -285,11 +285,10 @@ class TrialResult:
     The error and step-size series always have ``max_iterations``
     entries; when the stop rule fires at iteration ``iterations_run``
     the remaining entries repeat the final value (the frozen estimate's
-    error stays constant once updating stops).  ``squared_error`` is
-    ``None`` for runs made without the error metric.
+    error stays constant once updating stops).
     """
 
-    squared_error: np.ndarray | None
+    squared_error: np.ndarray
     step_trace: np.ndarray
     final_estimate: np.ndarray
     channel: ChannelMatrix
@@ -367,28 +366,13 @@ def _observe(entries, antennas, x, noise, noise_scale):
     return clean[:, None] + noise[:, None] * noise_scale
 
 
-def _latest(values, carry, start, n_r):
-    """Per-antenna values as of each iteration of a chunk, shaped ``(count, n_r, B)``.
-
-    ``values[i]`` belongs to the antenna updated at chunk iteration
-    ``i``; ``carry[a]`` is antenna ``a``'s value before the chunk.
-    """
-    count = values.shape[0]
-    index = np.arange(count)[:, None]
-    last = index - (start + index - np.arange(n_r)) % n_r
-    return np.where(
-        (last >= 0)[..., None], values[np.maximum(last, 0)], carry[None]
-    )
-
-
-def run_trial_rows(config, trial_index, pairs, metric=True):
+def run_trial_rows(config, trial_index, pairs):
     """Run one seeded trial for every ``(algorithm, snr_db)`` pair together.
 
     Returns one :class:`TrialResult` per pair, in order.  All pairs
     share the trial's channel, regressors and unit noise draws; only
     the noise scale and the update rule differ per row.  Each row's
-    results equal those of a batch of one.  With ``metric=False`` no
-    error curve is computed and ``squared_error`` is ``None``.
+    results, error curve included, equal those of a batch of one.
     """
     if trial_index < 0:
         raise ValueError("trial_index must be nonnegative")
@@ -406,15 +390,17 @@ def run_trial_rows(config, trial_index, pairs, metric=True):
 
     weights = np.zeros((n_r, rows, length), dtype=np.complex128)
     grad_avg = np.zeros_like(weights)
-    squared_error = np.empty((rows, total)) if metric else None
-    step_trace = np.empty((rows, total))
+    squared_error = np.empty((total, rows))
+    step_trace = np.empty((total, rows))
     iterations_run = np.full(rows, total)
     final = np.empty((rows, n_r, length), dtype=np.complex128)
     frozen = np.zeros(rows, dtype=bool)
-    # Error of every antenna's row before the current chunk.
+    # Current error of every antenna's row, and its value per iteration
+    # of the current chunk.
     antenna_error = np.repeat(
         filters.row_energy(chan.entries)[:, None], rows, axis=1
     )
+    history = np.empty((CHUNK_ITERATIONS, n_r, rows))
 
     for start in range(0, total, CHUNK_ITERATIONS):
         count = min(CHUNK_ITERATIONS, total - start)
@@ -423,18 +409,15 @@ def run_trial_rows(config, trial_index, pairs, metric=True):
         energy = filters.row_energy(x)
         antennas = _antennas(start, count, n_r)
         y = _observe(chan.entries, antennas, x, noise, noise_scale)
-        steps = np.empty((count, rows))
-        if metric:
-            errors = np.empty((count, rows))
         for i, antenna in enumerate(antennas.tolist()):
             w = weights[antenna]
             if stop:
                 before = w.copy()
-            _, steps[i] = filters.update_rows(
+            _, step_trace[start + i] = filters.update_rows(
                 w, grad_avg[antenna], x[i], x_conj[i], energy[i], y[i], params
             )
-            if metric:
-                errors[i] = filters.row_energy(chan.entries[antenna] - w)
+            antenna_error[antenna] = filters.row_energy(chan.entries[antenna] - w)
+            history[i] = antenna_error
             if not stop:
                 continue
             # A row freezes at its first update whose squared norm is at
@@ -449,28 +432,24 @@ def run_trial_rows(config, trial_index, pairs, metric=True):
                 if frozen.all():
                     count = i + 1
                     break
-        step_trace[:, start : start + count] = steps[:count].T
-        if metric:
-            errors = _latest(errors[:count], antenna_error, start, n_r)
-            antenna_error = errors[-1]
-            # Antenna by antenna, so the rounding is the same for any B.
-            totals = errors[:, 0]
-            for antenna in range(1, n_r):
-                totals = totals + errors[:, antenna]
-            squared_error[:, start : start + count] = totals.T
+        # Antenna by antenna, so the rounding is the same for any B: one
+        # sum call would add 8 or more antennas pairwise when B = 1.
+        totals = history[:count, 0]
+        for antenna in range(1, n_r):
+            totals = totals + history[:count, antenna]
+        squared_error[start : start + count] = totals
         if frozen.all():
             break
 
     for row in np.flatnonzero(frozen):
         n = iterations_run[row]
-        step_trace[row, n:] = step_trace[row, n - 1]
-        if metric:
-            squared_error[row, n:] = squared_error[row, n - 1]
+        step_trace[n:, row] = step_trace[n - 1, row]
+        squared_error[n:, row] = squared_error[n - 1, row]
     final[~frozen] = weights[:, ~frozen].transpose(1, 0, 2)
     return [
         TrialResult(
-            squared_error=None if squared_error is None else squared_error[row],
-            step_trace=step_trace[row],
+            squared_error=squared_error[:, row],
+            step_trace=step_trace[:, row],
             final_estimate=final[row],
             channel=chan,
             iterations_run=int(iterations_run[row]),
@@ -559,7 +538,6 @@ def run_ber_sweep(config):
             config,
             trial,
             [(a, config.ber_training_snr_db) for a in config.algorithms],
-            metric=False,
         )
         true_response = _frequency_responses(
             results[0].channel.entries, n_t, n_r, config.tap_length, k
@@ -640,10 +618,6 @@ def run_ber_sweep(config):
 # -- CSV output ---------------------------------------------------------------
 
 
-def _format(value):
-    return repr(float(value))
-
-
 # Rows formatted per write: whole 100k-row curves would hold every row
 # string in memory at once.
 _ROWS_PER_WRITE = 1024
@@ -700,15 +674,17 @@ def write_stepsize_csv(path, trace, algorithm, snr_db, sparsity, rng_seed):
 
 def write_ber_csv(path, curve):
     """Write a BER curve as ``esn0_db, ber, bit_errors, bits_total`` rows."""
+    rows = zip(
+        np.asarray(curve.esn0_db, dtype=float).tolist(),
+        np.asarray(curve.ber, dtype=float).tolist(),
+        np.asarray(curve.bit_errors).tolist(),
+        np.asarray(curve.bits_total).tolist(),
+    )
     with open(path, "w", newline="") as handle:
         handle.write(
             f"# ber-curve algorithm={curve.algorithm} qam_order={curve.qam_order} "
             f"training_snr_db={curve.training_snr_db:g} sparsity={curve.sparsity} "
             f"rng_seed={curve.rng_seed}\n"
+            "esn0_db,ber,bit_errors,bits_total\n"
         )
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["esn0_db", "ber", "bit_errors", "bits_total"])
-        for esn0, ber, nerr, nbits in zip(
-            curve.esn0_db, curve.ber, curve.bit_errors, curve.bits_total
-        ):
-            writer.writerow([_format(esn0), _format(ber), int(nerr), int(nbits)])
+        handle.write("".join(f"{e!r},{b!r},{n},{t}\n" for e, b, n, t in rows))

@@ -34,6 +34,7 @@ class QamConstellation:
     bits_per_axis: int
     levels_per_axis: int
     scale: float
+    amplitudes: np.ndarray      # amplitude of each level, ascending
     points: np.ndarray          # indexed by the symbol's bit pattern
     level_codes: np.ndarray     # Gray codeword of each amplitude level
 
@@ -62,6 +63,7 @@ def qam_constellation(order):
             bits_per_axis=bits_per_axis,
             levels_per_axis=m,
             scale=scale,
+            amplitudes=amplitudes,
             points=points,
             level_codes=level_codes,
         )
@@ -92,9 +94,8 @@ def _nearest_level_codes(values, table):
     position = (values / table.scale + (m - 1)) / 2.0
     lower = np.clip(np.floor(position), 0, m - 1).astype(np.int64)
     upper = np.clip(lower + 1, 0, m - 1)
-    amplitudes = (2 * np.arange(m) - (m - 1)) * table.scale
-    d_lower = np.abs(values - amplitudes[lower])
-    d_upper = np.abs(values - amplitudes[upper])
+    d_lower = np.abs(values - table.amplitudes[lower])
+    d_upper = np.abs(values - table.amplitudes[upper])
     codes_lower = table.level_codes[lower]
     codes_upper = table.level_codes[upper]
     tie = d_lower == d_upper

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from sparsenlms.cli import (
     _summarize_mse,
     build_config,
+    entry_point,
     parse_and_dispatch,
     parse_invocation,
 )
@@ -42,6 +44,17 @@ def test_dump_config_round_trips(tmp_path, capsys):
     second = capsys.readouterr().out
     assert first == second
     assert json.loads(first)["sparsity"] == 4
+
+
+@pytest.mark.parametrize(
+    "argv, status",
+    [(["single-run", "--dump-config"], 0), (["single-run", "--override", "mu=-1"], 2)],
+)
+def test_entry_point_exits_with_dispatch_status(argv, status, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["sparsenlms", *argv])
+    with pytest.raises(SystemExit) as exc:
+        entry_point()
+    assert exc.value.code == status
 
 
 def test_seed_and_trials_flags_apply_last(capsys):
