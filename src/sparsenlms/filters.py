@@ -43,10 +43,12 @@ alone.  Penalties always evaluate the pre-update taps.
 
 The update law is written once, in :func:`update_rows`, for ``B``
 filters (rows) that share a regressor but may differ in variant and
-parameters (:class:`RowParams`).  :func:`step` is a batch of one with
-input validation.  Row reductions go through :func:`row_dot`, whose
-rounding does not depend on ``B``, so a row's trajectory is bitwise the
-same in any batch.
+parameters (:class:`RowParams`).  An optional leading antenna axis
+advances several independent sets of rows in one call, each set with
+its own regressor.  :func:`step` is a batch of one with input
+validation.  Row reductions go through :func:`row_dot`, whose rounding
+does not depend on ``B`` or on the antenna axis, so a row's trajectory
+is bitwise the same in any batch.
 """
 
 from __future__ import annotations
@@ -287,13 +289,20 @@ def update_rows(weights, grad_avg, x, x_conj, energy, y, params):
     in place; ``y`` holds the ``B`` observations, ``x_conj`` is
     ``conj(x)`` and ``energy`` is ``||x||^2``.  Every row follows the
     update sequence of :func:`step`.  Returns the prediction errors and
-    the step sizes applied, both shaped ``(B,)``.  Inputs are not
-    validated.
+    the step sizes applied, both shaped ``(B,)``.
+
+    An optional leading antenna axis updates ``A`` independent sets of
+    rows at once, each with its own regressor: ``weights`` and
+    ``grad_avg`` are then ``(A, B, L)``, ``x`` and ``x_conj`` are
+    ``(A, 1, L)``, ``energy`` is ``(A, 1)``, ``y`` is ``(A, B)``, and
+    the errors and step sizes are ``(A, B)`` (fixed-step batches return
+    the ``(B,)`` step sizes).  Every element is rounded as in a separate
+    call.  Inputs are not validated.
     """
     e = y - row_dot(weights, x)
     if params.any_vss:
         grad_avg *= params.keep
-        grad_avg += (params.smooth * (e / energy))[:, None] * x_conj
+        grad_avg += (params.smooth * (e / energy))[..., None] * x_conj
         mu = _vss_steps(grad_avg, params.mu_max, params.c_threshold)
         if params.vss_rows is not None:
             mu = np.where(params.vss_rows, mu, params.mu)
@@ -304,7 +313,7 @@ def update_rows(weights, grad_avg, x, x_conj, energy, y, params):
         penalty = _attraction(
             weights, params.gamma_za, params.gamma_rza, params.epsilon_rza
         )
-    weights += (mu * e / energy)[:, None] * x_conj
+    weights += (mu * e / energy)[..., None] * x_conj
     if penalty is not None:
         weights -= penalty
     return e, mu

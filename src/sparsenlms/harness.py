@@ -41,27 +41,35 @@ random streams match a time-domain simulation of the same frames.
 
 Estimation runs row-batched (:func:`run_trial_rows`).  The rows of one
 trial are the (algorithm, SNR) pairs that share its channel and data
-streams; one Python loop advances all of them together through
-``filters.update_rows``, whose per-row rounding does not depend on how
-many rows are batched, so a row's results equal a batch of one.
-Training data are drawn ``CHUNK_ITERATIONS`` iterations at a time as
-one ``(C, 2L + 2)`` block of normals per trial.  Row ``i`` of the block
-holds iteration ``i``'s real parts, imaginary parts and noise pair,
-which is exactly the order in which drawing them one iteration at a
-time consumes the stream, so the regressors and noise are unchanged
-bit for bit.  Each row's noise is the shared unit pair scaled by its
-own SNR.  The error metric is always computed, incrementally: an
-update changes one antenna's row, so only that row's entry in a running
-``(n_r, B)`` table of per-antenna errors is recomputed (O(L) rather
-than O(n_r L)).  The table is copied once per iteration and the copies
-are summed antenna by antenna once per chunk.  The stop rule is a
-per-row frozen mask: a row freezes at its first update whose squared
-norm is at most ``stop_epsilon`` (0 turns the rule off); its
-``iterations_run`` and estimate are recorded at that update and its
-series repeat their last value.  A frozen row stays in the batch and
-its later updates are discarded; the trial ends early once every row is
-frozen.  A trial whose final error is not finite or exceeds the
-all-zero estimator's ``n_r`` counts as diverged.
+streams; they advance together through ``filters.update_rows``, whose
+per-row rounding does not depend on how many rows are batched, so a
+row's results equal a batch of one.  The ``n_r`` per-antenna filters
+never interact, so each Python step is one round of ``n_r`` consecutive
+iterations: one ``update_rows`` call on the antenna axis updates
+antenna ``a`` of every row with iteration ``a``'s regressor and
+observation, ``ceil(max_iterations / n_r)`` calls per trial.  Training
+data are drawn a chunk at a time as one ``(C, 2L + 2)`` block of
+normals per trial, where ``C`` is the largest multiple of ``n_r`` not
+above ``CHUNK_ITERATIONS`` (at least ``n_r``), so every chunk starts at
+antenna 0.  Row ``i`` of the block holds iteration ``i``'s real parts,
+imaginary parts and noise pair, which is exactly the order in which
+drawing them one iteration at a time consumes the stream, so the
+regressors and noise are unchanged bit for bit.  Each row's noise is
+the shared unit pair scaled by its own SNR.  The error metric is always
+computed, incrementally: after each round the updated antennas' errors
+are rescored into an ``(n_r, B)`` per-antenna table for that round.  At
+chunk end each iteration's table is rebuilt from its round's table (the
+antennas the round has already reached at that iteration) and the
+previous round's (the others), and summed antenna by antenna.  The
+stop rule is a per-row frozen mask: a row freezes at its first update,
+in iteration order, whose squared norm is at most ``stop_epsilon`` (0
+turns the rule off); its ``iterations_run`` and estimate are recorded
+at that update, the estimate taking the pre-round taps of the antennas
+the round reaches later, and its series repeat their last value.  A
+frozen row stays in the batch and its later updates are discarded; the
+trial ends early once every row is frozen.  A trial whose final error
+is not finite or exceeds the all-zero estimator's ``n_r`` counts as
+diverged.
 
 Reproducibility: every random stream is derived from ``rng_seed``
 together with the trial (or frame) index through seed sequences, and
@@ -83,8 +91,9 @@ from .signals import training_chunk
 
 TRUE_CHANNEL = "true_channel"
 
-# Iterations whose training data are drawn and post-processed at once.
-# Larger chunks cut per-chunk overhead but raise peak memory.
+# Iterations whose training data are drawn and post-processed at once,
+# rounded down to whole antenna rounds (at least one).  Larger chunks cut
+# per-chunk overhead but raise peak memory.
 CHUNK_ITERATIONS = 100
 
 # Regularization weights (per unit noise variance) by channel sparsity:
@@ -387,6 +396,9 @@ def run_trial_rows(config, trial_index, pairs):
     params = filters.RowParams(config.algorithm_config(a, s) for a, s in pairs)
     noise_scale = np.sqrt([config.noise_variance(snr) / 2.0 for _, snr in pairs])
     stop = config.stop_epsilon > 0.0
+    # Whole rounds, so every chunk starts at antenna 0.
+    chunk = n_r * max(1, CHUNK_ITERATIONS // n_r)
+    entries = chan.entries[:, None, :]
 
     weights = np.zeros((n_r, rows, length), dtype=np.complex128)
     grad_avg = np.zeros_like(weights)
@@ -395,51 +407,68 @@ def run_trial_rows(config, trial_index, pairs):
     iterations_run = np.full(rows, total)
     final = np.empty((rows, n_r, length), dtype=np.complex128)
     frozen = np.zeros(rows, dtype=bool)
-    # Current error of every antenna's row, and its value per iteration
-    # of the current chunk.
-    antenna_error = np.repeat(
-        filters.row_energy(chan.entries)[:, None], rows, axis=1
-    )
-    history = np.empty((CHUNK_ITERATIONS, n_r, rows))
+    # Error of every antenna's row after each round of the current
+    # chunk; entry 0 holds the errors the chunk starts from.
+    round_error = np.empty((chunk // n_r + 1, n_r, rows))
+    round_error[0] = filters.row_energy(chan.entries)[:, None]
+    # Iteration i of a chunk updates antenna i % n_r in round i // n_r:
+    # the antennas up to that one already carry this round's update, the
+    # others still carry the previous round's.
+    antennas = _antennas(0, chunk, n_r)
+    round_of = np.arange(chunk) // n_r
+    updated = (np.arange(n_r) <= antennas[:, None])[:, :, None]
 
-    for start in range(0, total, CHUNK_ITERATIONS):
-        count = min(CHUNK_ITERATIONS, total - start)
+    for start in range(0, total, chunk):
+        count = min(chunk, total - start)
         x, noise = training_chunk(rng_data, count, config.n_t, config.tap_length)
+        y = _observe(chan.entries, antennas[:count], x, noise, noise_scale)
+        energy = filters.row_energy(x)[:, None]
+        x = x[:, None, :]
         x_conj = x.conj()
-        energy = filters.row_energy(x)
-        antennas = _antennas(start, count, n_r)
-        y = _observe(chan.entries, antennas, x, noise, noise_scale)
-        for i, antenna in enumerate(antennas.tolist()):
-            w = weights[antenna]
+        for r, i in enumerate(range(0, count, n_r)):
+            # One round: antenna a takes iteration start + i + a.
+            m = min(n_r, count - i)
+            w = weights[:m]
             if stop:
                 before = w.copy()
-            _, step_trace[start + i] = filters.update_rows(
-                w, grad_avg[antenna], x[i], x_conj[i], energy[i], y[i], params
+            _, step_trace[start + i : start + i + m] = filters.update_rows(
+                w, grad_avg[:m], x[i : i + m], x_conj[i : i + m],
+                energy[i : i + m], y[i : i + m], params,
             )
-            antenna_error[antenna] = filters.row_energy(chan.entries[antenna] - w)
-            history[i] = antenna_error
+            # A partial final round leaves the later antennas' entries
+            # unset; no iteration of that round reads them.
+            round_error[r + 1, :m] = filters.row_energy(entries[:m] - w)
             if not stop:
                 continue
             # A row freezes at its first update whose squared norm is at
             # most stop_epsilon; its later updates are discarded.
-            settled = ~frozen & (
-                filters.row_energy(w - before) <= config.stop_epsilon
-            )
-            if settled.any():
-                iterations_run[settled] = start + i + 1
-                final[settled] = weights[:, settled].transpose(1, 0, 2)
-                frozen |= settled
+            settled = filters.row_energy(w - before) <= config.stop_epsilon
+            first = settled.argmax(axis=0)
+            newly = ~frozen & settled.any(axis=0)
+            if newly.any():
+                iterations_run[newly] = start + i + first[newly] + 1
+                estimate = weights[:, newly]
+                # Antennas after the freezing one undo this round's update.
+                later = np.arange(m)[:, None] > first[newly]
+                estimate[:m][later] = before[:, newly][later]
+                final[newly] = estimate.transpose(1, 0, 2)
+                frozen |= newly
                 if frozen.all():
-                    count = i + 1
+                    count = i + m
                     break
+        rounds = round_of[:count]
+        history = np.where(
+            updated[:count], round_error[rounds + 1], round_error[rounds]
+        )
         # Antenna by antenna, so the rounding is the same for any B: one
         # sum call would add 8 or more antennas pairwise when B = 1.
-        totals = history[:count, 0]
+        totals = history[:, 0]
         for antenna in range(1, n_r):
-            totals = totals + history[:count, antenna]
+            totals = totals + history[:, antenna]
         squared_error[start : start + count] = totals
         if frozen.all():
             break
+        round_error[0] = round_error[-1]
 
     for row in np.flatnonzero(frozen):
         n = iterations_run[row]

@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,6 +58,27 @@ def test_entry_point_exits_with_dispatch_status(argv, status, monkeypatch, capsy
     with pytest.raises(SystemExit) as exc:
         entry_point()
     assert exc.value.code == status
+
+
+def test_module_invocation_runs_the_cli():
+    # ``python -m sparsenlms`` runs the same entry point as the script.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "sparsenlms", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+
+    dumped = run("single-run", "--dump-config")
+    assert dumped.returncode == 0
+    assert json.loads(dumped.stdout)["max_iterations"] == 5000
+    rejected = run("single-run", "--override", "mu=-1")
+    assert rejected.returncode == 2
+    assert rejected.stdout == ""
+    assert rejected.stderr.startswith("error: ")
 
 
 def test_seed_and_trials_flags_apply_last(capsys):

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import math
 
 import numpy as np
 import pytest
@@ -269,6 +270,70 @@ def test_batch_rows_equal_batch_of_one(stop_epsilon, n_r):
         assert len(runs) >= 3 and min(runs) < CHUNK_ITERATIONS < max(runs) < 1000
     else:
         assert runs == {1000}
+
+
+@pytest.mark.parametrize(
+    "n_r, max_iterations, stop_epsilon, shape",
+    [
+        (4, 1001, 1e-5, {}),
+        (9, 703, 1e-6, {}),
+        (3, 1001, 1e-5, {}),
+        (1, 333, 0.0, {}),
+        (128, 300, 0.0, {"n_t": 1, "tap_length": 2}),
+    ],
+    ids=["n_r4", "n_r9", "n_r3", "n_r1", "n_r128"],
+)
+def test_round_kernel_matches_per_sample_reference(
+    n_r, max_iterations, stop_epsilon, shape
+):
+    # A round updates every antenna at once, each with its own
+    # iteration's data.  Partial final rounds (1001 = 4 * 250 + 1 and
+    # 703 = 9 * 78 + 1), chunks that are not 100 iterations long (99 at
+    # n_r = 9 and 3, 128 at n_r = 128) and freezes partway through a
+    # round must all leave the per-iteration results unchanged.
+    config = small_config(
+        n_r=n_r,
+        snr_db=[10.0, 20.0],
+        algorithms=list(filters.VARIANTS),
+        max_iterations=max_iterations,
+        stop_epsilon=stop_epsilon,
+        **shape,
+    )
+    positions = set()
+    for trial in (0, 1, 2) if n_r == 4 else (0,):
+        for variant in filters.VARIANTS:
+            for snr in config.snr_db:
+                result = run_estimation_trial(config, trial, variant, snr)
+                errors, steps, estimate, stopped = per_sample_trial(
+                    config, trial, variant, snr
+                )
+                assert result.iterations_run == stopped
+                assert np.array_equal(result.final_estimate, estimate)
+                assert np.array_equal(result.step_trace[:stopped], steps)
+                np.testing.assert_allclose(
+                    result.squared_error[:stopped], errors, rtol=1e-12, atol=0
+                )
+                positions.add((stopped - 1) % n_r)
+    if n_r == 4:
+        # Freezes at in-round positions before the last antenna make the
+        # kernel restore the later antennas' pre-round taps.
+        assert len(positions) >= 3
+
+
+@pytest.mark.parametrize("n_r, max_iterations", [(4, 1001), (9, 703)])
+def test_one_update_call_per_antenna_round(n_r, max_iterations, monkeypatch):
+    calls = []
+    update_rows = filters.update_rows
+
+    def counting(*args):
+        calls.append(args[0].shape[0])
+        return update_rows(*args)
+
+    monkeypatch.setattr(filters, "update_rows", counting)
+    config = small_config(n_r=n_r, snr_db=[10.0, 20.0], max_iterations=max_iterations)
+    run_trial_rows(config, 0, [(filters.VSS_NLMS, 10.0), (filters.ISS_NLMS, 20.0)])
+    assert len(calls) == math.ceil(max_iterations / n_r)
+    assert sum(calls) == max_iterations
 
 
 @pytest.mark.parametrize("stop_epsilon", [0.0, 1e-4])
