@@ -263,3 +263,7 @@ def parse_and_dispatch(argv):
 
 def entry_point():
     raise SystemExit(parse_and_dispatch(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entry_point()

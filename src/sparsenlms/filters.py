@@ -20,7 +20,7 @@ and observation ``y``:
 * prediction error ``e = y - w.T @ x`` (plain transpose; the linear model
   this package estimates is ``y = h.T @ x + z``),
 * normalized gradient correction ``mu * e * conj(x) / ||x||^2``,
-* optional penalty subtracted from the corrected taps.
+* penalty subtracted from the corrected taps (zero for some variants).
 
 The correction uses the conjugate regressor: for circularly symmetric
 complex inputs an unconjugated correction has zero mean pull toward the
@@ -35,11 +35,13 @@ Variable step-size (vss) variants keep an exponentially smoothed average
 
 which stays in ``[0, mu_max)`` and shrinks as the filter converges.
 
-Zero attraction subtracts ``gamma_za * sign(w)`` with the sign taken
-componentwise on real and imaginary parts (``sign(0) = 0``); reweighted
-zero attraction scales the pull by ``1 / (1 + epsilon_rza * |w|)`` so
-that taps well above ``1 / epsilon_rza`` in magnitude are left mostly
-alone.  Penalties always evaluate the pre-update taps.
+Every variant subtracts one penalty, ``gamma / (1 + epsilon |w|)`` times
+the sign of the pre-update taps taken componentwise on real and
+imaginary parts (``sign(0) = 0``).  Reweighted zero attraction uses
+``(gamma_rza, epsilon_rza)``, which leaves taps well above
+``1 / epsilon_rza`` in magnitude mostly alone; zero attraction is its
+``epsilon = 0`` case ``(gamma_za, 0)``; unpenalized variants have
+``gamma = 0``.
 
 The update law is written once, in :func:`update_rows`, for ``B``
 filters (rows) that share a regressor but may differ in variant and
@@ -74,28 +76,27 @@ VARIANTS = (
 )
 
 
-def is_vss(variant):
-    """True if ``variant`` adapts its step size."""
-    return variant in (VSS_NLMS, VSS_ZA_NLMS, VSS_RZA_NLMS)
-
-
-def penalty_kind(variant):
-    """Penalty used by ``variant``: ``"za"``, ``"rza"`` or ``None``."""
-    if variant in (ISS_ZA_NLMS, VSS_ZA_NLMS):
-        return "za"
-    if variant in (ISS_RZA_NLMS, VSS_RZA_NLMS):
-        return "rza"
-    return None
+# Per variant: whether the step adapts, and the fields holding the penalty
+# strength and reweighting scale (none: 0).
+_LAWS = {
+    ISS_NLMS: (False, None, None),
+    VSS_NLMS: (True, None, None),
+    ISS_ZA_NLMS: (False, "gamma_za", None),
+    ISS_RZA_NLMS: (False, "gamma_rza", "epsilon_rza"),
+    VSS_ZA_NLMS: (True, "gamma_za", None),
+    VSS_RZA_NLMS: (True, "gamma_rza", "epsilon_rza"),
+}
 
 
 @dataclass
 class AlgorithmConfig:
     """Parameters of one update rule.
 
-    Parameters irrelevant to the chosen variant are ignored: fixed
-    step-size variants never read ``mu_max``, ``c_threshold`` or
-    ``beta``; ``gamma_za``/``gamma_rza``/``epsilon_rza`` only matter for
-    the penalized variants.
+    Parameters irrelevant to the chosen variant are not validated and
+    never change its results: fixed step-size variants ignore
+    ``mu_max``, ``c_threshold`` and ``beta``, and a penalized variant
+    reads only its own strength (and ``epsilon_rza`` if reweighted);
+    see :meth:`law`.
 
     Parameters
     ----------
@@ -135,7 +136,8 @@ class AlgorithmConfig:
             raise ValueError(
                 f"unknown variant {self.variant!r}; expected one of {VARIANTS}"
             )
-        if is_vss(self.variant):
+        adaptive, strength, scale = _LAWS[self.variant]
+        if adaptive:
             if not 0.0 < self.mu_max <= 2.0:
                 raise ValueError("mu_max must lie in (0, 2]")
             if self.c_threshold <= 0.0:
@@ -144,14 +146,22 @@ class AlgorithmConfig:
                 raise ValueError("beta must lie in [0, 1)")
         elif self.mu <= 0.0:
             raise ValueError("mu must be positive")
-        kind = penalty_kind(self.variant)
-        if kind == "za" and self.gamma_za < 0.0:
-            raise ValueError("gamma_za must be nonnegative")
-        if kind == "rza":
-            if self.gamma_rza < 0.0:
-                raise ValueError("gamma_rza must be nonnegative")
-            if self.epsilon_rza <= 0.0:
-                raise ValueError("epsilon_rza must be positive")
+        if strength is not None and getattr(self, strength) < 0.0:
+            raise ValueError(f"{strength} must be nonnegative")
+        if scale is not None and getattr(self, scale) <= 0.0:
+            raise ValueError(f"{scale} must be positive")
+
+    def law(self):
+        """The variant as data: ``(adaptive, gamma, epsilon)``.
+
+        ``adaptive`` selects the vss step over the fixed ``mu``, and
+        ``gamma`` and ``epsilon`` set the penalty of :func:`_attraction`:
+        ``(gamma_za, 0)`` for zero attraction, ``(0, 0)`` for none.
+        """
+        adaptive, strength, scale = _LAWS[self.variant]
+        gamma = 0.0 if strength is None else getattr(self, strength)
+        epsilon = 0.0 if scale is None else getattr(self, scale)
+        return adaptive, gamma, epsilon
 
 
 @dataclass
@@ -174,7 +184,8 @@ def initial_state(length, config):
     """Zero-initialized state for a filter with ``length`` taps."""
     if length < 1:
         raise ValueError("length must be at least 1")
-    step = 0.0 if is_vss(config.variant) else config.mu
+    adaptive, _, _ = config.law()
+    step = 0.0 if adaptive else config.mu
     return FilterState(
         weights=np.zeros(length, dtype=np.complex128),
         grad_avg=np.zeros(length, dtype=np.complex128),
@@ -227,59 +238,48 @@ def compute_vss(grad_avg, mu_max, c_threshold):
     return float(_vss_steps(rows, mu_max, c_threshold)[0])
 
 
-def _attraction(weights, gamma_za, gamma_rza, epsilon_rza):
-    """Penalty on the taps ``weights``: plain plus reweighted zero attraction.
+def _attraction(weights, gamma, epsilon):
+    """Penalty ``gamma / (1 + epsilon |w|)`` times the componentwise sign of ``w``.
 
-    A strength of ``None`` skips its term; array strengths broadcast
-    against ``weights``.  The pull per tap is ``gamma_za + gamma_rza /
-    (1 + epsilon_rza |w|)`` times the componentwise sign of ``w``.
+    At ``epsilon = 0`` the factor is exactly 1, which is plain zero
+    attraction.  Array parameters broadcast against ``weights``.
     """
-    pull = gamma_za
-    if gamma_rza is not None:
-        # Times the reciprocal: the rounding numpy applies when a complex
-        # value is divided by a real one.
-        reweighted = gamma_rza * (1.0 / (1.0 + epsilon_rza * np.abs(weights)))
-        pull = reweighted if pull is None else pull + reweighted
+    # Times the reciprocal: the rounding numpy applies when a complex
+    # value is divided by a real one.
+    pull = gamma * (1.0 / (1.0 + epsilon * np.abs(weights)))
     return pull * componentwise_sign(weights)
 
 
 class RowParams:
-    """Parameters of ``B`` filters updated together, one entry per row.
+    """Update laws of ``B`` filters updated together, one entry per row.
 
-    Fixed-step rows keep their smoothed gradient at zero (their
-    smoothing weights are ``1`` and ``0``) and use ``mu``; adaptive rows
-    use the vss law.  A penalty strength is ``None`` when no row applies
-    that penalty, so :func:`update_rows` skips the work entirely; a row
-    without the penalty that shares a batch with one gets strength 0,
-    which leaves its taps bitwise unchanged.
+    Each row carries its variant's :meth:`AlgorithmConfig.law` and
+    parameters: ``vss`` marks the rows whose step follows the vss law
+    (the others use ``mu``), ``keep`` and ``smooth`` are the gradient
+    smoothing weights ``beta`` and ``1 - beta``, and every row
+    subtracts the penalty of :func:`_attraction` with its ``gamma`` and
+    ``epsilon``.  ``adaptive`` (some row adapts its step) and
+    ``penalized`` (some strength is nonzero) are derived from these;
+    :func:`update_rows` skips the smoothing and vss law when no row
+    adapts, and the penalty when every strength is 0.
     """
 
     def __init__(self, configs):
         configs = tuple(configs)
-        vss = [is_vss(c.variant) for c in configs]
-        za = [penalty_kind(c.variant) == "za" for c in configs]
-        rza = [penalty_kind(c.variant) == "rza" for c in configs]
-
-        def per_row(name, used, unused):
-            return np.array(
-                [getattr(c, name) if u else unused for c, u in zip(configs, used)],
-                dtype=float,
-            )
-
-        self.any_vss = any(vss)
-        # Needed only when fixed-step and adaptive rows are mixed.
-        self.vss_rows = np.array(vss) if self.any_vss and not all(vss) else None
+        adaptive, gamma, epsilon = zip(*(c.law() for c in configs))
+        self.vss = np.array(adaptive)
+        # beta = 1 keeps a fixed-step row's smoothed gradient at zero, so
+        # a diverging fixed-step row cannot overflow it.
+        beta = np.where(self.vss, [c.beta for c in configs], 1.0)
         self.mu = np.array([c.mu for c in configs], dtype=float)
-        self.mu_max = per_row("mu_max", vss, 0.0)
-        self.c_threshold = per_row("c_threshold", vss, 1.0)
-        beta = per_row("beta", vss, 1.0)
+        self.mu_max = np.array([c.mu_max for c in configs], dtype=float)
+        self.c_threshold = np.array([c.c_threshold for c in configs], dtype=float)
         self.keep = beta[:, None]
         self.smooth = 1.0 - beta
-        gamma_za = per_row("gamma_za", za, 0.0)
-        gamma_rza = per_row("gamma_rza", rza, 0.0)
-        self.gamma_za = gamma_za[:, None] if gamma_za.any() else None
-        self.gamma_rza = gamma_rza[:, None] if gamma_rza.any() else None
-        self.epsilon_rza = per_row("epsilon_rza", rza, 1.0)[:, None]
+        self.gamma = np.array(gamma, dtype=float)[:, None]
+        self.epsilon = np.array(epsilon, dtype=float)[:, None]
+        self.adaptive = bool(self.vss.any())
+        self.penalized = bool(self.gamma.any())
 
 
 def update_rows(weights, grad_avg, x, x_conj, energy, y, params):
@@ -300,22 +300,18 @@ def update_rows(weights, grad_avg, x, x_conj, energy, y, params):
     call.  Inputs are not validated.
     """
     e = y - row_dot(weights, x)
-    if params.any_vss:
+    mu = params.mu
+    if params.adaptive:
         grad_avg *= params.keep
         grad_avg += (params.smooth * (e / energy))[..., None] * x_conj
-        mu = _vss_steps(grad_avg, params.mu_max, params.c_threshold)
-        if params.vss_rows is not None:
-            mu = np.where(params.vss_rows, mu, params.mu)
-    else:
-        mu = params.mu
-    penalty = None
-    if params.gamma_za is not None or params.gamma_rza is not None:
-        penalty = _attraction(
-            weights, params.gamma_za, params.gamma_rza, params.epsilon_rza
-        )
+        steps = _vss_steps(grad_avg, params.mu_max, params.c_threshold)
+        mu = np.where(params.vss, steps, mu)
+    # The penalty reads the pre-update taps.
+    penalty = 0.0
+    if params.penalized:
+        penalty = _attraction(weights, params.gamma, params.epsilon)
     weights += (mu * e / energy)[..., None] * x_conj
-    if penalty is not None:
-        weights -= penalty
+    weights -= penalty
     return e, mu
 
 

@@ -80,6 +80,9 @@ may be computed in any order.
 
 from __future__ import annotations
 
+import math
+import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -157,6 +160,23 @@ class ExperimentConfig:
     ber_max_frames: int = 1000
 
     def __post_init__(self):
+        # Annotations are strings here (postponed evaluation).
+        for entry in fields(self):
+            value = getattr(self, entry.name)
+            if entry.type == "int" and (
+                isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            ):
+                raise ValueError(f"{entry.name} must be an integer, got {value!r}")
+        if self.c_by_snr is not None and not isinstance(self.c_by_snr, Mapping):
+            raise ValueError("c_by_snr must map SNR in dB to c_threshold")
+        # +inf dB is the noiseless case; NaN and -inf have no noise level.
+        for name, values in (
+            ("snr_db", self.snr_db),
+            ("esn0_range_db", self.esn0_range_db),
+            ("ber_training_snr_db", [self.ber_training_snr_db]),
+        ):
+            if not all(value > -math.inf for value in values):
+                raise ValueError(f"{name} must not be NaN or -inf")
         if self.n_t < 1 or self.n_r < 1:
             raise ValueError("n_t and n_r must be at least 1")
         if self.tap_length < 1:
@@ -277,7 +297,7 @@ class ExperimentConfig:
                 values[name] = [kind(v) for v in raw]
         if isinstance(values.get("algorithms"), str):
             values["algorithms"] = [values["algorithms"]]
-        if values.get("c_by_snr") is not None:
+        if isinstance(values.get("c_by_snr"), Mapping):
             values["c_by_snr"] = {
                 float(k): float(v) for k, v in values["c_by_snr"].items()
             }

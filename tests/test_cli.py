@@ -60,15 +60,16 @@ def test_entry_point_exits_with_dispatch_status(argv, status, monkeypatch, capsy
     assert exc.value.code == status
 
 
-def test_module_invocation_runs_the_cli():
-    # ``python -m sparsenlms`` runs the same entry point as the script.
+@pytest.mark.parametrize("module", ["sparsenlms", "sparsenlms.cli"])
+def test_module_invocation_runs_the_cli(module):
+    # ``python -m`` runs the same entry point as the script.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
 
     def run(*argv):
         return subprocess.run(
-            [sys.executable, "-m", "sparsenlms", *argv],
+            [sys.executable, "-m", module, *argv],
             capture_output=True, text=True, env=env, timeout=60,
         )
 
@@ -137,6 +138,18 @@ def test_invalid_value_is_rejected(tmp_path, capsys):
         ["single-run", "--override", "beta=5", "--override", "algorithms=vss_nlms"],
         ["ber-sweep", "--override", "cp_length=2"],
         ["single-run", "--dump-config", "--override", "mu=-1"],
+        # Integer fields take integers only, never a bool.
+        ["single-run", "--override", "max_iterations=1.5"],
+        ["single-run", "--override", "n_r=2.5"],
+        ["single-run", "--override", "tap_length=1e400"],
+        ["ber-sweep", "--override", "ber_max_frames=2.5"],
+        ["single-run", "--override", "num_trials=true"],
+        ["single-run", "--override", "c_by_snr=5"],
+        # +inf dB is the noiseless case; NaN and -inf have no noise level.
+        ["single-run", "--override", "snr_db=NaN"],
+        ["single-run", "--override", "snr_db=[10, -Infinity]"],
+        ["ber-sweep", "--override", "esn0_range_db=[12, NaN]"],
+        ["ber-sweep", "--override", "ber_training_snr_db=-Infinity"],
     ],
 )
 def test_invalid_config_is_rejected_before_running(argv, tmp_path, capsys):
@@ -144,6 +157,7 @@ def test_invalid_config_is_rejected_before_running(argv, tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
 

@@ -161,33 +161,33 @@ def test_grad_avg_rejects_bad_beta():
 
 def test_zero_attraction_disabled_is_zero_vector():
     w = np.array([1.0 + 1j, -2.0], dtype=complex)
-    out = filters._attraction(w, 0.0, None, None)
+    out = filters._attraction(w, 0.0, 0.0)
     assert np.array_equal(out, np.zeros(2, complex))
 
 
 def test_zero_attraction_hand_example():
     # gamma = 0.006 * 0.1: attraction scaled by the noise floor.
     w = np.array([-0.5, 0.0, 0.2], dtype=np.complex128)
-    out = filters._attraction(w, 0.006 * 0.1, None, None)
+    out = filters._attraction(w, 0.006 * 0.1, 0.0)
     assert np.allclose(out, [-6e-4, 0.0, 6e-4], rtol=0, atol=1e-18)
     assert out[1] == 0
 
 
 def test_reweighted_zero_weights_give_zero_term():
-    out = filters._attraction(np.zeros(4, complex), None, 0.01, 20.0)
+    out = filters._attraction(np.zeros(4, complex), 0.01, 20.0)
     assert np.array_equal(out, np.zeros(4, complex))
 
 
 def test_reweighted_hand_example():
     out = filters._attraction(
-        np.array([0.05], dtype=np.complex128), None, 0.01, 20.0
+        np.array([0.05], dtype=np.complex128), 0.01, 20.0
     )
     assert out[0] == 0.005
 
 
 def test_reweighted_vanishes_for_large_taps():
     big = np.array([100.0], dtype=np.complex128)
-    out = filters._attraction(big, None, 0.01, 20.0)
+    out = filters._attraction(big, 0.01, 20.0)
     approx = 0.01 / (20.0 * 100.0)
     assert abs(out[0]) == pytest.approx(approx, rel=1e-3)
     assert abs(out[0]) < 1e-5
@@ -195,15 +195,15 @@ def test_reweighted_vanishes_for_large_taps():
 
 def test_reweighted_matches_plain_attraction_at_zero_magnitude():
     w = np.zeros(3, dtype=complex)
-    za = filters._attraction(w, 0.01, None, None)
-    rza = filters._attraction(w, None, 0.01, 20.0)
+    za = filters._attraction(w, 0.01, 0.0)
+    rza = filters._attraction(w, 0.01, 20.0)
     assert np.array_equal(za, rza)
 
 
 def test_reweighted_approaches_plain_attraction_for_tiny_taps():
     w = np.array([1e-12 - 1e-12j], dtype=np.complex128)
-    za = filters._attraction(w, 0.01, None, None)
-    rza = filters._attraction(w, None, 0.01, 20.0)
+    za = filters._attraction(w, 0.01, 0.0)
+    rza = filters._attraction(w, 0.01, 20.0)
     assert np.allclose(za, rza, rtol=1e-9)
 
 

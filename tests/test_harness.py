@@ -239,19 +239,31 @@ def test_kernel_matches_per_sample_reference(stop_epsilon):
 
 
 @pytest.mark.parametrize(
-    "stop_epsilon, n_r",
-    [(0.0, 4), (1e-5, 4), (0.0, 9), (1e-6, 9)],
-    ids=["0.0", "1e-05", "0.0-n_r9", "1e-06-n_r9"],
+    "stop_epsilon, n_r, algorithms",
+    [
+        (0.0, 4, filters.VARIANTS),
+        (1e-5, 4, filters.VARIANTS),
+        (0.0, 9, filters.VARIANTS),
+        (1e-6, 9, filters.VARIANTS),
+        (1e-5, 4, [filters.ISS_NLMS, filters.VSS_NLMS]),
+        (0.0, 4, [filters.ISS_NLMS, filters.ISS_ZA_NLMS, filters.ISS_RZA_NLMS]),
+    ],
+    ids=[
+        "0.0", "1e-05", "0.0-n_r9", "1e-06-n_r9",
+        "1e-05-unpenalized", "0.0-fixed-step",
+    ],
 )
-def test_batch_rows_equal_batch_of_one(stop_epsilon, n_r):
+def test_batch_rows_equal_batch_of_one(stop_epsilon, n_r, algorithms):
     # From n_r = 8 on, numpy would sum a contiguous (n_r, 1) column
     # pairwise, so summing antennas in one call would make a row of
     # the batch differ from its batch of one.  At n_r = 9 the smaller
     # threshold makes rows freeze both in the first chunk and after it.
+    # The unpenalized and fixed-step batches skip the penalty and the
+    # vss law, with more than one row.
     config = small_config(
         n_r=n_r,
         snr_db=[10.0, 20.0],
-        algorithms=list(filters.VARIANTS),
+        algorithms=list(algorithms),
         max_iterations=1000,
         stop_epsilon=stop_epsilon,
     )
@@ -532,6 +544,82 @@ def test_ber_sweep_erases_rank_deficient_subcarriers():
     assert estimator.bit_errors.tolist() == [2048]
     assert estimator.ber.tolist() == [1.0]
     assert curves[TRUE_CHANNEL].bit_errors.tolist() == [0]
+
+
+def gray_qam_ber(order, gamma):
+    """Exact bit error rate of Gray-coded square QAM at symbol SNR ``gamma``.
+
+    Cho and Yoon, "On the general BER expression of one- and
+    two-dimensional amplitude modulations", IEEE Trans. Commun. 2002:
+    the average over the ``log2(sqrt(order))`` bit positions of an axis.
+    """
+    m = math.isqrt(order)
+    bits_per_axis = m.bit_length() - 1
+    erfc = np.vectorize(math.erfc)
+    total = np.zeros_like(gamma)
+    for k in range(1, bits_per_axis + 1):
+        for i in range(round((1 - 2.0**-k) * m)):
+            w = i * 2 ** (k - 1) / m
+            total += (
+                (-1) ** math.floor(w)
+                * (2 ** (k - 1) - math.floor(w + 0.5))
+                * erfc((2 * i + 1) * np.sqrt(3.0 * gamma / (2.0 * (order - 1))))
+            )
+    return total / (m * bits_per_axis)
+
+
+def test_genie_ber_matches_closed_form():
+    # After zero forcing, stream j on subcarrier k carries unit-energy
+    # symbols in circular Gaussian noise of variance N0 [G_k]_jj, with
+    # G_k = (H_k^H H_k)^-1, so each of its bits errs with the exact
+    # Gray-QAM probability p at gamma = 1 / (N0 [G_k]_jj).  Summed over
+    # the frames each channel served, that gives the expected count and,
+    # for independent bits, its variance sum p (1 - p).  The bits of a
+    # symbol share one noise sample and zero forcing correlates the
+    # streams' noise, which across seeds 0-9 widened z to a standard
+    # deviation of 1.23 (largest |z| 3.46 of 80 points); the bound of 5
+    # keeps a margin of four such deviations.  Noise 5% too strong gives
+    # |z| >= 8.9 at every point, a DFT without 1 / sqrt(K) and a
+    # non-Gray level map give more than 16.
+    gamma = np.array([0.5, 3.0, 30.0])
+    qpsk = [0.5 * math.erfc(math.sqrt(g / 2.0)) for g in gamma]
+    np.testing.assert_allclose(gray_qam_ber(4, gamma), qpsk, rtol=1e-14)
+    config = ExperimentConfig(
+        algorithms=["iss_nlms"],
+        max_iterations=10,
+        ber_num_channels=3,
+        qam_orders=[16, 64],
+        esn0_range_db=[10.0, 15.0, 20.0, 25.0],
+        ber_min_bits=10**9,
+        ber_max_frames=300,
+        rng_seed=12345,
+    )
+    k, n_t = config.subcarrier_count, config.n_t
+    g_diagonals = []
+    for trial in range(config.ber_num_channels):
+        chan = generate_sparse_channel(
+            np.random.default_rng([config.rng_seed, trial, 0]),
+            n_t, config.n_r, config.tap_length, config.sparsity,
+        )
+        cirs = chan.entries.reshape(config.n_r, n_t, config.tap_length)
+        h = np.moveaxis(np.fft.fft(cirs, n=k, axis=2), 2, 0)
+        g = np.linalg.inv(h.conj().transpose(0, 2, 1) @ h)
+        g_diagonals.append(np.diagonal(g, axis1=1, axis2=2).real)
+    frames = np.bincount(np.arange(config.ber_max_frames) % config.ber_num_channels)
+    z = []
+    for curve in run_ber_sweep(config):
+        if curve.algorithm != TRUE_CHANNEL:
+            continue
+        bits_per_symbol = int(math.log2(curve.qam_order))
+        assert curve.bits_total.tolist() == [300 * k * n_t * bits_per_symbol] * 4
+        bits = frames[:, None, None] * bits_per_symbol
+        for esn0, errors in zip(curve.esn0_db, curve.bit_errors):
+            n0 = 10.0 ** (-esn0 / 10.0)
+            p = gray_qam_ber(curve.qam_order, 1.0 / (n0 * np.array(g_diagonals)))
+            expected = np.sum(bits * p)
+            z.append((errors - expected) / math.sqrt(np.sum(bits * p * (1 - p))))
+    assert len(z) == 8
+    assert max(map(abs, z)) <= 5.0
 
 
 # -- persistence --------------------------------------------------------------
