@@ -137,18 +137,19 @@ class AlgorithmConfig:
                 f"unknown variant {self.variant!r}; expected one of {VARIANTS}"
             )
         adaptive, strength, scale = _LAWS[self.variant]
+        # Every check is written as ``not <valid range>``, so NaN fails it.
         if adaptive:
             if not 0.0 < self.mu_max <= 2.0:
                 raise ValueError("mu_max must lie in (0, 2]")
-            if self.c_threshold <= 0.0:
+            if not self.c_threshold > 0.0:
                 raise ValueError("c_threshold must be positive")
             if not 0.0 <= self.beta < 1.0:
                 raise ValueError("beta must lie in [0, 1)")
-        elif self.mu <= 0.0:
+        elif not self.mu > 0.0:
             raise ValueError("mu must be positive")
-        if strength is not None and getattr(self, strength) < 0.0:
+        if strength is not None and not getattr(self, strength) >= 0.0:
             raise ValueError(f"{strength} must be nonnegative")
-        if scale is not None and getattr(self, scale) <= 0.0:
+        if scale is not None and not getattr(self, scale) > 0.0:
             raise ValueError(f"{scale} must be positive")
 
     def law(self):

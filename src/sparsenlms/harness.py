@@ -39,6 +39,20 @@ responses and ``N_k`` the unitary DFT of the time-domain noise after
 prefix removal.  The full prefixed noise block is still drawn, so the
 random streams match a time-domain simulation of the same frames.
 
+Frames run in blocks of up to ``FRAME_BLOCK``: modulation, the channel,
+the noise DFT, zero forcing, the hard decision and error counting each
+take one numpy pass per block.  Each frame still draws from its own
+seeded stream (its bits, then the real and the imaginary noise) and uses
+channel ``frame % ber_num_channels``, so the frames do not depend on the
+blocking.  Bits travel as symbol codes; a decision's bit errors are the
+set bits of the XOR of the sent and decided codes, and every bit of an
+erased subcarrier counts as an error.  The stop rule is resolved per
+frame from the running error totals: a point stops at its first frame
+that meets both thresholds, and the block's later frames are discarded
+and count nowhere.  No block runs past the frame at which
+``ber_min_bits`` is first met, so a point bound by it simulates no extra
+frame.
+
 Estimation runs row-batched (:func:`run_trial_rows`).  The rows of one
 trial are the (algorithm, SNR) pairs that share its channel and data
 streams; they advance together through ``filters.update_rows``, whose
@@ -89,7 +103,13 @@ import numpy as np
 
 from . import filters
 from .channel import ChannelMatrix, generate_sparse_channel
-from .modem import QAM_ORDERS, qam_constellation, qam_demodulate, qam_modulate
+from .modem import (
+    QAM_ORDERS,
+    code_bit_errors,
+    qam_constellation,
+    qam_demodulate,
+    qam_modulate,
+)
 from .signals import training_chunk
 
 TRUE_CHANNEL = "true_channel"
@@ -99,10 +119,20 @@ TRUE_CHANNEL = "true_channel"
 # per-chunk overhead but raise peak memory.
 CHUNK_ITERATIONS = 100
 
+# OFDM frames simulated at once in the BER sweep.  Each frame keeps its
+# own seeded stream; larger blocks cut per-frame overhead but raise peak
+# memory.
+FRAME_BLOCK = 8
+
 # Regularization weights (per unit noise variance) by channel sparsity:
 # single-tap links get the stronger pull.
 DEFAULT_RHO_ZA = {1: 0.006, "denser": 0.002}
 DEFAULT_RHO_RZA = {1: 0.0006, "denser": 0.0002}
+
+
+def _is_integer(value):
+    """An integral number that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass
@@ -163,9 +193,7 @@ class ExperimentConfig:
         # Annotations are strings here (postponed evaluation).
         for entry in fields(self):
             value = getattr(self, entry.name)
-            if entry.type == "int" and (
-                isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            ):
+            if entry.type == "int" and not _is_integer(value):
                 raise ValueError(f"{entry.name} must be an integer, got {value!r}")
         if self.c_by_snr is not None and not isinstance(self.c_by_snr, Mapping):
             raise ValueError("c_by_snr must map SNR in dB to c_threshold")
@@ -194,7 +222,7 @@ class ExperimentConfig:
                 )
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.stop_epsilon < 0.0:
+        if not self.stop_epsilon >= 0.0:
             raise ValueError("stop_epsilon must be nonnegative")
         if self.num_trials < 1:
             raise ValueError("num_trials must be at least 1")
@@ -294,6 +322,8 @@ class ExperimentConfig:
                 raw = values[name]
                 if not isinstance(raw, (list, tuple)):
                     raw = [raw]
+                if kind is int and not all(_is_integer(v) for v in raw):
+                    raise ValueError(f"{name} must hold integers, got {raw!r}")
                 values[name] = [kind(v) for v in raw]
         if isinstance(values.get("algorithms"), str):
             values["algorithms"] = [values["algorithms"]]
@@ -565,6 +595,51 @@ def _zero_forcing_tables(freq_resp):
     return np.linalg.pinv(freq_resp), failed
 
 
+def _simulate_frames(config, order, point_index, n0, first, count, tables):
+    """Bit errors of frames ``first .. first + count - 1``, shaped ``(count, detector)``.
+
+    Frame ``f`` uses channel ``f % ber_num_channels`` and draws from its
+    own stream: its bits, then the real, then the imaginary noise.
+    ``tables`` holds the true responses, shaped ``(channel, n_r, n_t, k)``,
+    the pseudo-inverses, ``(channel, detector, n_t, n_r, k)``, and the
+    erasure masks, ``(channel, detector, k)``.
+    """
+    responses, pinvs, failed = tables
+    table = qam_constellation(order)
+    k, cp = config.subcarrier_count, config.cp_length
+    n_t, n_r = config.n_t, config.n_r
+    channels = config.ber_num_channels
+    bits = np.empty((count, n_t, k * table.bits_per_symbol), dtype=np.int64)
+    real = np.empty((count, n_r, k + cp))
+    imag = np.empty_like(real)
+    for i in range(count):
+        rng = np.random.default_rng(
+            [config.rng_seed, 2, int(order), point_index, first + i]
+        )
+        bits[i] = rng.integers(0, 2, size=(n_t, k * table.bits_per_symbol))
+        rng.standard_normal(out=real[i])
+        rng.standard_normal(out=imag[i])
+    weights = 1 << np.arange(table.bits_per_symbol - 1, -1, -1)
+    tx_codes = bits.reshape(count, n_t, k, table.bits_per_symbol) @ weights
+    trials = (first + np.arange(count)) % channels
+    noise = np.sqrt(n0 / 2.0) * (real[..., cp:] + 1j * imag[..., cp:])
+    rx_freq = np.einsum(
+        "bijk,bjk->bik", responses[trials], qam_modulate(tx_codes, order)
+    ) + np.fft.fft(noise, axis=2) / np.sqrt(k)
+    # Zero forcing by channel, so no per-frame copy of the pseudo-inverses.
+    detected = np.empty((count, pinvs.shape[1], n_t, k), dtype=np.complex128)
+    for offset in range(min(channels, count)):
+        frames = slice(offset, None, channels)
+        np.einsum(
+            "dijk,bjk->bdik", pinvs[trials[offset]], rx_freq[frames], out=detected[frames]
+        )
+    bit_errors = code_bit_errors(tx_codes[:, None], qam_demodulate(detected, order))
+    # Every bit of an erased subcarrier counts as an error.
+    erased = failed[trials][:, :, None, :]
+    bit_errors = np.where(erased, table.bits_per_symbol, bit_errors)
+    return bit_errors.sum(axis=(2, 3), dtype=np.int64)
+
+
 def run_ber_sweep(config):
     """Train, freeze, transmit, detect: BER curves per algorithm and order.
 
@@ -576,12 +651,11 @@ def run_ber_sweep(config):
     """
     config.validate_ofdm()
     detectors = [TRUE_CHANNEL] + list(config.algorithms)
-    k, cp = config.subcarrier_count, config.cp_length
-    n_t, n_r = config.n_t, config.n_r
+    k, n_t, n_r = config.subcarrier_count, config.n_t, config.n_r
 
     true_responses = []
-    # Per channel: the pseudo-inverses and erasure masks in detector order.
-    zf_tables = []
+    pinvs = []
+    failed = []
     for trial in range(config.ber_num_channels):
         results = run_trial_rows(
             config,
@@ -591,7 +665,8 @@ def run_ber_sweep(config):
         true_response = _frequency_responses(
             results[0].channel.entries, n_t, n_r, config.tap_length, k
         )
-        tables = [_zero_forcing_tables(true_response)] + [
+        # Pseudo-inverses and erasure masks in detector order.
+        zf = [_zero_forcing_tables(true_response)] + [
             _zero_forcing_tables(
                 _frequency_responses(
                     result.final_estimate, n_t, n_r, config.tap_length, k
@@ -600,52 +675,49 @@ def run_ber_sweep(config):
             for result in results
         ]
         true_responses.append(true_response)
-        pinvs, failed = zip(*tables)
-        zf_tables.append((pinvs, np.stack(failed)))
+        channel_pinvs, channel_failed = zip(*zf)
+        pinvs.append(np.stack(channel_pinvs))
+        failed.append(np.stack(channel_failed))
+    # Subcarriers last, so the einsums' inner loops run along them.
+    tables = (
+        np.ascontiguousarray(np.stack(true_responses).transpose(0, 2, 3, 1)),
+        np.ascontiguousarray(np.stack(pinvs).transpose(0, 1, 3, 4, 2)),
+        np.stack(failed),
+    )
 
     curves = []
     for order in config.qam_orders:
-        table = qam_constellation(order)
-        bits_per_frame = k * n_t * table.bits_per_symbol
+        bits_per_frame = k * n_t * qam_constellation(order).bits_per_symbol
+        # Frames at which bits_sent first reaches ber_min_bits; no block
+        # runs past it, so a point bound by ber_min_bits wastes no frame.
+        frames_min = max(1, -(-config.ber_min_bits // bits_per_frame))
         point_errors = []
         point_bits = []
         for point_index, esn0 in enumerate(config.esn0_range_db):
             n0 = 10.0 ** (-esn0 / 10.0)
             errors = np.zeros(len(detectors), dtype=np.int64)
-            bits_sent = 0
             frames = 0
             while frames < config.ber_max_frames:
-                trial = frames % config.ber_num_channels
-                rng = np.random.default_rng(
-                    [config.rng_seed, 2, int(order), point_index, frames]
+                count = min(FRAME_BLOCK, config.ber_max_frames - frames)
+                if frames < frames_min:
+                    count = min(count, frames_min - frames)
+                block = _simulate_frames(
+                    config, order, point_index, n0, frames, count, tables
                 )
-                tx_bits = rng.integers(0, 2, size=(n_t, k * table.bits_per_symbol))
-                symbols = qam_modulate(tx_bits, order).reshape(n_t, k)
-                noise = np.sqrt(n0 / 2.0) * (
-                    rng.standard_normal((n_r, k + cp))
-                    + 1j * rng.standard_normal((n_r, k + cp))
+                totals = errors + np.cumsum(block, axis=0)
+                # The point stops at its first frame that meets both
+                # thresholds; the frames after it are discarded.
+                sent = (frames + np.arange(1, count + 1)) * bits_per_frame
+                met = (sent >= config.ber_min_bits) & np.all(
+                    totals >= config.ber_min_errors, axis=1
                 )
-                rx_freq = np.einsum(
-                    "kij,jk->ki", true_responses[trial], symbols
-                ) + np.fft.fft(noise[:, cp:], axis=1).T / np.sqrt(k)
-                sent = tx_bits.reshape(n_t, k, table.bits_per_symbol)
-                pinvs, failed = zf_tables[trial]
-                detected = np.stack(
-                    [np.einsum("kij,kj->ki", pinv, rx_freq) for pinv in pinvs]
-                )
-                # Every detector in one call, shaped (detector, n_t, k, bits).
-                received = qam_demodulate(detected.transpose(0, 2, 1), order)
-                diff = received.reshape(len(detectors), *sent.shape) != sent
-                diff |= failed[:, None, :, None]
-                errors += diff.sum(axis=(1, 2, 3))
-                bits_sent += bits_per_frame
-                frames += 1
-                if bits_sent >= config.ber_min_bits and np.all(
-                    errors >= config.ber_min_errors
-                ):
+                used = int(met.argmax()) + 1 if met.any() else count
+                errors = totals[used - 1]
+                frames += used
+                if met.any():
                     break
             point_errors.append(errors)
-            point_bits.append(bits_sent)
+            point_bits.append(frames * bits_per_frame)
         bits_total = np.array(point_bits, dtype=np.int64)
         for bit_errors, detector in zip(np.array(point_errors).T, detectors):
             curves.append(

@@ -1,10 +1,14 @@
-"""Gray-coded square QAM modulation and hard-decision demodulation.
+"""Gray-coded square QAM modulation and hard-decision demodulation on symbol codes.
 
-Square constellations of order 16, 64 and 256 are supported.  Each
-symbol carries ``log2(order)`` bits, the first half Gray-coding the
-in-phase level and the second half the quadrature level, and the lattice
-is scaled to unit mean symbol energy.  Axis-adjacent constellation
-points therefore differ in exactly one bit.
+Square constellations of order 16, 64 and 256 are supported.  A symbol's
+code is its ``log2(order)``-bit pattern read as an integer, most
+significant bit first: the high half Gray-codes the in-phase level and
+the low half the quadrature level, and the lattice is scaled to unit
+mean symbol energy.  Axis-adjacent constellation points therefore differ
+in exactly one bit, and the bit errors of a decision are the set bits of
+the XOR of the sent and decided codes (:func:`code_bit_errors`).
+:func:`qam_modulate` maps codes to symbols and :func:`qam_demodulate`
+maps symbols back to codes; both keep the array's shape.
 
 Hard decisions take the nearest constellation point per axis.  A
 received value exactly between two levels resolves to the level whose
@@ -50,7 +54,7 @@ def qam_constellation(order):
         # Unit mean symbol energy: the unnormalized square lattice with
         # levels +-1, +-3, ... has mean energy 2 (order - 1) / 3.
         scale = 1.0 / np.sqrt(2.0 * (order - 1) / 3.0)
-        level_codes = np.array([_gray_encode(i) for i in range(m)], dtype=np.int64)
+        level_codes = np.array([_gray_encode(i) for i in range(m)], dtype=np.uint8)
         code_levels = np.argsort(level_codes).astype(np.int64)
         amplitudes = (2 * np.arange(m) - (m - 1)) * scale
         codes = np.arange(order)
@@ -73,24 +77,35 @@ def qam_constellation(order):
 _CONSTELLATIONS: dict[int, QamConstellation] = {}
 
 
-def qam_modulate(bits, order):
-    """Map a 0/1 array (length divisible by ``log2(order)``) to symbols."""
+def qam_modulate(codes, order):
+    """Map integer symbol codes in ``[0, order)`` of any shape to symbols."""
     table = qam_constellation(order)
-    bits = np.asarray(bits)
-    if bits.size % table.bits_per_symbol:
-        raise ValueError(
-            f"bit count {bits.size} is not a multiple of {table.bits_per_symbol}"
-        )
-    groups = bits.reshape(-1, table.bits_per_symbol)
-    weights = 1 << np.arange(table.bits_per_symbol - 1, -1, -1)
-    codes = groups @ weights
+    codes = np.asarray(codes)
+    if codes.size and (codes.min() < 0 or codes.max() >= order):
+        raise ValueError(f"symbol codes must lie in [0, {order})")
     return table.points[codes]
 
 
-def _nearest_level_codes(values, table):
-    """Gray codewords of the nearest amplitude levels, lower code on ties."""
+# Set bits of each byte value.
+_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+
+
+def code_bit_errors(sent, decided):
+    """Bit errors of each decision: the set bits of ``sent ^ decided`` (codes, broadcast)."""
+    return _POPCOUNT[np.bitwise_xor(sent, decided)]
+
+
+# Within this distance of a half-integer level position, a value is
+# decided by comparing its distances to the two levels, as the tie rule
+# is stated.  Everywhere else rounding the position gives the same
+# level: inside the lattice the computed position is off by about 1e-14
+# at most, and outside it both pick the edge level.
+_TIE_MARGIN = 1e-9
+
+
+def _tie_rule_codes(values, table):
+    """Gray codewords by exact distance comparison, lower code on ties."""
     m = table.levels_per_axis
-    # Fractional level index; levels sit at 0 .. m-1.
     position = (values / table.scale + (m - 1)) / 2.0
     lower = np.clip(np.floor(position), 0, m - 1).astype(np.int64)
     upper = np.clip(lower + 1, 0, m - 1)
@@ -103,15 +118,26 @@ def _nearest_level_codes(values, table):
     return np.where(tie, np.minimum(codes_lower, codes_upper), nearest)
 
 
-def qam_demodulate(symbols, order):
-    """Hard-decide symbols back to a flat bit array (inverse of :func:`qam_modulate`).
+def _nearest_level_codes(values, table):
+    """Gray codewords of the nearest amplitude levels, lower code on ties."""
+    m = table.levels_per_axis
+    # Fractional level index; levels sit at 0 .. m-1.
+    position = values * (0.5 / table.scale)
+    position += 0.5 * (m - 1)
+    nearest = np.rint(position)
+    position -= nearest
+    near_tie = np.abs(position, out=position) > 0.5 - _TIE_MARGIN
+    np.clip(nearest, 0, m - 1, out=nearest)
+    codes = _gray_encode(nearest.astype(table.level_codes.dtype))
+    if near_tie.any():
+        codes[near_tie] = _tie_rule_codes(values[near_tie], table)
+    return codes
 
-    Symbols of any shape are read in C order.
-    """
+
+def qam_demodulate(symbols, order):
+    """Hard-decide symbols of any shape to their codes (inverse of :func:`qam_modulate`)."""
     table = qam_constellation(order)
-    symbols = np.asarray(symbols)
-    i_codes = _nearest_level_codes(symbols.real, table)
-    q_codes = _nearest_level_codes(symbols.imag, table)
-    codes = (i_codes << table.bits_per_axis) | q_codes
-    shifts = np.arange(table.bits_per_symbol - 1, -1, -1)
-    return ((codes[..., None] >> shifts) & 1).reshape(-1).astype(np.int64)
+    # Real and imaginary parts interleaved: both axes in one pass.
+    axes = np.ascontiguousarray(symbols, dtype=np.complex128).view(np.float64)
+    codes = _nearest_level_codes(axes, table).reshape(*np.shape(symbols), 2)
+    return (codes[..., 0] << table.bits_per_axis) | codes[..., 1]

@@ -150,6 +150,13 @@ def test_invalid_value_is_rejected(tmp_path, capsys):
         ["single-run", "--override", "snr_db=[10, -Infinity]"],
         ["ber-sweep", "--override", "esn0_range_db=[12, NaN]"],
         ["ber-sweep", "--override", "ber_training_snr_db=-Infinity"],
+        # NaN fails every range check.
+        ["single-run", "--override", "mu=NaN", "--override", "algorithms=iss_za_nlms"],
+        ["single-run", "--override", "rho_za=NaN"],
+        ["single-run", "--override", "c_threshold=NaN"],
+        ["single-run", "--override", "stop_epsilon=NaN"],
+        # QAM orders are integers, never truncated.
+        ["ber-sweep", "--override", "qam_orders=[16.7]"],
     ],
 )
 def test_invalid_config_is_rejected_before_running(argv, tmp_path, capsys):

@@ -7,10 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from sparsenlms import filters
+from per_frame_ber import per_frame_ber_sweep
+from sparsenlms import filters, harness
 from sparsenlms.channel import generate_sparse_channel
 from sparsenlms.harness import (
     CHUNK_ITERATIONS,
+    FRAME_BLOCK,
     BerCurve,
     ExperimentConfig,
     MseCurve,
@@ -26,6 +28,7 @@ from sparsenlms.harness import (
     write_mse_csv,
     write_stepsize_csv,
 )
+from sparsenlms.modem import qam_modulate
 
 
 def small_config(**kwargs):
@@ -544,6 +547,73 @@ def test_ber_sweep_erases_rank_deficient_subcarriers():
     assert estimator.bit_errors.tolist() == [2048]
     assert estimator.ber.tolist() == [1.0]
     assert curves[TRUE_CHANNEL].bit_errors.tolist() == [0]
+
+
+def bits_per_frame(config, order):
+    return config.subcarrier_count * config.n_t * int(math.log2(order))
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        # ber_min_bits binds: 12 and 8 frames, past one full block.
+        dict(ber_min_bits=1500, qam_orders=[16, 64]),
+        # ber_min_errors binds after ber_min_bits is met, mid-block.
+        dict(
+            ber_min_bits=300, ber_min_errors=60,
+            esn0_range_db=[12.0, 18.0], qam_orders=[16, 64],
+        ),
+        # ber_max_frames binds below one block.
+        dict(ber_min_bits=10**6, ber_max_frames=5),
+        # Blocks of 8 and 2 frames over three channels.
+        dict(ber_num_channels=3, ber_min_bits=1200),
+        # Rank-deficient estimates: every subcarrier erased.
+        dict(max_iterations=1, esn0_range_db=[30.0]),
+    ],
+    ids=["min_bits", "min_errors", "max_frames", "three_channels", "rank_deficient"],
+)
+def test_block_loop_equals_per_frame_loop(overrides):
+    config = ber_config(**overrides)
+    reference = per_frame_ber_sweep(config)
+    curves = run_ber_sweep(config)
+    assert len(curves) == len(reference)
+    for curve in curves:
+        bit_errors, bits_total = reference[curve.algorithm, curve.qam_order]
+        assert curve.bit_errors.tolist() == bit_errors.tolist()
+        assert curve.bits_total.tolist() == bits_total.tolist()
+    if config.ber_min_errors:
+        # Blocks end where ber_min_bits is met, then run whole: at least
+        # one point must stop inside a later block, discarding frames.
+        inside = []
+        for curve in curves:
+            per_frame = bits_per_frame(config, curve.qam_order)
+            first = -(-config.ber_min_bits // per_frame)
+            for used in curve.bits_total // per_frame:
+                inside.append(used > first and (used - first) % FRAME_BLOCK != 0)
+        assert any(inside)
+    if config.ber_max_frames < FRAME_BLOCK:
+        for curve in curves:
+            assert curve.bits_total.tolist() == [
+                config.ber_max_frames * bits_per_frame(config, curve.qam_order)
+            ] * 2
+
+
+def test_block_loop_simulates_no_frame_past_min_bits(monkeypatch):
+    # Bound by ber_min_bits (13 frames of 16-QAM, 9 of 64-QAM), so every
+    # symbol modulated belongs to a frame that counts.
+    modulated = []
+
+    def counting(codes, order):
+        modulated.append((order, np.size(codes)))
+        return qam_modulate(codes, order)
+
+    monkeypatch.setattr(harness, "qam_modulate", counting)
+    config = ber_config(ber_min_bits=1600, qam_orders=[16, 64])
+    curves = run_ber_sweep(config)
+    for order in config.qam_orders:
+        curve = next(c for c in curves if c.qam_order == order)
+        symbols = sum(size for o, size in modulated if o == order)
+        assert symbols * int(math.log2(order)) == curve.bits_total.sum()
 
 
 def gray_qam_ber(order, gamma):

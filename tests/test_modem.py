@@ -5,8 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from per_frame_ber import nearest_level_codes_reference
 from sparsenlms.harness import _zero_forcing_tables
-from sparsenlms.modem import QAM_ORDERS, qam_constellation, qam_demodulate, qam_modulate
+from sparsenlms.modem import (
+    QAM_ORDERS,
+    _nearest_level_codes,
+    code_bit_errors,
+    qam_constellation,
+    qam_demodulate,
+    qam_modulate,
+)
 
 
 def q_function(x):
@@ -27,9 +35,10 @@ def test_invalid_order_rejected():
 @pytest.mark.parametrize("order", QAM_ORDERS)
 def test_modulate_demodulate_round_trip(order):
     rng = np.random.default_rng(300 + order)
-    bits = rng.integers(0, 2, size=1200 * int(np.log2(order)))
-    symbols = qam_modulate(bits, order)
-    assert np.array_equal(qam_demodulate(symbols, order), bits)
+    codes = rng.integers(0, order, size=(3, 400))
+    symbols = qam_modulate(codes, order)
+    assert symbols.shape == codes.shape
+    assert np.array_equal(qam_demodulate(symbols, order), codes)
 
 
 @pytest.mark.parametrize("order", QAM_ORDERS)
@@ -46,17 +55,41 @@ def test_gray_neighbor_property(order):
         assert bin(diff).count("1") == 1
 
 
-def test_modulate_rejects_ragged_bit_count():
-    with pytest.raises(ValueError, match="not a multiple"):
-        qam_modulate(np.zeros(5, dtype=np.int64), 16)
+def test_modulate_rejects_codes_outside_the_constellation():
+    for codes in ([0, 16], [-1, 3]):
+        with pytest.raises(ValueError, match="must lie in"):
+            qam_modulate(np.array(codes), 16)
 
 
 def test_tie_breaks_toward_lower_gray_codeword():
     # Zero lies exactly between the two inner levels on both axes; their
     # Gray codewords are 1 and 3, so the decision must pick 1, which is
-    # bit pattern 01 per axis.
-    bits = qam_demodulate(np.array([0j]), 16)
-    assert np.array_equal(bits, [0, 1, 0, 1])
+    # bit pattern 01 per axis: code 0b0101.
+    assert qam_demodulate(np.array([0j]), 16).tolist() == [0b0101]
+
+
+@pytest.mark.parametrize("order", QAM_ORDERS)
+def test_rounded_decision_equals_distance_comparison(order):
+    # Rounding the level position must decide exactly as comparing the
+    # distances to both neighbouring levels does, ties included.
+    table = qam_constellation(order)
+    amplitudes = table.amplitudes
+    midpoints = np.concatenate([
+        (amplitudes[:-1] + amplitudes[1:]) / 2.0,
+        (2 * np.arange(1, table.levels_per_axis) - table.levels_per_axis) * table.scale,
+    ])
+    values = [midpoints, amplitudes]
+    for direction in (-np.inf, np.inf):
+        nudged = midpoints
+        for _ in range(4):
+            nudged = np.nextafter(nudged, direction)
+            values.append(nudged)
+    far = [0.0, -0.0, 1.5, -1.5, 10.0, -10.0, 1e6, -1e6, 1e300, -1e300]
+    values = np.concatenate(values + [np.array(far)])
+    rng = np.random.default_rng(305)
+    values = np.concatenate([values, rng.uniform(-1.5, 1.5, size=10_000)])
+    expected = nearest_level_codes_reference(values, table)
+    assert np.array_equal(_nearest_level_codes(values, table), expected)
 
 
 def test_awgn_ber_matches_analytic_approximation():
@@ -64,15 +97,16 @@ def test_awgn_ber_matches_analytic_approximation():
     # Gray-code approximation 0.75 Q(sqrt(gamma / 5)).
     rng = np.random.default_rng(301)
     order, symbols_count = 16, 1_000_000
-    bits = rng.integers(0, 2, size=4 * symbols_count)
-    tx = qam_modulate(bits, order)
+    bits = rng.integers(0, 2, size=(symbols_count, 4))
+    codes = bits @ [8, 4, 2, 1]
+    tx = qam_modulate(codes, order)
     gamma = 10.0 ** 1.2
     n0 = 1.0 / gamma
     noise = math.sqrt(n0 / 2.0) * (
         rng.standard_normal(symbols_count) + 1j * rng.standard_normal(symbols_count)
     )
-    rx_bits = qam_demodulate(tx + noise, order)
-    measured = np.mean(rx_bits != bits)
+    rx_codes = qam_demodulate(tx + noise, order)
+    measured = code_bit_errors(codes, rx_codes).sum() / bits.size
     analytic = 0.75 * q_function(math.sqrt(gamma / 5.0))
     assert measured == pytest.approx(analytic, rel=0.10)
 
@@ -99,7 +133,7 @@ def test_zero_forcing_identity_channel():
 def test_zero_forcing_inverts_noiseless_channel():
     rng = np.random.default_rng(303)
     h = complex_normal(rng, (3, 4, 4))
-    sent = qam_modulate(rng.integers(0, 2, size=48), 16).reshape(3, 4)
+    sent = qam_modulate(rng.integers(0, 16, size=(3, 4)), 16)
     out, failed = zero_force(h, np.einsum("kij,kj->ki", h, sent))
     assert np.allclose(out, sent, atol=1e-10)
     assert not failed.any()
