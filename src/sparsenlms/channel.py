@@ -27,10 +27,6 @@ class ChannelMatrix:
     """
 
     entries: np.ndarray
-    n_t: int
-    n_r: int
-    tap_length: int
-    sparsity: int
 
 
 def generate_sparse_channel(rng, n_t, n_r, tap_length, sparsity):
@@ -62,11 +58,5 @@ def generate_sparse_channel(rng, n_t, n_r, tap_length, sparsity):
             )
             entries[ir, it * tap_length + positions] = values
         entries[ir] /= np.linalg.norm(entries[ir])
-    return ChannelMatrix(
-        entries=entries,
-        n_t=n_t,
-        n_r=n_r,
-        tap_length=tap_length,
-        sparsity=sparsity,
-    )
+    return ChannelMatrix(entries=entries)
 

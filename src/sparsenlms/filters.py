@@ -233,7 +233,7 @@ def compute_vss(grad_avg, mu_max, c_threshold):
     result is real, lies in ``[0, mu_max)`` and equals ``mu_max / 2``
     exactly when the energy equals ``c_threshold``.
     """
-    if c_threshold <= 0.0:
+    if not c_threshold > 0.0:
         raise ValueError("c_threshold must be positive")
     rows = np.asarray(grad_avg, dtype=np.complex128).reshape(1, -1)
     return float(_vss_steps(rows, mu_max, c_threshold)[0])

@@ -39,6 +39,14 @@ responses and ``N_k`` the unitary DFT of the time-domain noise after
 prefix removal.  The full prefixed noise block is still drawn, so the
 random streams match a time-domain simulation of the same frames.
 
+The detector tables are built once per sweep as stacked arrays: each
+channel's true impulse responses and every algorithm's frozen estimate
+form one ``(channel, detector)`` stack, which one FFT turns into
+per-subcarrier responses and one SVD and one pseudo-inverse call turn
+into zero-forcing matrices and erasure masks.  Zero forcing is then one
+einsum per frame block over the pseudo-inverses gathered by each
+frame's channel.
+
 Frames run in blocks of up to ``FRAME_BLOCK``: modulation, the channel,
 the noise DFT, zero forcing, the hard decision and error counting each
 take one numpy pass per block.  Each frame still draws from its own
@@ -135,6 +143,11 @@ def _is_integer(value):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_real(value):
+    """A real number that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass
 class ExperimentConfig:
     """Full description of one experiment.
@@ -195,6 +208,12 @@ class ExperimentConfig:
             value = getattr(self, entry.name)
             if entry.type == "int" and not _is_integer(value):
                 raise ValueError(f"{entry.name} must be an integer, got {value!r}")
+            if entry.type == "float" and not _is_real(value):
+                raise ValueError(f"{entry.name} must be a number, got {value!r}")
+            if entry.type == "float | None" and not (
+                value is None or _is_real(value)
+            ):
+                raise ValueError(f"{entry.name} must be a number or null, got {value!r}")
         if self.c_by_snr is not None and not isinstance(self.c_by_snr, Mapping):
             raise ValueError("c_by_snr must map SNR in dB to c_threshold")
         # +inf dB is the noiseless case; NaN and -inf have no noise level.
@@ -316,21 +335,25 @@ class ExperimentConfig:
         # Scalars are accepted where lists are expected (a single SNR,
         # a single QAM order, one algorithm name) and element types are
         # normalized so serialized configs round-trip exactly.
-        for name, kind in (("snr_db", float), ("esn0_range_db", float),
-                           ("qam_orders", int)):
+        for name, kind, valid, noun in (
+            ("snr_db", float, _is_real, "numbers"),
+            ("esn0_range_db", float, _is_real, "numbers"),
+            ("qam_orders", int, _is_integer, "integers"),
+        ):
             if name in values:
                 raw = values[name]
                 if not isinstance(raw, (list, tuple)):
                     raw = [raw]
-                if kind is int and not all(_is_integer(v) for v in raw):
-                    raise ValueError(f"{name} must hold integers, got {raw!r}")
+                if not all(valid(v) for v in raw):
+                    raise ValueError(f"{name} must hold {noun}, got {raw!r}")
                 values[name] = [kind(v) for v in raw]
         if isinstance(values.get("algorithms"), str):
             values["algorithms"] = [values["algorithms"]]
         if isinstance(values.get("c_by_snr"), Mapping):
-            values["c_by_snr"] = {
-                float(k): float(v) for k, v in values["c_by_snr"].items()
-            }
+            c_by_snr = values["c_by_snr"]
+            if not all(_is_real(v) for v in c_by_snr.values()):
+                raise ValueError(f"c_by_snr values must be numbers, got {c_by_snr!r}")
+            values["c_by_snr"] = {float(k): float(v) for k, v in c_by_snr.items()}
         return cls(**values)
 
 
@@ -356,7 +379,7 @@ class TrialResult:
     @property
     def diverged(self):
         """Final error not finite or above the all-zero estimator's ``n_r``."""
-        return not self.squared_error[-1] <= self.channel.n_r
+        return not self.squared_error[-1] <= self.channel.entries.shape[0]
 
 
 @dataclass
@@ -583,15 +606,24 @@ def run_monte_carlo_mse(config):
 
 
 def _frequency_responses(cir_matrix, n_t, n_r, tap_length, k):
-    """Per-subcarrier channel matrices, shaped ``(k, n_r, n_t)``."""
-    cirs = np.asarray(cir_matrix).reshape(n_r, n_t, tap_length)
-    return np.moveaxis(np.fft.fft(cirs, n=k, axis=2), 2, 0)
+    """Per-subcarrier channel matrices, shaped ``(..., k, n_r, n_t)``.
+
+    ``cir_matrix`` is ``(..., n_r, n_t * tap_length)``; leading stack
+    axes are kept.
+    """
+    cir_matrix = np.asarray(cir_matrix)
+    cirs = cir_matrix.reshape(*cir_matrix.shape[:-2], n_r, n_t, tap_length)
+    return np.moveaxis(np.fft.fft(cirs, n=k, axis=-1), -1, -3)
 
 
 def _zero_forcing_tables(freq_resp):
-    """Pseudo-inverses plus a mask of rank-deficient subcarriers."""
+    """Pseudo-inverses plus a mask of rank-deficient matrices.
+
+    ``freq_resp`` is a stack of matrices, ``(..., n_r, n_t)``; the mask
+    has the stack's leading shape.
+    """
     singular = np.linalg.svd(freq_resp, compute_uv=False)
-    failed = singular[:, -1] <= singular[:, 0] * 1e-12
+    failed = singular[..., -1] <= singular[..., 0] * 1e-12
     return np.linalg.pinv(freq_resp), failed
 
 
@@ -600,15 +632,15 @@ def _simulate_frames(config, order, point_index, n0, first, count, tables):
 
     Frame ``f`` uses channel ``f % ber_num_channels`` and draws from its
     own stream: its bits, then the real, then the imaginary noise.
-    ``tables`` holds the true responses, shaped ``(channel, n_r, n_t, k)``,
-    the pseudo-inverses, ``(channel, detector, n_t, n_r, k)``, and the
-    erasure masks, ``(channel, detector, k)``.
+    ``tables`` holds the stacked true responses, shaped ``(channel, n_r,
+    n_t, k)``, pseudo-inverses, ``(channel, detector, n_t, n_r, k)``, and
+    erasure masks, ``(channel, detector, k)``.  Zero forcing is one
+    einsum over the pseudo-inverses gathered by frame.
     """
     responses, pinvs, failed = tables
     table = qam_constellation(order)
     k, cp = config.subcarrier_count, config.cp_length
     n_t, n_r = config.n_t, config.n_r
-    channels = config.ber_num_channels
     bits = np.empty((count, n_t, k * table.bits_per_symbol), dtype=np.int64)
     real = np.empty((count, n_r, k + cp))
     imag = np.empty_like(real)
@@ -621,18 +653,12 @@ def _simulate_frames(config, order, point_index, n0, first, count, tables):
         rng.standard_normal(out=imag[i])
     weights = 1 << np.arange(table.bits_per_symbol - 1, -1, -1)
     tx_codes = bits.reshape(count, n_t, k, table.bits_per_symbol) @ weights
-    trials = (first + np.arange(count)) % channels
+    trials = (first + np.arange(count)) % config.ber_num_channels
     noise = np.sqrt(n0 / 2.0) * (real[..., cp:] + 1j * imag[..., cp:])
     rx_freq = np.einsum(
         "bijk,bjk->bik", responses[trials], qam_modulate(tx_codes, order)
     ) + np.fft.fft(noise, axis=2) / np.sqrt(k)
-    # Zero forcing by channel, so no per-frame copy of the pseudo-inverses.
-    detected = np.empty((count, pinvs.shape[1], n_t, k), dtype=np.complex128)
-    for offset in range(min(channels, count)):
-        frames = slice(offset, None, channels)
-        np.einsum(
-            "dijk,bjk->bdik", pinvs[trials[offset]], rx_freq[frames], out=detected[frames]
-        )
+    detected = np.einsum("bdijk,bjk->bdik", pinvs[trials], rx_freq)
     bit_errors = code_bit_errors(tx_codes[:, None], qam_demodulate(detected, order))
     # Every bit of an erased subcarrier counts as an error.
     erased = failed[trials][:, :, None, :]
@@ -653,36 +679,19 @@ def run_ber_sweep(config):
     detectors = [TRUE_CHANNEL] + list(config.algorithms)
     k, n_t, n_r = config.subcarrier_count, config.n_t, config.n_r
 
-    true_responses = []
-    pinvs = []
-    failed = []
+    pairs = [(a, config.ber_training_snr_db) for a in config.algorithms]
+    cirs = []
     for trial in range(config.ber_num_channels):
-        results = run_trial_rows(
-            config,
-            trial,
-            [(a, config.ber_training_snr_db) for a in config.algorithms],
-        )
-        true_response = _frequency_responses(
-            results[0].channel.entries, n_t, n_r, config.tap_length, k
-        )
-        # Pseudo-inverses and erasure masks in detector order.
-        zf = [_zero_forcing_tables(true_response)] + [
-            _zero_forcing_tables(
-                _frequency_responses(
-                    result.final_estimate, n_t, n_r, config.tap_length, k
-                )
-            )
-            for result in results
-        ]
-        true_responses.append(true_response)
-        channel_pinvs, channel_failed = zip(*zf)
-        pinvs.append(np.stack(channel_pinvs))
-        failed.append(np.stack(channel_failed))
+        results = run_trial_rows(config, trial, pairs)
+        cirs.append([results[0].channel.entries] + [r.final_estimate for r in results])
+    # Shaped (channel, detector, k, n_r, n_t), detectors in output order.
+    responses = _frequency_responses(np.array(cirs), n_t, n_r, config.tap_length, k)
+    pinvs, failed = _zero_forcing_tables(responses)
     # Subcarriers last, so the einsums' inner loops run along them.
     tables = (
-        np.ascontiguousarray(np.stack(true_responses).transpose(0, 2, 3, 1)),
-        np.ascontiguousarray(np.stack(pinvs).transpose(0, 1, 3, 4, 2)),
-        np.stack(failed),
+        np.ascontiguousarray(np.moveaxis(responses[:, 0], 1, -1)),
+        np.ascontiguousarray(np.moveaxis(pinvs, 2, -1)),
+        failed,
     )
 
     curves = []

@@ -157,6 +157,15 @@ def test_invalid_value_is_rejected(tmp_path, capsys):
         ["single-run", "--override", "stop_epsilon=NaN"],
         # QAM orders are integers, never truncated.
         ["ber-sweep", "--override", "qam_orders=[16.7]"],
+        # Float fields, SNR lists and c_by_snr values take numbers, never a
+        # bool or a string.
+        ["single-run", "--override", "mu=true"],
+        ["single-run", "--override", "rho_za=false"],
+        ["single-run", "--override", "stop_epsilon=true"],
+        ["single-run", "--override", "ber_training_snr_db=true"],
+        ["single-run", "--override", "snr_db=[true]"],
+        ["single-run", "--override", 'snr_db=["10"]'],
+        ["single-run", "--override", 'c_by_snr={"10": true}'],
     ],
 )
 def test_invalid_config_is_rejected_before_running(argv, tmp_path, capsys):

@@ -105,6 +105,8 @@ def test_vss_stays_below_mu_max_and_increases_with_energy():
 def test_vss_rejects_nonpositive_threshold():
     with pytest.raises(ValueError, match="c_threshold"):
         filters.compute_vss(np.zeros(2, dtype=complex), 2.0, 0.0)
+    with pytest.raises(ValueError, match="c_threshold"):
+        filters.compute_vss(np.zeros(2, dtype=complex), 2.0, np.nan)
 
 
 # -- gradient smoothing (new_state.grad_avg of step) --------------------------

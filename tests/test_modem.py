@@ -154,3 +154,15 @@ def test_zero_forcing_rejects_rank_deficiency():
     h = np.stack([np.ones((4, 4), dtype=complex), np.eye(4, dtype=complex)])
     _, failed = _zero_forcing_tables(h)
     assert failed.tolist() == [True, False]
+    # A (channel, detector, k, n_r, n_t) stack flags the same matrices
+    # and gives each bit for bit the tables of its own call.
+    stack = complex_normal(np.random.default_rng(305), (2, 3, 5, 4, 4))
+    stack[1, 2, 3] = 1.0
+    pinvs, failed = _zero_forcing_tables(stack)
+    expected = np.zeros((2, 3, 5), dtype=bool)
+    expected[1, 2, 3] = True
+    assert np.array_equal(failed, expected)
+    for index in np.ndindex(failed.shape):
+        pinv, single = _zero_forcing_tables(stack[index])
+        assert single == failed[index]
+        assert pinv.tobytes() == pinvs[index].tobytes()

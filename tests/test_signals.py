@@ -72,3 +72,18 @@ def test_cyclic_prefix_makes_convolution_circular():
     expected = np.array([h[i] @ symbols[:, i] for i in range(k)])
     assert np.abs(slow_link(taps - 1) - expected).max() < 1e-12
     assert np.abs(slow_link(taps - 2) - expected).max() > 1e-3
+
+
+def test_stacked_frequency_responses_equal_per_cir_calls():
+    # A (channel, detector, n_r, n_t * taps) stack keeps its leading axes
+    # and gives each CIR bit for bit the responses of its own call.
+    rng = np.random.default_rng(206)
+    n_t, n_r, taps, k = 2, 3, 5, 16
+    stack = rng.standard_normal((2, 3, n_r, n_t * taps)) + 1j * rng.standard_normal(
+        (2, 3, n_r, n_t * taps)
+    )
+    h = _frequency_responses(stack, n_t, n_r, taps, k)
+    assert h.shape == (2, 3, k, n_r, n_t)
+    for index in np.ndindex(stack.shape[:2]):
+        single = _frequency_responses(stack[index], n_t, n_r, taps, k)
+        assert single.tobytes() == h[index].tobytes()
