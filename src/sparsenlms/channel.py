@@ -12,29 +12,17 @@ the same average signal power.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
-@dataclass
-class ChannelMatrix:
-    """One static channel realization.
-
-    ``entries`` is the complex ``(n_r, n_t * tap_length)`` matrix;
-    ``entries.reshape(n_r, n_t, tap_length)`` gives the per-link
-    impulse responses.
-    """
-
-    entries: np.ndarray
-
-
 def generate_sparse_channel(rng, n_t, n_r, tap_length, sparsity):
-    """Draw one sparse channel realization.
+    """Draw one sparse channel realization as its ``(n_r, n_t * tap_length)`` matrix.
 
     Per link, ``sparsity`` tap positions are chosen uniformly without
     replacement and filled with unit-variance circular complex Gaussian
     values; each receive row is then normalized to unit Euclidean norm.
+    ``reshape(n_r, n_t, tap_length)`` of the result gives the per-link
+    impulse responses.
 
     Parameters
     ----------
@@ -58,5 +46,5 @@ def generate_sparse_channel(rng, n_t, n_r, tap_length, sparsity):
             )
             entries[ir, it * tap_length + positions] = values
         entries[ir] /= np.linalg.norm(entries[ir])
-    return ChannelMatrix(entries=entries)
+    return entries
 

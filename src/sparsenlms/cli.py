@@ -45,7 +45,8 @@ class CliError(Exception):
     """Contract violation surfaced to the user with a nonzero exit."""
 
 
-def _build_parser():
+def parse_invocation(argv):
+    """Parse ``argv`` (no program name) into an ``argparse.Namespace``."""
     parser = argparse.ArgumentParser(
         prog="sparsenlms",
         description="Sparse adaptive MIMO channel estimation experiments.",
@@ -68,12 +69,7 @@ def _build_parser():
         action="store_true",
         help="print the effective configuration as JSON and exit",
     )
-    return parser
-
-
-def parse_invocation(argv):
-    """Parse ``argv`` (no program name) into an ``argparse.Namespace``."""
-    return _build_parser().parse_args(argv)
+    return parser.parse_args(argv)
 
 
 def _parse_override(token):

@@ -220,23 +220,17 @@ def row_energy(rows):
     return row_dot(rows.conj(), rows).real
 
 
-def _vss_steps(grad_avg, mu_max, c_threshold):
-    """The vss law for each row of ``grad_avg``; see :func:`compute_vss`."""
+def vss_steps(grad_avg, mu_max, c_threshold):
+    """Adaptive step size ``mu_max * ||p||^2 / (||p||^2 + c_threshold)`` per row.
+
+    ``||p||^2`` is the Hermitian energy of each row of the smoothed
+    gradient ``grad_avg`` (a 1-D vector is one row), so the result is
+    real, lies in ``[0, mu_max)`` and equals ``mu_max / 2`` exactly when
+    the energy equals ``c_threshold``.  Array parameters broadcast
+    against the rows; :class:`AlgorithmConfig` validates them.
+    """
     energy = row_energy(grad_avg)
     return mu_max * energy / (energy + c_threshold)
-
-
-def compute_vss(grad_avg, mu_max, c_threshold):
-    """Adaptive step size ``mu_max * ||p||^2 / (||p||^2 + c_threshold)``.
-
-    ``||p||^2`` is the Hermitian energy of the smoothed gradient, so the
-    result is real, lies in ``[0, mu_max)`` and equals ``mu_max / 2``
-    exactly when the energy equals ``c_threshold``.
-    """
-    if not c_threshold > 0.0:
-        raise ValueError("c_threshold must be positive")
-    rows = np.asarray(grad_avg, dtype=np.complex128).reshape(1, -1)
-    return float(_vss_steps(rows, mu_max, c_threshold)[0])
 
 
 def _attraction(weights, gamma, epsilon):
@@ -305,7 +299,7 @@ def update_rows(weights, grad_avg, x, x_conj, energy, y, params):
     if params.adaptive:
         grad_avg *= params.keep
         grad_avg += (params.smooth * (e / energy))[..., None] * x_conj
-        steps = _vss_steps(grad_avg, params.mu_max, params.c_threshold)
+        steps = vss_steps(grad_avg, params.mu_max, params.c_threshold)
         mu = np.where(params.vss, steps, mu)
     # The penalty reads the pre-update taps.
     penalty = 0.0

@@ -110,7 +110,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import filters
-from .channel import ChannelMatrix, generate_sparse_channel
+from .channel import generate_sparse_channel
 from .modem import (
     QAM_ORDERS,
     code_bit_errors,
@@ -214,8 +214,29 @@ class ExperimentConfig:
                 value is None or _is_real(value)
             ):
                 raise ValueError(f"{entry.name} must be a number or null, got {value!r}")
-        if self.c_by_snr is not None and not isinstance(self.c_by_snr, Mapping):
-            raise ValueError("c_by_snr must map SNR in dB to c_threshold")
+        # Scalars are accepted where lists are expected (a single SNR, a
+        # single QAM order, one algorithm name), and elements are checked
+        # and normalized so serialized configs round-trip exactly.
+        for name, kind, valid, noun in (
+            ("snr_db", float, _is_real, "numbers"),
+            ("esn0_range_db", float, _is_real, "numbers"),
+            ("qam_orders", int, _is_integer, "integers"),
+            ("algorithms", str, lambda v: isinstance(v, str), "names"),
+        ):
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple)):
+                values = [values]
+            if not all(valid(v) for v in values):
+                raise ValueError(f"{name} must hold {noun}, got {values!r}")
+            setattr(self, name, [kind(v) for v in values])
+        if self.c_by_snr is not None:
+            if not isinstance(self.c_by_snr, Mapping) or not all(
+                _is_real(v) for v in self.c_by_snr.values()
+            ):
+                raise ValueError(
+                    f"c_by_snr must map SNR in dB to c_threshold, got {self.c_by_snr!r}"
+                )
+            self.c_by_snr = {float(k): float(v) for k, v in self.c_by_snr.items()}
         # +inf dB is the noiseless case; NaN and -inf have no noise level.
         for name, values in (
             ("snr_db", self.snr_db),
@@ -331,30 +352,7 @@ class ExperimentConfig:
         unknown = sorted(set(data) - known)
         if unknown:
             raise ValueError(f"unknown configuration field(s): {', '.join(unknown)}")
-        values = dict(data)
-        # Scalars are accepted where lists are expected (a single SNR,
-        # a single QAM order, one algorithm name) and element types are
-        # normalized so serialized configs round-trip exactly.
-        for name, kind, valid, noun in (
-            ("snr_db", float, _is_real, "numbers"),
-            ("esn0_range_db", float, _is_real, "numbers"),
-            ("qam_orders", int, _is_integer, "integers"),
-        ):
-            if name in values:
-                raw = values[name]
-                if not isinstance(raw, (list, tuple)):
-                    raw = [raw]
-                if not all(valid(v) for v in raw):
-                    raise ValueError(f"{name} must hold {noun}, got {raw!r}")
-                values[name] = [kind(v) for v in raw]
-        if isinstance(values.get("algorithms"), str):
-            values["algorithms"] = [values["algorithms"]]
-        if isinstance(values.get("c_by_snr"), Mapping):
-            c_by_snr = values["c_by_snr"]
-            if not all(_is_real(v) for v in c_by_snr.values()):
-                raise ValueError(f"c_by_snr values must be numbers, got {c_by_snr!r}")
-            values["c_by_snr"] = {float(k): float(v) for k, v in c_by_snr.items()}
-        return cls(**values)
+        return cls(**data)
 
 
 # -- result containers ------------------------------------------------------
@@ -367,19 +365,21 @@ class TrialResult:
     The error and step-size series always have ``max_iterations``
     entries; when the stop rule fires at iteration ``iterations_run``
     the remaining entries repeat the final value (the frozen estimate's
-    error stays constant once updating stops).
+    error stays constant once updating stops).  ``channel`` is the
+    trial's true ``(n_r, n_t * tap_length)`` matrix and
+    ``final_estimate`` its estimate.
     """
 
     squared_error: np.ndarray
     step_trace: np.ndarray
     final_estimate: np.ndarray
-    channel: ChannelMatrix
+    channel: np.ndarray
     iterations_run: int
 
     @property
     def diverged(self):
         """Final error not finite or above the all-zero estimator's ``n_r``."""
-        return not self.squared_error[-1] <= self.channel.entries.shape[0]
+        return not self.squared_error[-1] <= self.channel.shape[0]
 
 
 @dataclass
@@ -437,14 +437,9 @@ def steady_state_mean(values, fraction=0.1):
 # -- estimation experiments ---------------------------------------------------
 
 
-def _antennas(start, count, n_r):
-    """0-based antenna updated at each iteration ``start + 1 .. start + count``."""
-    return (start + np.arange(count)) % n_r
-
-
-def _observe(entries, antennas, x, noise, noise_scale):
+def _observe(channel, antennas, x, noise, noise_scale):
     """Observations ``h_a . x + scale * noise``, shaped ``(count, B)``."""
-    clean = filters.row_dot(entries[antennas], x)
+    clean = filters.row_dot(channel[antennas], x)
     return clean[:, None] + noise[:, None] * noise_scale
 
 
@@ -459,7 +454,7 @@ def run_trial_rows(config, trial_index, pairs):
     if trial_index < 0:
         raise ValueError("trial_index must be nonnegative")
     rng_channel = np.random.default_rng([config.rng_seed, trial_index, 0])
-    chan = generate_sparse_channel(
+    channel = generate_sparse_channel(
         rng_channel, config.n_t, config.n_r, config.tap_length, config.sparsity
     )
     rng_data = np.random.default_rng([config.rng_seed, trial_index, 1])
@@ -471,7 +466,7 @@ def run_trial_rows(config, trial_index, pairs):
     stop = config.stop_epsilon > 0.0
     # Whole rounds, so every chunk starts at antenna 0.
     chunk = n_r * max(1, CHUNK_ITERATIONS // n_r)
-    entries = chan.entries[:, None, :]
+    entries = channel[:, None, :]
 
     weights = np.zeros((n_r, rows, length), dtype=np.complex128)
     grad_avg = np.zeros_like(weights)
@@ -483,18 +478,18 @@ def run_trial_rows(config, trial_index, pairs):
     # Error of every antenna's row after each round of the current
     # chunk; entry 0 holds the errors the chunk starts from.
     round_error = np.empty((chunk // n_r + 1, n_r, rows))
-    round_error[0] = filters.row_energy(chan.entries)[:, None]
+    round_error[0] = filters.row_energy(channel)[:, None]
     # Iteration i of a chunk updates antenna i % n_r in round i // n_r:
     # the antennas up to that one already carry this round's update, the
     # others still carry the previous round's.
-    antennas = _antennas(0, chunk, n_r)
+    antennas = np.arange(chunk) % n_r
     round_of = np.arange(chunk) // n_r
     updated = (np.arange(n_r) <= antennas[:, None])[:, :, None]
 
     for start in range(0, total, chunk):
         count = min(chunk, total - start)
         x, noise = training_chunk(rng_data, count, config.n_t, config.tap_length)
-        y = _observe(chan.entries, antennas[:count], x, noise, noise_scale)
+        y = _observe(channel, antennas[:count], x, noise, noise_scale)
         energy = filters.row_energy(x)[:, None]
         x = x[:, None, :]
         x_conj = x.conj()
@@ -553,24 +548,11 @@ def run_trial_rows(config, trial_index, pairs):
             squared_error=squared_error[:, row],
             step_trace=step_trace[:, row],
             final_estimate=final[row],
-            channel=chan,
+            channel=channel,
             iterations_run=int(iterations_run[row]),
         )
         for row in range(rows)
     ]
-
-
-def run_estimation_trial(config, trial_index, algorithm=None, snr_db=None):
-    """Run one seeded estimation trial and return its :class:`TrialResult`.
-
-    The channel and the training/noise streams derive from
-    ``(rng_seed, trial_index)`` only, never from the algorithm or SNR,
-    so different algorithms face identical data and comparisons between
-    them are paired.
-    """
-    algorithm = config.algorithms[0] if algorithm is None else algorithm
-    snr_db = config.snr_db[0] if snr_db is None else snr_db
-    return run_trial_rows(config, trial_index, [(algorithm, snr_db)])[0]
 
 
 def run_monte_carlo_mse(config):
@@ -683,7 +665,7 @@ def run_ber_sweep(config):
     cirs = []
     for trial in range(config.ber_num_channels):
         results = run_trial_rows(config, trial, pairs)
-        cirs.append([results[0].channel.entries] + [r.final_estimate for r in results])
+        cirs.append([results[0].channel] + [r.final_estimate for r in results])
     # Shaped (channel, detector, k, n_r, n_t), detectors in output order.
     responses = _frequency_responses(np.array(cirs), n_t, n_r, config.tap_length, k)
     pinvs, failed = _zero_forcing_tables(responses)
@@ -753,34 +735,23 @@ def run_ber_sweep(config):
 _ROWS_PER_WRITE = 1024
 
 
-def _write_series(handle, values, second=None):
-    """Write rows ``iteration,repr(value)[,repr(second)]`` from 1, a block at a time.
+def _write_rows(handle, *columns):
+    """Write one row of ``repr`` values per index of the columns, a block at a time.
 
-    The repr of a float never needs csv quoting, so the bytes equal
-    those of ``csv.writer`` with ``lineterminator="\\n"``.
+    The repr of an int or a float never needs csv quoting, so the bytes
+    equal those of ``csv.writer`` with ``lineterminator="\\n"``.
     """
-    values = np.asarray(values, dtype=float)
-    for start in range(0, values.size, _ROWS_PER_WRITE):
+    for start in range(0, len(columns[0]), _ROWS_PER_WRITE):
         stop = start + _ROWS_PER_WRITE
-        numbers = range(start + 1, start + 1 + values[start:stop].size)
-        if second is None:
-            lines = (
-                f"{i},{a!r}\n" for i, a in zip(numbers, values[start:stop].tolist())
-            )
-        else:
-            lines = (
-                f"{i},{a!r},{b!r}\n"
-                for i, a, b in zip(
-                    numbers, values[start:stop].tolist(), second[start:stop].tolist()
-                )
-            )
-        handle.write("".join(lines))
+        texts = [map(repr, column[start:stop].tolist()) for column in columns]
+        handle.write("\n".join(map(",".join, zip(*texts))) + "\n")
 
 
 def write_mse_csv(path, curve):
     """Write an MSE curve as ``iteration, mse_linear, mse_db`` rows."""
+    values = np.asarray(curve.values, dtype=float)
     with np.errstate(divide="ignore"):
-        db = 10.0 * np.log10(curve.values)
+        db = 10.0 * np.log10(values)
     with open(path, "w", newline="") as handle:
         handle.write(
             f"# mse-curve algorithm={curve.algorithm} snr_db={curve.snr_db:g} "
@@ -788,28 +759,23 @@ def write_mse_csv(path, curve):
             f"rng_seed={curve.rng_seed}\n"
             "iteration,mse_linear,mse_db\n"
         )
-        _write_series(handle, curve.values, db)
+        _write_rows(handle, np.arange(1, values.size + 1), values, db)
 
 
 def write_stepsize_csv(path, trace, algorithm, snr_db, sparsity, rng_seed):
     """Write a step-size trace as ``iteration, step_size`` rows."""
+    trace = np.asarray(trace, dtype=float)
     with open(path, "w", newline="") as handle:
         handle.write(
             f"# stepsize-trace algorithm={algorithm} snr_db={snr_db:g} "
             f"sparsity={sparsity} rng_seed={rng_seed}\n"
             "iteration,step_size\n"
         )
-        _write_series(handle, trace)
+        _write_rows(handle, np.arange(1, trace.size + 1), trace)
 
 
 def write_ber_csv(path, curve):
     """Write a BER curve as ``esn0_db, ber, bit_errors, bits_total`` rows."""
-    rows = zip(
-        np.asarray(curve.esn0_db, dtype=float).tolist(),
-        np.asarray(curve.ber, dtype=float).tolist(),
-        np.asarray(curve.bit_errors).tolist(),
-        np.asarray(curve.bits_total).tolist(),
-    )
     with open(path, "w", newline="") as handle:
         handle.write(
             f"# ber-curve algorithm={curve.algorithm} qam_order={curve.qam_order} "
@@ -817,4 +783,10 @@ def write_ber_csv(path, curve):
             f"rng_seed={curve.rng_seed}\n"
             "esn0_db,ber,bit_errors,bits_total\n"
         )
-        handle.write("".join(f"{e!r},{b!r},{n},{t}\n" for e, b, n, t in rows))
+        _write_rows(
+            handle,
+            np.asarray(curve.esn0_db, dtype=float),
+            np.asarray(curve.ber, dtype=float),
+            np.asarray(curve.bit_errors),
+            np.asarray(curve.bits_total),
+        )

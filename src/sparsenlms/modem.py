@@ -33,7 +33,6 @@ def _gray_encode(index):
 class QamConstellation:
     """Lookup tables for one Gray-coded square QAM order."""
 
-    order: int
     bits_per_symbol: int
     bits_per_axis: int
     levels_per_axis: int
@@ -62,7 +61,6 @@ def qam_constellation(order):
         q_levels = code_levels[codes & (m - 1)]
         points = amplitudes[i_levels] + 1j * amplitudes[q_levels]
         _CONSTELLATIONS[order] = QamConstellation(
-            order=order,
             bits_per_symbol=bits_per_symbol,
             bits_per_axis=bits_per_axis,
             levels_per_axis=m,

@@ -70,7 +70,7 @@ def per_frame_ber_sweep(config):
             [(a, config.ber_training_snr_db) for a in config.algorithms],
         )
         true_response = _frequency_responses(
-            results[0].channel.entries, n_t, n_r, config.tap_length, k
+            results[0].channel, n_t, n_r, config.tap_length, k
         )
         tables = [_zero_forcing_tables(true_response)] + [
             _zero_forcing_tables(

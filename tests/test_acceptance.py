@@ -20,7 +20,7 @@ from sparsenlms.harness import (
     TRUE_CHANNEL,
     channel_error,
     run_ber_sweep,
-    run_estimation_trial,
+    run_trial_rows,
 )
 import acceptance_report
 from naive_oracle import run_oracle
@@ -61,7 +61,7 @@ def desk_scale_tail_means(sparsity, algorithms):
     for algorithm in algorithms:
         tails = np.empty(DESK_TRIALS)
         for trial in range(DESK_TRIALS):
-            result = run_estimation_trial(config, trial, algorithm=algorithm)
+            result = run_trial_rows(config, trial, [(algorithm, 10.0)])[0]
             tails[trial] = tail_mean(result.squared_error)
         out[algorithm] = tails
     return out
@@ -149,17 +149,17 @@ def test_criterion_02_step_size_law():
     low, high = np.inf, -np.inf
     for algorithm in config.algorithms:
         for trial in range(config.num_trials):
-            trace = run_estimation_trial(config, trial, algorithm=algorithm).step_trace
+            trace = run_trial_rows(config, trial, [(algorithm, 10.0)])[0].step_trace
             low = min(low, float(trace.min()))
             high = max(high, float(trace.max()))
     bounds_ok = 0.0 <= low and high < 2.0
 
     # Exact midpoint: the smoothed-gradient energy 0.25**2 == 0.0625 and
     # the threshold are the same binary float, so the quotient is 1/2.
-    exact_binary = filters.compute_vss(np.array([0.25 + 0j]), 2.0, 0.0625)
+    exact_binary = filters.vss_steps(np.array([0.25 + 0j]), 2.0, 0.0625)
     p = np.random.default_rng(3).standard_normal(8) + 0j
     measured_energy = float(np.vdot(p, p).real)
-    exact_measured = filters.compute_vss(p, 2.0, measured_energy)
+    exact_measured = filters.vss_steps(p, 2.0, measured_energy)
     midpoint_ok = exact_binary == 1.0 and exact_measured == 1.0
 
     report(
@@ -184,8 +184,8 @@ def test_criterion_03_reduction_identities():
             rng_seed=12345,
         )
         for trial in range(2):
-            a = run_estimation_trial(config_off, trial, algorithm=penalized)
-            b = run_estimation_trial(config_off, trial, algorithm=plain)
+            a = run_trial_rows(config_off, trial, [(penalized, 10.0)])[0]
+            b = run_trial_rows(config_off, trial, [(plain, 10.0)])[0]
             identical = (
                 identical
                 and np.array_equal(a.final_estimate, b.final_estimate)
@@ -214,7 +214,8 @@ def test_criterion_04_noiseless_convergence():
         rng_seed=12345,
     )
     finals = [
-        run_estimation_trial(config, trial).squared_error[-1] for trial in range(3)
+        run_trial_rows(config, trial, [("iss_nlms", float("inf"))])[0].squared_error[-1]
+        for trial in range(3)
     ]
     mse = float(np.mean(finals))
     elapsed = time.perf_counter() - started
@@ -262,7 +263,7 @@ def test_criterion_07_step_size_trace_decreases():
         num_trials=1,
         rng_seed=12345,
     )
-    trace = run_estimation_trial(config, 0).step_trace
+    trace = run_trial_rows(config, 0, [("vss_nlms", 10.0)])[0].step_trace
     head = float(trace[: trace.size // 10].mean())
     tail = tail_mean(trace)
     report(
@@ -331,9 +332,9 @@ def test_criterion_09_metric_sanity():
     )
     zero_values = []
     for trial in range(5):
-        chan = run_estimation_trial(config, trial).channel
-        zero_values.append(channel_error(chan.entries, np.zeros_like(chan.entries)))
-        perfect = channel_error(chan.entries, chan.entries.copy())
+        chan = run_trial_rows(config, trial, [("iss_nlms", 10.0)])[0].channel
+        zero_values.append(channel_error(chan, np.zeros_like(chan)))
+        perfect = channel_error(chan, chan.copy())
         assert perfect == 0.0
     exact = all(value == 4.0 for value in zero_values)
     report(

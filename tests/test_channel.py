@@ -19,10 +19,10 @@ def test_noise_model_from_snr():
 def test_sparsity_counts_per_link_and_row():
     rng = np.random.default_rng(100)
     chan = generate_sparse_channel(rng, 4, 4, 16, 1)
-    assert chan.entries.shape == (4, 64)
-    cirs = chan.entries.reshape(4, 4, 16)
+    assert chan.shape == (4, 64)
+    cirs = chan.reshape(4, 4, 16)
     for ir in range(4):
-        assert np.count_nonzero(chan.entries[ir]) == 4
+        assert np.count_nonzero(chan[ir]) == 4
         for it in range(4):
             assert np.count_nonzero(cirs[ir, it]) == 1
 
@@ -30,7 +30,7 @@ def test_sparsity_counts_per_link_and_row():
 def test_denser_channel_sparsity():
     rng = np.random.default_rng(101)
     chan = generate_sparse_channel(rng, 4, 4, 16, 4)
-    cirs = chan.entries.reshape(4, 4, 16)
+    cirs = chan.reshape(4, 4, 16)
     assert np.all(np.count_nonzero(cirs, axis=2) == 4)
 
 
@@ -38,14 +38,14 @@ def test_rows_have_unit_norm():
     rng = np.random.default_rng(102)
     for sparsity in (1, 4, 16):
         chan = generate_sparse_channel(rng, 4, 4, 16, sparsity)
-        norms = np.sqrt(np.sum(np.abs(chan.entries) ** 2, axis=1))
+        norms = np.sqrt(np.sum(np.abs(chan) ** 2, axis=1))
         assert np.max(np.abs(norms - 1.0)) < 1e-12
 
 
 def test_generation_is_deterministic():
     a = generate_sparse_channel(np.random.default_rng(7), 2, 3, 8, 2)
     b = generate_sparse_channel(np.random.default_rng(7), 2, 3, 8, 2)
-    assert np.array_equal(a.entries, b.entries)
+    assert np.array_equal(a, b)
 
 
 def test_generation_validates_arguments():
@@ -65,7 +65,7 @@ def test_support_positions_are_uniform():
     counts = np.zeros(16)
     for _ in range(10_000):
         chan = generate_sparse_channel(rng, 1, 1, 16, 1)
-        counts[np.nonzero(chan.entries[0])[0]] += 1
+        counts[np.nonzero(chan[0])[0]] += 1
     expected = 10_000 / 16
     statistic = np.sum((counts - expected) ** 2) / expected
     assert statistic < 30.578

@@ -19,7 +19,7 @@ from sparsenlms.cli import (
 )
 from sparsenlms.harness import (
     MseCurve,
-    run_estimation_trial,
+    run_trial_rows,
     write_mse_csv,
     write_stepsize_csv,
 )
@@ -166,6 +166,7 @@ def test_invalid_value_is_rejected(tmp_path, capsys):
         ["single-run", "--override", "snr_db=[true]"],
         ["single-run", "--override", 'snr_db=["10"]'],
         ["single-run", "--override", 'c_by_snr={"10": true}'],
+        ["single-run", "--override", "algorithms=5"],
     ],
 )
 def test_invalid_config_is_rejected_before_running(argv, tmp_path, capsys):
@@ -229,7 +230,7 @@ def test_single_run_and_trace_match_batch_of_one(stop_epsilon, tmp_path, capsys)
     stopped = set()
     for algorithm in config.algorithms:
         for snr in config.snr_db:
-            alone = run_estimation_trial(config, 0, algorithm, snr)
+            alone = run_trial_rows(config, 0, [(algorithm, snr)])[0]
             stopped.add(alone.iterations_run)
             suffix = f"_{algorithm}_T1_SNR{snr:g}.csv"
             expected = tmp_path / "expected.csv"

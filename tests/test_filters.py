@@ -75,19 +75,19 @@ def test_sign_complex_componentwise():
 
 
 def test_vss_zero_gradient_gives_zero_step():
-    assert filters.compute_vss(np.zeros(8, dtype=complex), 2.0, 1e-4) == 0.0
+    assert filters.vss_steps(np.zeros(8, dtype=complex), 2.0, 1e-4) == 0.0
 
 
 def test_vss_midpoint_is_exactly_half_mu_max():
     # 0.25**2 and 0.0625 are exact binary floats, so the energy hits the
     # threshold exactly and the quotient is exactly one half.
     p = np.array([0.25], dtype=np.complex128)
-    assert filters.compute_vss(p, 2.0, 0.0625) == 1.0
+    assert filters.vss_steps(p, 2.0, 0.0625) == 1.0
 
 
 def test_vss_direct_evaluation():
     p = np.array([0.03], dtype=np.complex128)  # energy 9e-4
-    assert filters.compute_vss(p, 2.0, 1e-4) == pytest.approx(1.8, rel=1e-12)
+    assert filters.vss_steps(p, 2.0, 1e-4) == pytest.approx(1.8, rel=1e-12)
 
 
 def test_vss_stays_below_mu_max_and_increases_with_energy():
@@ -96,17 +96,18 @@ def test_vss_stays_below_mu_max_and_increases_with_energy():
     direction /= np.sqrt(np.vdot(direction, direction).real)
     previous = -1.0
     for scale in [1e-6, 1e-3, 1e-1, 1.0, 10.0, 1e4]:
-        mu = filters.compute_vss(scale * direction, 2.0, 1e-4)
+        mu = filters.vss_steps(scale * direction, 2.0, 1e-4)
         assert 0.0 <= mu < 2.0
         assert mu > previous
         previous = mu
 
 
 def test_vss_rejects_nonpositive_threshold():
-    with pytest.raises(ValueError, match="c_threshold"):
-        filters.compute_vss(np.zeros(2, dtype=complex), 2.0, 0.0)
-    with pytest.raises(ValueError, match="c_threshold"):
-        filters.compute_vss(np.zeros(2, dtype=complex), 2.0, np.nan)
+    # The threshold is validated once, where the law's parameters enter.
+    for variant in (filters.VSS_NLMS, filters.VSS_ZA_NLMS, filters.VSS_RZA_NLMS):
+        for c_threshold in (0.0, -1e-4, np.nan):
+            with pytest.raises(ValueError, match="c_threshold"):
+                make_config(variant, c_threshold=c_threshold)
 
 
 # -- gradient smoothing (new_state.grad_avg of step) --------------------------

@@ -17,10 +17,8 @@ from sparsenlms.harness import (
     ExperimentConfig,
     MseCurve,
     TRUE_CHANNEL,
-    _antennas,
     channel_error,
     run_ber_sweep,
-    run_estimation_trial,
     run_monte_carlo_mse,
     run_trial_rows,
     steady_state_mean,
@@ -69,11 +67,11 @@ def per_sample_trial(config, trial_index, algorithm, snr_db):
             rng.standard_normal(length) + 1j * rng.standard_normal(length)
         )
         pair = rng.standard_normal(2)
-        y = np.dot(chan.entries[antenna], x) + sigma * (pair[0] + 1j * pair[1])
+        y = np.dot(chan[antenna], x) + sigma * (pair[0] + 1j * pair[1])
         previous = estimate.copy()
         states[antenna], _ = filters.step(states[antenna], x, y, algo)
         estimate[antenna] = states[antenna].weights
-        errors.append(channel_error(chan.entries, estimate))
+        errors.append(channel_error(chan, estimate))
         steps.append(states[antenna].step_size)
         moved = channel_error(previous, estimate)
         if 0.0 < config.stop_epsilon and moved <= config.stop_epsilon:
@@ -84,12 +82,24 @@ def per_sample_trial(config, trial_index, algorithm, snr_db):
 # -- scheduling ---------------------------------------------------------------
 
 
+def updated_antenna(n, **kwargs):
+    """The 0-based antenna whose estimate iteration ``n`` (1-based) changed."""
+
+    def estimate(count):
+        if count == 0:
+            return 0.0
+        config = small_config(max_iterations=count, **kwargs)
+        return run_trial_rows(config, 0, [(filters.VSS_NLMS, 10.0)])[0].final_estimate
+
+    changed = np.flatnonzero(np.any(estimate(n) != estimate(n - 1), axis=1))
+    assert changed.size == 1
+    return int(changed[0])
+
+
 def test_antenna_selection_examples():
     # Iteration n (1-based) updates antenna (n - 1) mod n_r (0-based).
-    assert _antennas(0, 5, 4).tolist() == [0, 1, 2, 3, 0]
-    assert _antennas(3, 1, 4).tolist() == [3]
-    assert _antennas(4, 1, 4).tolist() == [0]
-    assert _antennas(0, 9, 1).tolist() == [0] * 9
+    assert [updated_antenna(n) for n in range(1, 6)] == [0, 1, 2, 3, 0]
+    assert [updated_antenna(n, n_r=1) for n in range(1, 4)] == [0, 0, 0]
 
 
 def test_antenna_selection_rejects_bad_arguments():
@@ -102,27 +112,28 @@ def test_antenna_selection_rejects_bad_arguments():
 
 
 def test_round_robin_is_fair():
-    for k in (1, 3, 7):
-        picks = _antennas(0, 4 * k, 4).tolist()
-        for antenna in (0, 1, 2, 3):
-            assert picks.count(antenna) == k
-    # Each chunk continues the schedule where the previous one stopped.
-    split = np.concatenate([_antennas(0, 6, 4), _antennas(6, 5, 4)])
-    assert np.array_equal(split, _antennas(0, 11, 4))
+    picks = [updated_antenna(n) for n in range(1, 13)]
+    for antenna in (0, 1, 2, 3):
+        assert picks.count(antenna) == 3
+    # At n_r = 3 a chunk is 99 iterations; each chunk continues the
+    # schedule where the previous one stopped.
+    assert [updated_antenna(n, n_r=3) for n in (99, 100, 101, 199)] == [2, 0, 1, 0]
     # Three updates touch the first three antennas and leave the fourth.
-    estimate = run_estimation_trial(small_config(max_iterations=3), 0).final_estimate
+    config = small_config(max_iterations=3)
+    estimate = run_trial_rows(config, 0, [(filters.VSS_NLMS, 10.0)])[0].final_estimate
     assert [bool(np.any(row)) for row in estimate] == [True, True, True, False]
 
 
 def test_check_stop_examples():
     # A row freezes at its first update whose squared norm is at most
     # stop_epsilon; 0 switches the rule off.
-    assert run_estimation_trial(small_config(stop_epsilon=1e9), 0).iterations_run == 1
-    never = run_estimation_trial(small_config(stop_epsilon=0.0), 0)
+    always = run_trial_rows(small_config(stop_epsilon=1e9), 0, [(filters.VSS_NLMS, 10.0)])
+    assert always[0].iterations_run == 1
+    never = run_trial_rows(small_config(stop_epsilon=0.0), 0, [(filters.VSS_NLMS, 10.0)])[0]
     assert never.iterations_run == 50
     config = small_config(stop_epsilon=1e-5, max_iterations=400)
     for variant in (filters.ISS_NLMS, filters.VSS_RZA_NLMS):
-        result = run_estimation_trial(config, 0, algorithm=variant)
+        result = run_trial_rows(config, 0, [(variant, 10.0)])[0]
         _, _, _, stopped = per_sample_trial(config, 0, variant, 10.0)
         assert result.iterations_run == stopped < 400
 
@@ -143,9 +154,9 @@ def test_metric_rejects_shape_mismatch():
 
 def test_metric_of_zero_estimator_equals_receive_antenna_count():
     config = small_config()
-    result = run_estimation_trial(config, 0)
-    zero = np.zeros_like(result.channel.entries)
-    assert channel_error(result.channel.entries, zero) == 4.0
+    result = run_trial_rows(config, 0, [(filters.VSS_NLMS, 10.0)])[0]
+    zero = np.zeros_like(result.channel)
+    assert channel_error(result.channel, zero) == 4.0
 
 
 def test_steady_state_mean():
@@ -160,8 +171,8 @@ def test_steady_state_mean():
 
 def test_trial_is_deterministic():
     config = small_config()
-    a = run_estimation_trial(config, 1)
-    b = run_estimation_trial(config, 1)
+    a = run_trial_rows(config, 1, [(filters.VSS_NLMS, 10.0)])[0]
+    b = run_trial_rows(config, 1, [(filters.VSS_NLMS, 10.0)])[0]
     assert np.array_equal(a.squared_error, b.squared_error)
     assert np.array_equal(a.final_estimate, b.final_estimate)
     assert np.array_equal(a.step_trace, b.step_trace)
@@ -169,15 +180,15 @@ def test_trial_is_deterministic():
 
 def test_trial_data_is_algorithm_and_snr_independent():
     config = small_config(snr_db=[10.0, 20.0], algorithms=list(filters.VARIANTS))
-    base = run_estimation_trial(config, 0, algorithm="iss_nlms", snr_db=10.0)
-    other = run_estimation_trial(config, 0, algorithm="vss_rza_nlms", snr_db=20.0)
-    assert np.array_equal(base.channel.entries, other.channel.entries)
+    base = run_trial_rows(config, 0, [("iss_nlms", 10.0)])[0]
+    other = run_trial_rows(config, 0, [("vss_rza_nlms", 20.0)])[0]
+    assert np.array_equal(base.channel, other.channel)
 
 
 def test_all_variants_run_to_completion():
     config = small_config(algorithms=list(filters.VARIANTS))
     for variant in filters.VARIANTS:
-        result = run_estimation_trial(config, 0, algorithm=variant)
+        result = run_trial_rows(config, 0, [(variant, 10.0)])[0]
         assert result.squared_error.shape == (config.max_iterations,)
         assert np.all(result.squared_error >= 0.0)
         assert np.all(np.isfinite(result.squared_error))
@@ -185,7 +196,7 @@ def test_all_variants_run_to_completion():
 
 def test_early_stop_pads_series():
     config = small_config(stop_epsilon=1e9)
-    result = run_estimation_trial(config, 0)
+    result = run_trial_rows(config, 0, [(filters.VSS_NLMS, 10.0)])[0]
     assert result.iterations_run == 1
     assert result.squared_error.shape == (config.max_iterations,)
     assert np.all(result.squared_error == result.squared_error[0])
@@ -193,13 +204,13 @@ def test_early_stop_pads_series():
 
 def test_trial_rejects_negative_index():
     with pytest.raises(ValueError, match="trial_index"):
-        run_estimation_trial(small_config(), -1)
+        run_trial_rows(small_config(), -1, [(filters.VSS_NLMS, 10.0)])
 
 
 def test_monte_carlo_single_trial_degenerates_to_the_trial():
     config = small_config(num_trials=1)
     curve = run_monte_carlo_mse(config)[0]
-    trial = run_estimation_trial(config, 0)
+    trial = run_trial_rows(config, 0, [(filters.VSS_NLMS, 10.0)])[0]
     assert np.array_equal(curve.values, trial.squared_error)
     assert curve.algorithm == filters.VSS_NLMS
     assert curve.snr_db == 10.0
@@ -231,7 +242,7 @@ def test_kernel_matches_per_sample_reference(stop_epsilon):
     )
     for variant in filters.VARIANTS:
         for snr in config.snr_db:
-            result = run_estimation_trial(config, 1, algorithm=variant, snr_db=snr)
+            result = run_trial_rows(config, 1, [(variant, snr)])[0]
             errors, steps, estimate, stopped = per_sample_trial(config, 1, variant, snr)
             assert result.iterations_run == stopped
             assert np.array_equal(result.final_estimate, estimate)
@@ -273,7 +284,7 @@ def test_batch_rows_equal_batch_of_one(stop_epsilon, n_r, algorithms):
     pairs = [(a, snr) for a in config.algorithms for snr in config.snr_db]
     batch = run_trial_rows(config, 0, pairs)
     for (algorithm, snr), row in zip(pairs, batch):
-        alone = run_estimation_trial(config, 0, algorithm=algorithm, snr_db=snr)
+        alone = run_trial_rows(config, 0, [(algorithm, snr)])[0]
         assert np.array_equal(row.squared_error, alone.squared_error)
         assert np.array_equal(row.step_trace, alone.step_trace)
         assert np.array_equal(row.final_estimate, alone.final_estimate)
@@ -318,7 +329,7 @@ def test_round_kernel_matches_per_sample_reference(
     for trial in (0, 1, 2) if n_r == 4 else (0,):
         for variant in filters.VARIANTS:
             for snr in config.snr_db:
-                result = run_estimation_trial(config, trial, variant, snr)
+                result = run_trial_rows(config, trial, [(variant, snr)])[0]
                 errors, steps, estimate, stopped = per_sample_trial(
                     config, trial, variant, snr
                 )
@@ -363,7 +374,7 @@ def test_incremental_metric_matches_channel_error(stop_epsilon):
     for row in run_trial_rows(config, 3, pairs):
         np.testing.assert_allclose(
             row.squared_error[-1],
-            channel_error(row.channel.entries, row.final_estimate),
+            channel_error(row.channel, row.final_estimate),
             rtol=1e-12,
         )
 
@@ -473,12 +484,28 @@ def test_config_from_dict_rejects_unknown_fields():
 
 
 def test_config_from_dict_accepts_scalars_for_lists():
-    config = ExperimentConfig.from_dict(
-        {"snr_db": 20, "qam_orders": 16, "algorithms": "vss_nlms"}
-    )
-    assert config.snr_db == [20.0]
-    assert config.qam_orders == [16]
-    assert config.algorithms == ["vss_nlms"]
+    scalars = {"snr_db": 20, "qam_orders": 16, "algorithms": "vss_nlms"}
+    # Direct construction and JSON follow the same rules.
+    for config in (ExperimentConfig.from_dict(scalars), ExperimentConfig(**scalars)):
+        assert config.snr_db == [20.0]
+        assert config.qam_orders == [16]
+        assert config.algorithms == ["vss_nlms"]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("snr_db", [True]),
+        ("esn0_range_db", ["12"]),
+        ("qam_orders", [16.7]),
+        ("algorithms", [5]),
+        ("c_by_snr", {10.0: True}),
+        ("c_by_snr", 5),
+    ],
+)
+def test_config_rejects_bad_list_elements_by_name(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must "):
+        ExperimentConfig(**{field: value})
 
 
 # -- BER sweep ----------------------------------------------------------------
@@ -671,7 +698,7 @@ def test_genie_ber_matches_closed_form():
             np.random.default_rng([config.rng_seed, trial, 0]),
             n_t, config.n_r, config.tap_length, config.sparsity,
         )
-        cirs = chan.entries.reshape(config.n_r, n_t, config.tap_length)
+        cirs = chan.reshape(config.n_r, n_t, config.tap_length)
         h = np.moveaxis(np.fft.fft(cirs, n=k, axis=2), 2, 0)
         g = np.linalg.inv(h.conj().transpose(0, 2, 1) @ h)
         g_diagonals.append(np.diagonal(g, axis1=1, axis2=2).real)
@@ -710,7 +737,11 @@ def test_mse_csv_format(tmp_path):
 
 
 def test_csv_writers_match_csv_module_bytes(tmp_path):
-    values = np.array([0.0, 1e-300, 1.0, 1e300])
+    # Longer than two blocks of rows, so block boundaries are covered.
+    rows = 2 * harness._ROWS_PER_WRITE + 3
+    rng = np.random.default_rng(8)
+    values = np.concatenate([[0.0, 1e-300, 1.0, 1e300], rng.random(rows - 4)])
+    counts = rng.integers(0, 999, rows - 4)
     curve = MseCurve(
         values=values, algorithm="iss_nlms", snr_db=10.0, sparsity=1,
         num_trials=1, rng_seed=3,
@@ -718,9 +749,9 @@ def test_csv_writers_match_csv_module_bytes(tmp_path):
     write_mse_csv(tmp_path / "mse.csv", curve)
     write_stepsize_csv(tmp_path / "step.csv", values, "iss_nlms", 10.0, 1, 3)
     ber = BerCurve(
-        esn0_db=np.array([12.0, 13.5, 15.0, 30.0]), ber=values,
-        bit_errors=np.array([0, 1, 2, 2**40], dtype=np.int64),
-        bits_total=np.array([1, 7, 1024, 2**50], dtype=np.int64),
+        esn0_db=np.linspace(12.0, 30.0, rows), ber=values,
+        bit_errors=np.concatenate([[0, 1, 2, 2**40], counts]),
+        bits_total=np.concatenate([[1, 7, 1024, 2**50], counts + 999]),
         algorithm="iss_nlms", qam_order=16, training_snr_db=10.0, sparsity=1,
         rng_seed=3,
     )
