@@ -87,7 +87,7 @@ def _parse_override(token):
 
 def build_config(invocation):
     """Resolve defaults, config file and overrides into one config."""
-    data = ExperimentConfig().to_dict()
+    data = {}
     if invocation.config_path is not None:
         try:
             with open(invocation.config_path) as handle:

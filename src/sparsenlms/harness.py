@@ -132,10 +132,9 @@ CHUNK_ITERATIONS = 100
 # memory.
 FRAME_BLOCK = 8
 
-# Regularization weights (per unit noise variance) by channel sparsity:
-# single-tap links get the stronger pull.
-DEFAULT_RHO_ZA = {1: 0.006, "denser": 0.002}
-DEFAULT_RHO_RZA = {1: 0.0006, "denser": 0.0002}
+# Default (rho_za, rho_rza), weights per unit noise variance, keyed by
+# whether links are single-tap (sparsity 1); those get the stronger pull.
+DEFAULT_RHO = {True: (0.006, 0.0006), False: (0.002, 0.0002)}
 
 
 def _is_integer(value):
@@ -146,6 +145,14 @@ def _is_integer(value):
 def _is_real(value):
     """A real number that is not a bool."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_snr_key(key):
+    """A number or numeric string (JSON keys), not a bool, NaN or -inf."""
+    try:
+        return not isinstance(key, bool) and float(key) > -math.inf
+    except (TypeError, ValueError):
+        return False
 
 
 @dataclass
@@ -164,7 +171,8 @@ class ExperimentConfig:
     truncates convergence curves; set it explicitly when early
     stopping is wanted.
 
-    ``c_by_snr`` optionally maps an SNR in dB to its own ``c_threshold``.
+    ``c_by_snr`` optionally maps an SNR in dB to its own ``c_threshold``,
+    used only at an exactly matching SNR.
     It is unset by default: a flat 1e-4 keeps the adaptive step in its
     productive range during the transient, while 1e-5 pins the step
     against ``mu_max``, where the normalized update barely contracts.
@@ -211,9 +219,9 @@ class ExperimentConfig:
             if entry.type == "float" and not _is_real(value):
                 raise ValueError(f"{entry.name} must be a number, got {value!r}")
             if entry.type == "float | None" and not (
-                value is None or _is_real(value)
+                value is None or (_is_real(value) and value >= 0.0)
             ):
-                raise ValueError(f"{entry.name} must be a number or null, got {value!r}")
+                raise ValueError(f"{entry.name} must be null or a number >= 0, got {value!r}")
         # Scalars are accepted where lists are expected (a single SNR, a
         # single QAM order, one algorithm name), and elements are checked
         # and normalized so serialized configs round-trip exactly.
@@ -231,10 +239,12 @@ class ExperimentConfig:
             setattr(self, name, [kind(v) for v in values])
         if self.c_by_snr is not None:
             if not isinstance(self.c_by_snr, Mapping) or not all(
-                _is_real(v) for v in self.c_by_snr.values()
+                _is_snr_key(k) and _is_real(v) and v > 0.0
+                for k, v in self.c_by_snr.items()
             ):
                 raise ValueError(
-                    f"c_by_snr must map SNR in dB to c_threshold, got {self.c_by_snr!r}"
+                    "c_by_snr must map SNR in dB to a positive c_threshold, "
+                    f"got {self.c_by_snr!r}"
                 )
             self.c_by_snr = {float(k): float(v) for k, v in self.c_by_snr.items()}
         # +inf dB is the noiseless case; NaN and -inf have no noise level.
@@ -268,6 +278,8 @@ class ExperimentConfig:
             raise ValueError("num_trials must be at least 1")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be nonnegative")
+        if not self.qam_orders:
+            raise ValueError("qam_orders must not be empty")
         for order in self.qam_orders:
             if order not in QAM_ORDERS:
                 raise ValueError(f"qam order must be one of {QAM_ORDERS}, got {order}")
@@ -288,39 +300,24 @@ class ExperimentConfig:
     def filter_length(self):
         return self.n_t * self.tap_length
 
-    def received_signal_power(self):
-        """Mean power of the noiseless observation at any receive antenna."""
-        return 1.0 / self.filter_length()
-
     def noise_variance(self, snr_db):
-        return self.received_signal_power() * 10.0 ** (-snr_db / 10.0)
-
-    def c_for_snr(self, snr_db):
-        if self.c_by_snr is not None and float(snr_db) in self.c_by_snr:
-            return float(self.c_by_snr[float(snr_db)])
-        return self.c_threshold
-
-    def resolved_rho_za(self):
-        if self.rho_za is not None:
-            return self.rho_za
-        return DEFAULT_RHO_ZA[1] if self.sparsity == 1 else DEFAULT_RHO_ZA["denser"]
-
-    def resolved_rho_rza(self):
-        if self.rho_rza is not None:
-            return self.rho_rza
-        return DEFAULT_RHO_RZA[1] if self.sparsity == 1 else DEFAULT_RHO_RZA["denser"]
+        """Received signal power ``1 / filter_length()`` times ``10**(-snr_db / 10)``."""
+        return (1.0 / self.filter_length()) * 10.0 ** (-snr_db / 10.0)
 
     def algorithm_config(self, variant, snr_db):
         """Resolve the filter parameters for one variant at one SNR."""
         variance = self.noise_variance(snr_db)
+        rho_za, rho_rza = DEFAULT_RHO[self.sparsity == 1]
+        rho_za = rho_za if self.rho_za is None else self.rho_za
+        rho_rza = rho_rza if self.rho_rza is None else self.rho_rza
         return filters.AlgorithmConfig(
             variant=variant,
             mu=self.mu,
             mu_max=self.mu_max,
-            c_threshold=self.c_for_snr(snr_db),
+            c_threshold=(self.c_by_snr or {}).get(snr_db, self.c_threshold),
             beta=self.beta,
-            gamma_za=self.mu * self.resolved_rho_za() * variance,
-            gamma_rza=self.mu * self.resolved_rho_rza() * self.epsilon_rza * variance,
+            gamma_za=self.mu * rho_za * variance,
+            gamma_rza=self.mu * rho_rza * self.epsilon_rza * variance,
             epsilon_rza=self.epsilon_rza,
         )
 

@@ -167,6 +167,8 @@ def test_invalid_value_is_rejected(tmp_path, capsys):
         ["single-run", "--override", 'snr_db=["10"]'],
         ["single-run", "--override", 'c_by_snr={"10": true}'],
         ["single-run", "--override", "algorithms=5"],
+        ["ber-sweep", "--override", "qam_orders=[]"],
+        ["single-run", "--override", "rho_za=-1"],
     ],
 )
 def test_invalid_config_is_rejected_before_running(argv, tmp_path, capsys):

@@ -420,18 +420,26 @@ def test_iss_nlms_steady_state_matches_theory():
 def test_config_power_conventions():
     config = ExperimentConfig()
     assert config.filter_length() == 64
-    assert config.received_signal_power() == pytest.approx(1 / 64)
+    # At 0 dB the noise variance is the received signal power.
+    assert config.noise_variance(0.0) == pytest.approx(1 / 64)
     assert config.noise_variance(10.0) == pytest.approx(0.1 / 64)
+    assert config.noise_variance(10) == pytest.approx(0.1 / 64)
     assert config.noise_variance(20.0) == pytest.approx(0.01 / 64)
 
 
 def test_config_rho_defaults_follow_sparsity():
-    sparse = ExperimentConfig(sparsity=1)
-    denser = ExperimentConfig(sparsity=4)
-    assert sparse.resolved_rho_za() == 0.006
-    assert sparse.resolved_rho_rza() == 0.0006
-    assert denser.resolved_rho_za() == 0.002
-    assert denser.resolved_rho_rza() == 0.0002
+    for sparsity, rho_za, rho_rza in ((1, 0.006, 0.0006), (4, 0.002, 0.0002)):
+        config = ExperimentConfig(sparsity=sparsity)
+        algo = config.algorithm_config(filters.VSS_RZA_NLMS, 10.0)
+        variance = config.noise_variance(10.0)
+        assert algo.gamma_za == 0.2 * rho_za * variance
+        assert algo.gamma_rza == 0.2 * rho_rza * 20.0 * variance
+    # An explicit weight replaces its own default only.
+    config = ExperimentConfig(sparsity=4, rho_za=0.6)
+    algo = config.algorithm_config(filters.VSS_RZA_NLMS, 10.0)
+    variance = config.noise_variance(10.0)
+    assert algo.gamma_za == 0.2 * 0.6 * variance
+    assert algo.gamma_rza == 0.2 * 0.0002 * 20.0 * variance
 
 
 def test_config_gamma_resolution():
@@ -445,8 +453,8 @@ def test_config_gamma_resolution():
 
 def test_config_c_by_snr_table():
     config = ExperimentConfig(c_by_snr={10.0: 1e-5})
-    assert config.c_for_snr(10.0) == 1e-5
-    assert config.c_for_snr(20.0) == config.c_threshold
+    for snr, c_threshold in ((10.0, 1e-5), (10, 1e-5), (20.0, config.c_threshold)):
+        assert config.algorithm_config(filters.VSS_NLMS, snr).c_threshold == c_threshold
 
 
 def test_config_validation_errors():
@@ -501,6 +509,11 @@ def test_config_from_dict_accepts_scalars_for_lists():
         ("algorithms", [5]),
         ("c_by_snr", {10.0: True}),
         ("c_by_snr", 5),
+        ("c_by_snr", {"abc": 1e-5}),
+        ("c_by_snr", {10.0: 0.0}),
+        ("rho_za", -1.0),
+        ("rho_rza", math.nan),
+        ("qam_orders", []),
     ],
 )
 def test_config_rejects_bad_list_elements_by_name(field, value):
