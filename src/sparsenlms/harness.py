@@ -82,14 +82,8 @@ computed, incrementally: after each round the updated antennas' errors
 are rescored into an ``(n_r, B)`` per-antenna table for that round.  At
 chunk end each iteration's table is rebuilt from its round's table (the
 antennas the round has already reached at that iteration) and the
-previous round's (the others), and summed antenna by antenna.  The
-stop rule is a per-row frozen mask: a row freezes at its first update,
-in iteration order, whose squared norm is at most ``stop_epsilon`` (0
-turns the rule off); its ``iterations_run`` and estimate are recorded
-at that update, the estimate taking the pre-round taps of the antennas
-the round reaches later, and its series repeat their last value.  A
-frozen row stays in the batch and its later updates are discarded; the
-trial ends early once every row is frozen.  A trial whose final error
+previous round's (the others), and summed antenna by antenna.  Every
+trial runs all ``max_iterations`` updates.  A trial whose final error
 is not finite or exceeds the all-zero estimator's ``n_r`` counts as
 diverged.
 
@@ -164,13 +158,6 @@ class ExperimentConfig:
     200 trials.  ``rho_za`` and ``rho_rza`` default per sparsity
     (0.006/0.0006 for single-tap links, 0.002/0.0002 otherwise).
 
-    ``stop_epsilon`` is the squared-Frobenius threshold on successive
-    estimates below which a trial stops early.  It defaults to 0
-    (disabled): the classic stop rule value of 1e-5 triggers on single
-    small-error updates long before the average error settles, which
-    truncates convergence curves; set it explicitly when early
-    stopping is wanted.
-
     ``c_by_snr`` optionally maps an SNR in dB to its own ``c_threshold``,
     used only at an exactly matching SNR.
     It is unset by default: a flat 1e-4 keeps the adaptive step in its
@@ -197,7 +184,6 @@ class ExperimentConfig:
     rho_rza: float | None = None
     epsilon_rza: float = 20.0
     max_iterations: int = 5000
-    stop_epsilon: float = 0.0
     num_trials: int = 200
     rng_seed: int = 12345
     subcarrier_count: int = 64
@@ -246,7 +232,12 @@ class ExperimentConfig:
                     "c_by_snr must map SNR in dB to a positive c_threshold, "
                     f"got {self.c_by_snr!r}"
                 )
-            self.c_by_snr = {float(k): float(v) for k, v in self.c_by_snr.items()}
+            table = {float(k): float(v) for k, v in self.c_by_snr.items()}
+            if len(table) < len(self.c_by_snr):
+                raise ValueError(
+                    f"c_by_snr must name each SNR once, got {self.c_by_snr!r}"
+                )
+            self.c_by_snr = table
         # +inf dB is the noiseless case; NaN and -inf have no noise level.
         for name, values in (
             ("snr_db", self.snr_db),
@@ -272,8 +263,11 @@ class ExperimentConfig:
                 )
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if not self.stop_epsilon >= 0.0:
-            raise ValueError("stop_epsilon must be nonnegative")
+        # Both also enter the penalty strengths, so they are checked under
+        # their own names whichever variants run (NaN fails too).
+        for name in ("mu", "epsilon_rza"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive")
         if self.num_trials < 1:
             raise ValueError("num_trials must be at least 1")
         if self.rng_seed < 0:
@@ -359,19 +353,16 @@ class ExperimentConfig:
 class TrialResult:
     """Outputs of a single estimation run.
 
-    The error and step-size series always have ``max_iterations``
-    entries; when the stop rule fires at iteration ``iterations_run``
-    the remaining entries repeat the final value (the frozen estimate's
-    error stays constant once updating stops).  ``channel`` is the
-    trial's true ``(n_r, n_t * tap_length)`` matrix and
-    ``final_estimate`` its estimate.
+    The error and step-size series have one entry per update,
+    ``max_iterations`` in all.  ``channel`` is the trial's true ``(n_r,
+    n_t * tap_length)`` matrix and ``final_estimate`` its estimate after
+    the last update.
     """
 
     squared_error: np.ndarray
     step_trace: np.ndarray
     final_estimate: np.ndarray
     channel: np.ndarray
-    iterations_run: int
 
     @property
     def diverged(self):
@@ -460,7 +451,6 @@ def run_trial_rows(config, trial_index, pairs):
     rows = len(pairs)
     params = filters.RowParams(config.algorithm_config(a, s) for a, s in pairs)
     noise_scale = np.sqrt([config.noise_variance(snr) / 2.0 for _, snr in pairs])
-    stop = config.stop_epsilon > 0.0
     # Whole rounds, so every chunk starts at antenna 0.
     chunk = n_r * max(1, CHUNK_ITERATIONS // n_r)
     entries = channel[:, None, :]
@@ -469,9 +459,6 @@ def run_trial_rows(config, trial_index, pairs):
     grad_avg = np.zeros_like(weights)
     squared_error = np.empty((total, rows))
     step_trace = np.empty((total, rows))
-    iterations_run = np.full(rows, total)
-    final = np.empty((rows, n_r, length), dtype=np.complex128)
-    frozen = np.zeros(rows, dtype=bool)
     # Error of every antenna's row after each round of the current
     # chunk; entry 0 holds the errors the chunk starts from.
     round_error = np.empty((chunk // n_r + 1, n_r, rows))
@@ -494,8 +481,6 @@ def run_trial_rows(config, trial_index, pairs):
             # One round: antenna a takes iteration start + i + a.
             m = min(n_r, count - i)
             w = weights[:m]
-            if stop:
-                before = w.copy()
             _, step_trace[start + i : start + i + m] = filters.update_rows(
                 w, grad_avg[:m], x[i : i + m], x_conj[i : i + m],
                 energy[i : i + m], y[i : i + m], params,
@@ -503,24 +488,6 @@ def run_trial_rows(config, trial_index, pairs):
             # A partial final round leaves the later antennas' entries
             # unset; no iteration of that round reads them.
             round_error[r + 1, :m] = filters.row_energy(entries[:m] - w)
-            if not stop:
-                continue
-            # A row freezes at its first update whose squared norm is at
-            # most stop_epsilon; its later updates are discarded.
-            settled = filters.row_energy(w - before) <= config.stop_epsilon
-            first = settled.argmax(axis=0)
-            newly = ~frozen & settled.any(axis=0)
-            if newly.any():
-                iterations_run[newly] = start + i + first[newly] + 1
-                estimate = weights[:, newly]
-                # Antennas after the freezing one undo this round's update.
-                later = np.arange(m)[:, None] > first[newly]
-                estimate[:m][later] = before[:, newly][later]
-                final[newly] = estimate.transpose(1, 0, 2)
-                frozen |= newly
-                if frozen.all():
-                    count = i + m
-                    break
         rounds = round_of[:count]
         history = np.where(
             updated[:count], round_error[rounds + 1], round_error[rounds]
@@ -531,22 +498,16 @@ def run_trial_rows(config, trial_index, pairs):
         for antenna in range(1, n_r):
             totals = totals + history[:, antenna]
         squared_error[start : start + count] = totals
-        if frozen.all():
-            break
         round_error[0] = round_error[-1]
 
-    for row in np.flatnonzero(frozen):
-        n = iterations_run[row]
-        step_trace[n:, row] = step_trace[n - 1, row]
-        squared_error[n:, row] = squared_error[n - 1, row]
-    final[~frozen] = weights[:, ~frozen].transpose(1, 0, 2)
+    # A row-major copy, so each row's (n_r, L) estimate is contiguous.
+    final = weights.transpose(1, 0, 2).copy()
     return [
         TrialResult(
             squared_error=squared_error[:, row],
             step_trace=step_trace[:, row],
             final_estimate=final[row],
             channel=channel,
-            iterations_run=int(iterations_run[row]),
         )
         for row in range(rows)
     ]

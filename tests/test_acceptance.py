@@ -53,7 +53,6 @@ def desk_scale_tail_means(sparsity, algorithms):
         snr_db=[10.0],
         algorithms=algorithms,
         max_iterations=DESK_ITERATIONS,
-        stop_epsilon=0.0,
         num_trials=DESK_TRIALS,
         rng_seed=12345,
     )
@@ -142,7 +141,6 @@ def test_criterion_02_step_size_law():
         snr_db=[10.0],
         algorithms=["vss_nlms", "vss_za_nlms", "vss_rza_nlms"],
         max_iterations=500,
-        stop_epsilon=0.0,
         num_trials=2,
         rng_seed=12345,
     )
@@ -179,7 +177,6 @@ def test_criterion_03_reduction_identities():
             algorithms=[penalized, plain],
             rho_za=0.0,
             max_iterations=200,
-            stop_epsilon=0.0,
             num_trials=2,
             rng_seed=12345,
         )
@@ -209,7 +206,6 @@ def test_criterion_04_noiseless_convergence():
         sparsity=4,
         mu=0.2,
         max_iterations=20000,
-        stop_epsilon=0.0,
         num_trials=3,
         rng_seed=12345,
     )
@@ -259,7 +255,6 @@ def test_criterion_07_step_size_trace_decreases():
         snr_db=[10.0],
         algorithms=["vss_nlms"],
         max_iterations=5000,
-        stop_epsilon=0.0,
         num_trials=1,
         rng_seed=12345,
     )
@@ -283,7 +278,6 @@ def test_criterion_08_ber_ordering():
         ber_min_errors=0,
         ber_min_bits=102_400,
         ber_max_frames=1000,
-        stop_epsilon=0.0,
         rng_seed=12345,
     )
     curves = {curve.algorithm: curve for curve in run_ber_sweep(config)}

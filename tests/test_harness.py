@@ -11,7 +11,6 @@ from per_frame_ber import per_frame_ber_sweep
 from sparsenlms import filters, harness
 from sparsenlms.channel import generate_sparse_channel
 from sparsenlms.harness import (
-    CHUNK_ITERATIONS,
     FRAME_BLOCK,
     BerCurve,
     ExperimentConfig,
@@ -45,10 +44,9 @@ def per_sample_trial(config, trial_index, algorithm, snr_db):
     """One estimation trial written the slow way, as a reference.
 
     Each iteration draws its regressor and noise pair on its own, calls
-    ``filters.step`` for the scheduled antenna, scores the whole
-    estimate with ``channel_error`` and applies the stop rule to the
-    whole matrix.  Returns ``(squared_error, step_trace, estimate,
-    iterations_run)`` up to the stopping iteration.
+    ``filters.step`` for the scheduled antenna and scores the whole
+    estimate with ``channel_error``.  Returns ``(squared_error,
+    step_trace, estimate)``.
     """
     algo = config.algorithm_config(algorithm, snr_db)
     chan = generate_sparse_channel(
@@ -68,15 +66,11 @@ def per_sample_trial(config, trial_index, algorithm, snr_db):
         )
         pair = rng.standard_normal(2)
         y = np.dot(chan[antenna], x) + sigma * (pair[0] + 1j * pair[1])
-        previous = estimate.copy()
         states[antenna], _ = filters.step(states[antenna], x, y, algo)
         estimate[antenna] = states[antenna].weights
         errors.append(channel_error(chan, estimate))
         steps.append(states[antenna].step_size)
-        moved = channel_error(previous, estimate)
-        if 0.0 < config.stop_epsilon and moved <= config.stop_epsilon:
-            break
-    return np.array(errors), np.array(steps), estimate, n
+    return np.array(errors), np.array(steps), estimate
 
 
 # -- scheduling ---------------------------------------------------------------
@@ -122,20 +116,6 @@ def test_round_robin_is_fair():
     config = small_config(max_iterations=3)
     estimate = run_trial_rows(config, 0, [(filters.VSS_NLMS, 10.0)])[0].final_estimate
     assert [bool(np.any(row)) for row in estimate] == [True, True, True, False]
-
-
-def test_check_stop_examples():
-    # A row freezes at its first update whose squared norm is at most
-    # stop_epsilon; 0 switches the rule off.
-    always = run_trial_rows(small_config(stop_epsilon=1e9), 0, [(filters.VSS_NLMS, 10.0)])
-    assert always[0].iterations_run == 1
-    never = run_trial_rows(small_config(stop_epsilon=0.0), 0, [(filters.VSS_NLMS, 10.0)])[0]
-    assert never.iterations_run == 50
-    config = small_config(stop_epsilon=1e-5, max_iterations=400)
-    for variant in (filters.ISS_NLMS, filters.VSS_RZA_NLMS):
-        result = run_trial_rows(config, 0, [(variant, 10.0)])[0]
-        _, _, _, stopped = per_sample_trial(config, 0, variant, 10.0)
-        assert result.iterations_run == stopped < 400
 
 
 # -- metric -------------------------------------------------------------------
@@ -194,14 +174,6 @@ def test_all_variants_run_to_completion():
         assert np.all(np.isfinite(result.squared_error))
 
 
-def test_early_stop_pads_series():
-    config = small_config(stop_epsilon=1e9)
-    result = run_trial_rows(config, 0, [(filters.VSS_NLMS, 10.0)])[0]
-    assert result.iterations_run == 1
-    assert result.squared_error.shape == (config.max_iterations,)
-    assert np.all(result.squared_error == result.squared_error[0])
-
-
 def test_trial_rejects_negative_index():
     with pytest.raises(ValueError, match="trial_index"):
         run_trial_rows(small_config(), -1, [(filters.VSS_NLMS, 10.0)])
@@ -232,54 +204,41 @@ def test_monte_carlo_emits_one_curve_per_pair():
 # -- row-batched kernel -------------------------------------------------------
 
 
-@pytest.mark.parametrize("stop_epsilon", [0.0, 1e-5])
-def test_kernel_matches_per_sample_reference(stop_epsilon):
+def test_kernel_matches_per_sample_reference():
     # The chunked draws reproduce the per-iteration stream bit for bit,
     # so estimates and step sizes are equal; the incremental metric
     # only sums in another order.
-    config = small_config(
-        snr_db=[10.0, float("inf")], max_iterations=300, stop_epsilon=stop_epsilon
-    )
+    config = small_config(snr_db=[10.0, float("inf")], max_iterations=300)
     for variant in filters.VARIANTS:
         for snr in config.snr_db:
             result = run_trial_rows(config, 1, [(variant, snr)])[0]
-            errors, steps, estimate, stopped = per_sample_trial(config, 1, variant, snr)
-            assert result.iterations_run == stopped
+            errors, steps, estimate = per_sample_trial(config, 1, variant, snr)
             assert np.array_equal(result.final_estimate, estimate)
-            assert np.array_equal(result.step_trace[:stopped], steps)
-            np.testing.assert_allclose(
-                result.squared_error[:stopped], errors, rtol=1e-12, atol=0
-            )
+            assert np.array_equal(result.step_trace, steps)
+            np.testing.assert_allclose(result.squared_error, errors, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize(
-    "stop_epsilon, n_r, algorithms",
+    "n_r, algorithms",
     [
-        (0.0, 4, filters.VARIANTS),
-        (1e-5, 4, filters.VARIANTS),
-        (0.0, 9, filters.VARIANTS),
-        (1e-6, 9, filters.VARIANTS),
-        (1e-5, 4, [filters.ISS_NLMS, filters.VSS_NLMS]),
-        (0.0, 4, [filters.ISS_NLMS, filters.ISS_ZA_NLMS, filters.ISS_RZA_NLMS]),
+        (4, filters.VARIANTS),
+        (9, filters.VARIANTS),
+        (4, [filters.ISS_NLMS, filters.VSS_NLMS]),
+        (4, [filters.ISS_NLMS, filters.ISS_ZA_NLMS, filters.ISS_RZA_NLMS]),
     ],
-    ids=[
-        "0.0", "1e-05", "0.0-n_r9", "1e-06-n_r9",
-        "1e-05-unpenalized", "0.0-fixed-step",
-    ],
+    ids=["n_r4", "n_r9", "unpenalized", "fixed-step"],
 )
-def test_batch_rows_equal_batch_of_one(stop_epsilon, n_r, algorithms):
+def test_batch_rows_equal_batch_of_one(n_r, algorithms):
     # From n_r = 8 on, numpy would sum a contiguous (n_r, 1) column
     # pairwise, so summing antennas in one call would make a row of
-    # the batch differ from its batch of one.  At n_r = 9 the smaller
-    # threshold makes rows freeze both in the first chunk and after it.
-    # The unpenalized and fixed-step batches skip the penalty and the
-    # vss law, with more than one row.
+    # the batch differ from its batch of one.  The unpenalized and
+    # fixed-step batches skip the penalty and the vss law, with more
+    # than one row.
     config = small_config(
         n_r=n_r,
         snr_db=[10.0, 20.0],
         algorithms=list(algorithms),
         max_iterations=1000,
-        stop_epsilon=stop_epsilon,
     )
     pairs = [(a, snr) for a in config.algorithms for snr in config.snr_db]
     batch = run_trial_rows(config, 0, pairs)
@@ -288,62 +247,42 @@ def test_batch_rows_equal_batch_of_one(stop_epsilon, n_r, algorithms):
         assert np.array_equal(row.squared_error, alone.squared_error)
         assert np.array_equal(row.step_trace, alone.step_trace)
         assert np.array_equal(row.final_estimate, alone.final_estimate)
-        assert row.iterations_run == alone.iterations_run
-    runs = {row.iterations_run for row in batch}
-    if stop_epsilon:
-        # Rows freeze at different iterations, in the first chunk and
-        # after it.
-        assert len(runs) >= 3 and min(runs) < CHUNK_ITERATIONS < max(runs) < 1000
-    else:
-        assert runs == {1000}
 
 
 @pytest.mark.parametrize(
-    "n_r, max_iterations, stop_epsilon, shape",
+    "n_r, max_iterations, shape",
     [
-        (4, 1001, 1e-5, {}),
-        (9, 703, 1e-6, {}),
-        (3, 1001, 1e-5, {}),
-        (1, 333, 0.0, {}),
-        (128, 300, 0.0, {"n_t": 1, "tap_length": 2}),
+        (4, 1001, {}),
+        (9, 703, {}),
+        (3, 1001, {}),
+        (1, 333, {}),
+        (128, 300, {"n_t": 1, "tap_length": 2}),
     ],
     ids=["n_r4", "n_r9", "n_r3", "n_r1", "n_r128"],
 )
-def test_round_kernel_matches_per_sample_reference(
-    n_r, max_iterations, stop_epsilon, shape
-):
+def test_round_kernel_matches_per_sample_reference(n_r, max_iterations, shape):
     # A round updates every antenna at once, each with its own
     # iteration's data.  Partial final rounds (1001 = 4 * 250 + 1 and
-    # 703 = 9 * 78 + 1), chunks that are not 100 iterations long (99 at
-    # n_r = 9 and 3, 128 at n_r = 128) and freezes partway through a
-    # round must all leave the per-iteration results unchanged.
+    # 703 = 9 * 78 + 1) and chunks that are not 100 iterations long (99
+    # at n_r = 9 and 3, 128 at n_r = 128) must leave the per-iteration
+    # results unchanged.
     config = small_config(
         n_r=n_r,
         snr_db=[10.0, 20.0],
         algorithms=list(filters.VARIANTS),
         max_iterations=max_iterations,
-        stop_epsilon=stop_epsilon,
         **shape,
     )
-    positions = set()
     for trial in (0, 1, 2) if n_r == 4 else (0,):
         for variant in filters.VARIANTS:
             for snr in config.snr_db:
                 result = run_trial_rows(config, trial, [(variant, snr)])[0]
-                errors, steps, estimate, stopped = per_sample_trial(
-                    config, trial, variant, snr
-                )
-                assert result.iterations_run == stopped
+                errors, steps, estimate = per_sample_trial(config, trial, variant, snr)
                 assert np.array_equal(result.final_estimate, estimate)
-                assert np.array_equal(result.step_trace[:stopped], steps)
+                assert np.array_equal(result.step_trace, steps)
                 np.testing.assert_allclose(
-                    result.squared_error[:stopped], errors, rtol=1e-12, atol=0
+                    result.squared_error, errors, rtol=1e-12, atol=0
                 )
-                positions.add((stopped - 1) % n_r)
-    if n_r == 4:
-        # Freezes at in-round positions before the last antenna make the
-        # kernel restore the later antennas' pre-round taps.
-        assert len(positions) >= 3
 
 
 @pytest.mark.parametrize("n_r, max_iterations", [(4, 1001), (9, 703)])
@@ -362,13 +301,9 @@ def test_one_update_call_per_antenna_round(n_r, max_iterations, monkeypatch):
     assert sum(calls) == max_iterations
 
 
-@pytest.mark.parametrize("stop_epsilon", [0.0, 1e-4])
-def test_incremental_metric_matches_channel_error(stop_epsilon):
+def test_incremental_metric_matches_channel_error():
     config = small_config(
-        snr_db=[10.0, 20.0],
-        algorithms=list(filters.VARIANTS),
-        max_iterations=777,
-        stop_epsilon=stop_epsilon,
+        snr_db=[10.0, 20.0], algorithms=list(filters.VARIANTS), max_iterations=777
     )
     pairs = [(a, snr) for a in config.algorithms for snr in config.snr_db]
     for row in run_trial_rows(config, 3, pairs):
@@ -514,11 +449,16 @@ def test_config_from_dict_accepts_scalars_for_lists():
         ("rho_za", -1.0),
         ("rho_rza", math.nan),
         ("qam_orders", []),
+        ("mu", -1.0),
+        ("epsilon_rza", -1.0),
+        ("c_by_snr", {"10": 1e-5, "10.0": 2e-5}),
     ],
 )
 def test_config_rejects_bad_list_elements_by_name(field, value):
+    # vss_za_nlms reads mu only through gamma_za, and epsilon_rza not at
+    # all; both are still checked under their own names.
     with pytest.raises(ValueError, match=f"^{field} must "):
-        ExperimentConfig(**{field: value})
+        ExperimentConfig(**{"algorithms": ["vss_za_nlms"], field: value})
 
 
 # -- BER sweep ----------------------------------------------------------------
