@@ -15,6 +15,10 @@ rejected by name.  Every run writes its artifacts plus a
 ``manifest.json`` recording the effective configuration, the seed and
 a sha256 checksum per artifact; rerunning the same invocation
 reproduces every file byte for byte.
+
+Multi-trial MSE runs and BER sweeps use one process per CPU in this
+process's affinity mask (``taskset -c 0`` makes a run serial); the
+outputs do not depend on the count.
 """
 
 from __future__ import annotations
@@ -72,6 +76,16 @@ def parse_invocation(argv):
     return parser.parse_args(argv)
 
 
+def _unique_keys(pairs):
+    """``object_pairs_hook`` that rejects a repeated key instead of keeping the last."""
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise CliError(f"a JSON object repeats key {key!r}")
+        seen.add(key)
+    return dict(pairs)
+
+
 def _parse_override(token):
     key, sep, raw = token.partition("=")
     if not sep or not key:
@@ -79,7 +93,7 @@ def _parse_override(token):
     try:
         # JSON covers numbers, lists, booleans and null; bare algorithm
         # names and similar unquoted strings fall through as-is.
-        value = json.loads(raw)
+        value = json.loads(raw, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError:
         value = raw
     return key, value
@@ -91,7 +105,7 @@ def build_config(invocation):
     if invocation.config_path is not None:
         try:
             with open(invocation.config_path) as handle:
-                loaded = json.load(handle)
+                loaded = json.load(handle, object_pairs_hook=_unique_keys)
         except OSError as exc:
             raise CliError(f"cannot read config file: {exc}") from exc
         except json.JSONDecodeError as exc:
@@ -124,9 +138,9 @@ def _artifact_name(subcommand, algorithm, config, snr_db, qam_order=None):
     return name + ".csv"
 
 
-def _run_mse_convergence(config, out_dir, subcommand="mse-convergence"):
+def _run_mse_convergence(config, out_dir, workers, subcommand="mse-convergence"):
     files = []
-    for curve in run_monte_carlo_mse(config):
+    for curve in run_monte_carlo_mse(config, workers):
         name = _artifact_name(subcommand, curve.algorithm, config, curve.snr_db)
         write_mse_csv(os.path.join(out_dir, name), curve)
         files.append(name)
@@ -134,12 +148,15 @@ def _run_mse_convergence(config, out_dir, subcommand="mse-convergence"):
     return files
 
 
-def _run_single_run(config, out_dir):
+def _run_single_run(config, out_dir, workers):
     # Averaging a single trial returns it exactly (0.0 + x, then x / 1).
-    return _run_mse_convergence(replace(config, num_trials=1), out_dir, "single-run")
+    return _run_mse_convergence(
+        replace(config, num_trials=1), out_dir, workers, "single-run"
+    )
 
 
-def _run_trace_stepsize(config, out_dir):
+def _run_trace_stepsize(config, out_dir, workers):
+    # One trial, so there is nothing to share between workers.
     pairs = [(a, snr) for a in config.algorithms for snr in config.snr_db]
     files = []
     for (algorithm, snr), result in zip(pairs, run_trial_rows(config, 0, pairs)):
@@ -162,9 +179,9 @@ def _run_trace_stepsize(config, out_dir):
     return files
 
 
-def _run_ber_sweep(config, out_dir):
+def _run_ber_sweep(config, out_dir, workers):
     files = []
-    for curve in run_ber_sweep(config):
+    for curve in run_ber_sweep(config, workers):
         name = _artifact_name(
             "ber-sweep",
             curve.algorithm,
@@ -215,6 +232,15 @@ _RUNNERS = {
 }
 
 
+def _worker_count():
+    """One process per CPU in this process's affinity mask; 1 without ``fork``."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _write_manifest(out_dir, invocation, config, files):
     checksums = {}
     for name in sorted(files):
@@ -246,7 +272,9 @@ def parse_and_dispatch(argv):
             os.makedirs(invocation.output_dir, exist_ok=True)
         except OSError as exc:
             raise CliError(f"cannot create output directory: {exc}") from exc
-        files = _RUNNERS[invocation.subcommand](config, invocation.output_dir)
+        files = _RUNNERS[invocation.subcommand](
+            config, invocation.output_dir, _worker_count()
+        )
         _write_manifest(invocation.output_dir, invocation, config, files)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

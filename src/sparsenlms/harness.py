@@ -90,12 +90,23 @@ diverged.
 Reproducibility: every random stream is derived from ``rng_seed``
 together with the trial (or frame) index through seed sequences, and
 aggregation always runs in fixed trial order, so equal configurations
-produce byte-identical outputs.  Trials never share mutable state and
-may be computed in any order.
+produce byte-identical outputs.
+
+Independent work runs on up to ``workers`` processes (default 1, which
+opens no pool): one ordered ``imap`` over module-level tasks on a
+``fork`` pool.  The MSE run has one task per trial, returning each
+row's error curve and ``diverged`` flag, which the parent adds in trial
+order exactly as a serial run does.  The BER sweep has one task per
+training channel, returning the channel and its frozen estimates, then
+one per (QAM order, E_s/N_0) point, running that point's block loop and
+stop rule on the stacked tables and returning its error counts and
+frame count.  Outputs are byte-identical for every worker count.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 import numbers
 from collections.abc import Mapping
@@ -513,20 +524,52 @@ def run_trial_rows(config, trial_index, pairs):
     ]
 
 
-def run_monte_carlo_mse(config):
+@contextlib.contextmanager
+def _ordered_map(workers, tasks):
+    """Yield a ``map(task, items)`` that returns results in item order.
+
+    With ``workers > 1`` and ``tasks > 1`` (the most items any one map
+    call gets) it is ``imap`` on a ``fork`` pool of ``min(workers,
+    tasks)`` processes, otherwise the builtin ``map``.  The pool is closed
+    and joined when the block ends, and terminated and joined if it
+    raises (a task that raises raises here too), so no worker outlives
+    the block.
+    """
+    processes = min(workers, tasks)
+    if processes <= 1:
+        yield map
+        return
+    # Imported only where a pool is opened, so serial runs never load it.
+    import multiprocessing
+
+    with multiprocessing.get_context("fork").Pool(processes) as pool:
+        yield pool.imap
+        pool.close()
+        pool.join()
+
+
+def _trial_errors(config, pairs, trial):
+    """Trial ``trial``'s error curve and ``diverged`` flag for each pair."""
+    return [(r.squared_error, r.diverged) for r in run_trial_rows(config, trial, pairs)]
+
+
+def run_monte_carlo_mse(config, workers=1):
     """Average identification error curves for every (algorithm, SNR) pair.
 
-    Each trial runs all pairs as one batch.  Trials are aggregated in
-    index order, so repeated runs of the same configuration produce
-    identical curves.
+    Each trial runs all pairs as one batch, on up to ``workers``
+    processes.  Trials are aggregated in index order whatever the worker
+    count, so repeated runs of the same configuration produce identical
+    curves.
     """
     pairs = [(a, snr) for a in config.algorithms for snr in config.snr_db]
     totals = np.zeros((len(pairs), config.max_iterations))
     diverged = np.zeros(len(pairs), dtype=int)
-    for trial in range(config.num_trials):
-        for row, result in enumerate(run_trial_rows(config, trial, pairs)):
-            totals[row] += result.squared_error
-            diverged[row] += result.diverged
+    task = functools.partial(_trial_errors, config, pairs)
+    with _ordered_map(workers, config.num_trials) as ordered_map:
+        for rows in ordered_map(task, range(config.num_trials)):
+            for row, (errors, flag) in enumerate(rows):
+                totals[row] += errors
+                diverged[row] += flag
     totals /= config.num_trials
     return [
         MseCurve(
@@ -606,7 +649,52 @@ def _simulate_frames(config, order, point_index, n0, first, count, tables):
     return bit_errors.sum(axis=(2, 3), dtype=np.int64)
 
 
-def run_ber_sweep(config):
+def _trained_stack(config, pairs, trial):
+    """Channel ``trial``'s true matrix followed by each pair's frozen estimate."""
+    results = run_trial_rows(config, trial, pairs)
+    return np.array([results[0].channel] + [r.final_estimate for r in results])
+
+
+def _frame_bits(config, order):
+    """Payload bits of one OFDM frame: every subcarrier of every transmitter."""
+    bits_per_symbol = qam_constellation(order).bits_per_symbol
+    return config.subcarrier_count * config.n_t * bits_per_symbol
+
+
+def _ber_point(config, tables, point):
+    """Frames of one ``(order, point_index, esn0)`` point: ``(errors, frames)``.
+
+    ``errors`` holds one bit-error count per detector of ``tables``.
+    """
+    order, point_index, esn0 = point
+    bits_per_frame = _frame_bits(config, order)
+    # Frames at which bits_sent first reaches ber_min_bits; no block runs
+    # past it, so a point bound by ber_min_bits wastes no frame.
+    frames_min = max(1, -(-config.ber_min_bits // bits_per_frame))
+    n0 = 10.0 ** (-esn0 / 10.0)
+    errors = np.zeros(tables[1].shape[1], dtype=np.int64)
+    frames = 0
+    while frames < config.ber_max_frames:
+        count = min(FRAME_BLOCK, config.ber_max_frames - frames)
+        if frames < frames_min:
+            count = min(count, frames_min - frames)
+        block = _simulate_frames(config, order, point_index, n0, frames, count, tables)
+        totals = errors + np.cumsum(block, axis=0)
+        # The point stops at its first frame that meets both thresholds;
+        # the frames after it are discarded.
+        sent = (frames + np.arange(1, count + 1)) * bits_per_frame
+        met = (sent >= config.ber_min_bits) & np.all(
+            totals >= config.ber_min_errors, axis=1
+        )
+        used = int(met.argmax()) + 1 if met.any() else count
+        errors = totals[used - 1]
+        frames += used
+        if met.any():
+            break
+    return errors, frames
+
+
+def run_ber_sweep(config, workers=1):
     """Train, freeze, transmit, detect: BER curves per algorithm and order.
 
     Returns one :class:`BerCurve` per (algorithm, QAM order) pair plus
@@ -614,60 +702,42 @@ def run_ber_sweep(config):
     E_s/N_0 point accumulate until the configured minimum bit and error
     counts are reached (or the frame cap), cycling through
     ``ber_num_channels`` independently trained channel realizations.
+    The channels, then the (order, E_s/N_0) points, run on up to
+    ``workers`` processes; the curves do not depend on the count.
     """
     config.validate_ofdm()
     detectors = [TRUE_CHANNEL] + list(config.algorithms)
     k, n_t, n_r = config.subcarrier_count, config.n_t, config.n_r
 
     pairs = [(a, config.ber_training_snr_db) for a in config.algorithms]
-    cirs = []
-    for trial in range(config.ber_num_channels):
-        results = run_trial_rows(config, trial, pairs)
-        cirs.append([results[0].channel] + [r.final_estimate for r in results])
-    # Shaped (channel, detector, k, n_r, n_t), detectors in output order.
-    responses = _frequency_responses(np.array(cirs), n_t, n_r, config.tap_length, k)
-    pinvs, failed = _zero_forcing_tables(responses)
-    # Subcarriers last, so the einsums' inner loops run along them.
-    tables = (
-        np.ascontiguousarray(np.moveaxis(responses[:, 0], 1, -1)),
-        np.ascontiguousarray(np.moveaxis(pinvs, 2, -1)),
-        failed,
-    )
-
+    points = [
+        (order, index, esn0)
+        for order in config.qam_orders
+        for index, esn0 in enumerate(config.esn0_range_db)
+    ]
+    # One pool serves both phases.
+    most = max(config.ber_num_channels, len(points))
+    with _ordered_map(workers, most) as ordered_map:
+        task = functools.partial(_trained_stack, config, pairs)
+        cirs = list(ordered_map(task, range(config.ber_num_channels)))
+        # Shaped (channel, detector, k, n_r, n_t), detectors in output order.
+        responses = _frequency_responses(np.array(cirs), n_t, n_r, config.tap_length, k)
+        pinvs, failed = _zero_forcing_tables(responses)
+        # Subcarriers last, so the einsums' inner loops run along them.
+        tables = (
+            np.ascontiguousarray(np.moveaxis(responses[:, 0], 1, -1)),
+            np.ascontiguousarray(np.moveaxis(pinvs, 2, -1)),
+            failed,
+        )
+        task = functools.partial(_ber_point, config, tables)
+        outcomes = list(ordered_map(task, points))
+    per_order = len(config.esn0_range_db)
     curves = []
-    for order in config.qam_orders:
-        bits_per_frame = k * n_t * qam_constellation(order).bits_per_symbol
-        # Frames at which bits_sent first reaches ber_min_bits; no block
-        # runs past it, so a point bound by ber_min_bits wastes no frame.
-        frames_min = max(1, -(-config.ber_min_bits // bits_per_frame))
-        point_errors = []
-        point_bits = []
-        for point_index, esn0 in enumerate(config.esn0_range_db):
-            n0 = 10.0 ** (-esn0 / 10.0)
-            errors = np.zeros(len(detectors), dtype=np.int64)
-            frames = 0
-            while frames < config.ber_max_frames:
-                count = min(FRAME_BLOCK, config.ber_max_frames - frames)
-                if frames < frames_min:
-                    count = min(count, frames_min - frames)
-                block = _simulate_frames(
-                    config, order, point_index, n0, frames, count, tables
-                )
-                totals = errors + np.cumsum(block, axis=0)
-                # The point stops at its first frame that meets both
-                # thresholds; the frames after it are discarded.
-                sent = (frames + np.arange(1, count + 1)) * bits_per_frame
-                met = (sent >= config.ber_min_bits) & np.all(
-                    totals >= config.ber_min_errors, axis=1
-                )
-                used = int(met.argmax()) + 1 if met.any() else count
-                errors = totals[used - 1]
-                frames += used
-                if met.any():
-                    break
-            point_errors.append(errors)
-            point_bits.append(frames * bits_per_frame)
-        bits_total = np.array(point_bits, dtype=np.int64)
+    for index, order in enumerate(config.qam_orders):
+        point_errors, point_frames = zip(
+            *outcomes[index * per_order : (index + 1) * per_order]
+        )
+        bits_total = np.array(point_frames, dtype=np.int64) * _frame_bits(config, order)
         for bit_errors, detector in zip(np.array(point_errors).T, detectors):
             curves.append(
                 BerCurve(

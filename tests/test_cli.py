@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sparsenlms import cli
 from sparsenlms.cli import (
     _summarize_mse,
     build_config,
@@ -27,6 +29,9 @@ from sparsenlms.harness import (
 
 def run_cli(*args):
     return parse_and_dispatch(list(args))
+
+
+REPEATED_KEY_CONFIG = "repeated-key.json"
 
 
 def small_overrides():
@@ -173,16 +178,39 @@ def test_invalid_value_is_rejected(tmp_path, capsys):
         ["single-run", "--override", "epsilon_rza=-1"],
         # Two keys that name one SNR.
         ["single-run", "--override", 'c_by_snr={"10": 1e-5, "10.0": 2e-5}'],
+        # One key twice in a JSON object, which json would collapse to the
+        # last value: in an override and in a config file.
+        ["single-run", "--override", 'c_by_snr={"10": 1e-5, "10": 2e-5}'],
+        ["single-run", "--config", REPEATED_KEY_CONFIG],
     ],
 )
-def test_invalid_config_is_rejected_before_running(argv, tmp_path, capsys):
+def test_invalid_config_is_rejected_before_running(argv, tmp_path, capsys, monkeypatch):
+    # Config files named by a case are read from the working directory.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / REPEATED_KEY_CONFIG).write_text('{"mu": 0.1, "mu": 0.3}')
     code = run_cli(*argv, "--out", str(tmp_path / "out"))
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["--override", 'c_by_snr={"10": 1e-5, "10": 2e-5}'], "'10'"),
+        (["--override", 'c_by_snr={"20": 1e-5, "10": {"a": 1, "a": 2}}'], "'a'"),
+        (["--config", REPEATED_KEY_CONFIG], "'mu'"),
+    ],
+)
+def test_repeated_json_key_is_named(argv, key, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / REPEATED_KEY_CONFIG).write_text('{"mu": 0.1, "mu": 0.3}')
+    assert run_cli("single-run", "--dump-config", *argv) == 2
+    assert f"repeats key {key}" in capsys.readouterr().err
 
 
 def test_output_file_naming(tmp_path, capsys):
@@ -295,3 +323,70 @@ def test_non_finite_tail_prints_nan_db(capsys):
     )
     _summarize_mse("single-run", curve)
     assert "(nan dB) diverged=1/1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mse-convergence", "--trials", "3"],
+        # iss variants diverge at 10 dB: the diverged counts and the stderr
+        # warnings come back from the workers.
+        [
+            "mse-convergence", "--trials", "3",
+            "--override", "mu=1.9", "--override", "max_iterations=1000",
+        ],
+        [
+            "ber-sweep",
+            "--override", "algorithms=vss_nlms",
+            "--override", "n_t=2", "--override", "n_r=2",
+            "--override", "tap_length=4", "--override", "cp_length=4",
+            "--override", "subcarrier_count=16",
+            "--override", "qam_orders=[16, 64]",
+            "--override", "esn0_range_db=[15, 30]",
+            "--override", "ber_num_channels=2",
+            "--override", "ber_min_errors=0", "--override", "ber_min_bits=2000",
+            "--override", "ber_max_frames=100", "--override", "max_iterations=300",
+            "--seed", "55",
+        ],
+    ],
+    ids=["mse", "mse-diverging", "ber"],
+)
+def test_worker_count_does_not_change_outputs(argv, tmp_path, capsys, monkeypatch):
+    # Whatever this machine's CPU count, one run is serial and the other
+    # uses a pool of two.
+    contexts = []
+    get_context = multiprocessing.get_context
+
+    def recording(method=None):
+        contexts.append(method)
+        return get_context(method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", recording)
+    runs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(cli, "_worker_count", lambda: workers)
+        out = tmp_path / f"workers{workers}"
+        status = run_cli(*argv, "--out", str(out))
+        captured = capsys.readouterr()
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        runs.append((status, captured.out, captured.err, files))
+        assert contexts == ([] if workers == 1 else ["fork"])
+    assert runs[0][0] == 0
+    assert runs[0] == runs[1]
+    if "mu=1.9" in argv:
+        assert "diverged=3/3" in runs[0][1]
+        assert "warning: " in runs[0][2]
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_count_follows_the_affinity_mask(monkeypatch):
+    if not hasattr(os, "fork"):
+        assert cli._worker_count() == 1
+        return
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert cli._worker_count() == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._worker_count() == 1
+    monkeypatch.delattr(os, "fork")
+    assert cli._worker_count() == 1

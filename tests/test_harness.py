@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -326,6 +327,30 @@ def test_divergence_is_counted():
     assert run_monte_carlo_mse(small_config())[0].diverged == 0
 
 
+def test_pool_is_joined_when_a_task_raises(monkeypatch):
+    # Workers are forked after the patch, so a later trial and every BER
+    # point raise inside them; the error reaches the caller and no worker
+    # outlives the call.
+    run_rows = run_trial_rows
+
+    def failing_rows(config, trial_index, pairs):
+        if trial_index == 1:
+            raise RuntimeError("trial 1 failed")
+        return run_rows(config, trial_index, pairs)
+
+    def failing_frames(*args):
+        raise RuntimeError("frames failed")
+
+    monkeypatch.setattr(harness, "run_trial_rows", failing_rows)
+    with pytest.raises(RuntimeError, match="trial 1 failed"):
+        run_monte_carlo_mse(small_config(num_trials=4), workers=2)
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(harness, "_simulate_frames", failing_frames)
+    with pytest.raises(RuntimeError, match="frames failed"):
+        run_ber_sweep(ber_config(ber_num_channels=1), workers=2)
+    assert multiprocessing.active_children() == []
+
+
 def test_iss_nlms_steady_state_matches_theory():
     # NLMS steady-state misalignment (Sayed): per antenna
     # mu / (2 - mu) * noise_var * L / E||x||^2, with E||x||^2 = 1 here.
@@ -347,6 +372,49 @@ def test_iss_nlms_steady_state_matches_theory():
         )
         simulated = curve.values[10_000:].mean()
         assert simulated / theory == pytest.approx(1.0, abs=0.05)
+
+
+def test_iss_nlms_learning_curve_matches_exact_recursion():
+    # Antenna a's misalignment after k updates has the exact expectation
+    #     D(k + 1) = (1 - mu (2 - mu) / L) D(k) + mu^2 noise_var L / (L - 1),
+    # D(0) = ||h_a||^2 = 1, because x / ||x|| is isotropic and independent
+    # of ||x||^2 ~ Gamma(L, 1 / L), whose E[1 / ||x||^2] is L / (L - 1).
+    # After n iterations antenna a has had ceil((n - a) / n_r) updates.
+    # The curve comes from a two-process pool; the serial per-trial
+    # curves give its exact trial-order sum and the standard errors.
+    config = ExperimentConfig(
+        algorithms=["iss_nlms"],
+        snr_db=[10.0, 20.0, math.inf],
+        num_trials=64,
+        max_iterations=2000,
+        rng_seed=2024,
+    )
+    curves = run_monte_carlo_mse(config, workers=2)
+    pairs = [("iss_nlms", snr) for snr in config.snr_db]
+    trials = np.array([
+        [row.squared_error for row in run_trial_rows(config, trial, pairs)]
+        for trial in range(config.num_trials)
+    ])
+    mu, length, n_r = config.mu, config.filter_length(), config.n_r
+    n = np.arange(1, config.max_iterations + 1)
+    updates = [-(-(n - a) // n_r) for a in range(n_r)]
+    for row, curve in enumerate(curves):
+        total = np.zeros(config.max_iterations)
+        for trial in trials[:, row]:
+            total += trial
+        assert np.array_equal(curve.values, total / config.num_trials)
+        floor = mu**2 * config.noise_variance(curve.snr_db) * length / (length - 1)
+        d = np.empty(config.max_iterations + 1)
+        d[0] = 1.0
+        for k in range(config.max_iterations):
+            d[k + 1] = (1.0 - mu * (2.0 - mu) / length) * d[k] + floor
+        expected = sum(d[k] for k in updates)
+        stderr = trials[:, row].std(axis=0, ddof=1) / math.sqrt(config.num_trials)
+        z = (curve.values - expected) / stderr
+        # The largest |z| over 2000 correlated iterations is about 1.4 on
+        # every curve.  A schedule one iteration late reaches 8, and a
+        # contraction 2% too fast reaches 5.6.
+        assert np.max(np.abs(z)) < 4.0, (curve.snr_db, int(np.argmax(np.abs(z))))
 
 
 # -- configuration ------------------------------------------------------------
