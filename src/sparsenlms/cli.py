@@ -32,6 +32,7 @@ import sys
 from dataclasses import replace
 
 from .harness import (
+    TRUE_CHANNEL,
     ExperimentConfig,
     run_ber_sweep,
     run_monte_carlo_mse,
@@ -128,6 +129,7 @@ def build_config(invocation):
             config.validate_ofdm()
     except (ValueError, TypeError) as exc:
         raise CliError(str(exc)) from exc
+    _reject_shared_files(invocation.subcommand, config)
     return config
 
 
@@ -136,6 +138,31 @@ def _artifact_name(subcommand, algorithm, config, snr_db, qam_order=None):
     if qam_order is not None:
         name += f"_QAM{qam_order}"
     return name + ".csv"
+
+
+def _reject_shared_files(subcommand, config):
+    """Reject a config under which two of the subcommand's curves share a file."""
+    if subcommand == "ber-sweep":
+        other, snr = "qam_orders", config.ber_training_snr_db
+        names = [
+            _artifact_name(subcommand, detector, config, snr, order)
+            for order in config.qam_orders
+            for detector in (TRUE_CHANNEL, *config.algorithms)
+        ]
+    else:
+        # SNRs that differ only past the name's {:g} digits collide too.
+        other = "snr_db"
+        names = [
+            _artifact_name(subcommand, algorithm, config, snr)
+            for algorithm in config.algorithms
+            for snr in config.snr_db
+        ]
+    if len(set(names)) < len(names):
+        name = next(name for i, name in enumerate(names) if name in names[:i])
+        raise CliError(
+            f"algorithms {config.algorithms} and {other} "
+            f"{getattr(config, other)} give two curves the file {name}"
+        )
 
 
 def _run_mse_convergence(config, out_dir, workers, subcommand="mse-convergence"):
@@ -158,23 +185,18 @@ def _run_single_run(config, out_dir, workers):
 def _run_trace_stepsize(config, out_dir, workers):
     # One trial, so there is nothing to share between workers.
     pairs = [(a, snr) for a in config.algorithms for snr in config.snr_db]
+    traces = run_trial_rows(config, 0, pairs).step_trace.T
     files = []
-    for (algorithm, snr), result in zip(pairs, run_trial_rows(config, 0, pairs)):
+    for (algorithm, snr), trace in zip(pairs, traces):
         name = _artifact_name("trace-stepsize", algorithm, config, snr)
-        write_stepsize_csv(
-            os.path.join(out_dir, name),
-            result.step_trace,
-            algorithm,
-            snr,
-            config.sparsity,
-            config.rng_seed,
-        )
+        path = os.path.join(out_dir, name)
+        write_stepsize_csv(path, trace, algorithm, snr, config.sparsity, config.rng_seed)
         files.append(name)
-        head = max(1, result.step_trace.size // 10)
+        head = max(1, trace.size // 10)
         print(
             f"trace-stepsize algorithm={algorithm} snr_db={snr:g} "
-            f"first10%={float(result.step_trace[:head].mean()):.6g} "
-            f"last10%={steady_state_mean(result.step_trace):.6g}"
+            f"first10%={float(trace[:head].mean()):.6g} "
+            f"last10%={steady_state_mean(trace):.6g}"
         )
     return files
 

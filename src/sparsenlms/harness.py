@@ -65,12 +65,14 @@ Estimation runs row-batched (:func:`run_trial_rows`).  The rows of one
 trial are the (algorithm, SNR) pairs that share its channel and data
 streams; they advance together through ``filters.update_rows``, whose
 per-row rounding does not depend on how many rows are batched, so a
-row's results equal a batch of one.  The ``n_r`` per-antenna filters
-never interact, so each Python step is one round of ``n_r`` consecutive
-iterations: one ``update_rows`` call on the antenna axis updates
-antenna ``a`` of every row with iteration ``a``'s regressor and
-observation, ``ceil(max_iterations / n_r)`` calls per trial.  Training
-data are drawn a chunk at a time as one ``(C, 2L + 2)`` block of
+row's results equal a batch of one, and a trial returns them stacked:
+one :class:`TrialResult` with a column per row in the error and
+step-size series and a leading row axis on the estimates.  The ``n_r``
+per-antenna filters never interact, so each Python step is one round of
+``n_r`` consecutive iterations: one ``update_rows`` call on the antenna
+axis updates antenna ``a`` of every row with iteration ``a``'s regressor
+and observation, ``ceil(max_iterations / n_r)`` calls per trial.
+Training data are drawn a chunk at a time as one ``(C, 2L + 2)`` block of
 normals per trial, where ``C`` is the largest multiple of ``n_r`` not
 above ``CHUNK_ITERATIONS`` (at least ``n_r``), so every chunk starts at
 antenna 0.  Row ``i`` of the block holds iteration ``i``'s real parts,
@@ -94,13 +96,13 @@ produce byte-identical outputs.
 
 Independent work runs on up to ``workers`` processes (default 1, which
 opens no pool): one ordered ``imap`` over module-level tasks on a
-``fork`` pool.  The MSE run has one task per trial, returning each
-row's error curve and ``diverged`` flag, which the parent adds in trial
-order exactly as a serial run does.  The BER sweep has one task per
-training channel, returning the channel and its frozen estimates, then
-one per (QAM order, E_s/N_0) point, running that point's block loop and
-stop rule on the stacked tables and returning its error counts and
-frame count.  Outputs are byte-identical for every worker count.
+``fork`` pool.  Both experiments map :func:`run_trial_rows` over the
+trials: the MSE run adds each trial's error block in trial order exactly
+as a serial run does and counts divergence from its last row, and the
+BER sweep keeps the channels and frozen estimates.  Each (QAM order,
+E_s/N_0) point is then one task, running its block loop and stop rule on
+the stacked tables and returning its error counts and bits sent.
+Outputs are byte-identical for every worker count.
 """
 
 from __future__ import annotations
@@ -362,23 +364,18 @@ class ExperimentConfig:
 
 @dataclass
 class TrialResult:
-    """Outputs of a single estimation run.
+    """Outputs of one trial, stacked over its ``rows`` (algorithm, SNR) pairs.
 
-    The error and step-size series have one entry per update,
-    ``max_iterations`` in all.  ``channel`` is the trial's true ``(n_r,
-    n_t * tap_length)`` matrix and ``final_estimate`` its estimate after
-    the last update.
+    ``squared_error`` and ``step_trace`` are ``(max_iterations, rows)``:
+    one entry per update and row.  ``channel`` is the trial's true
+    ``(n_r, n_t * tap_length)`` matrix and ``final_estimate`` each row's
+    estimate after the last update, ``(rows, n_r, n_t * tap_length)``.
     """
 
     squared_error: np.ndarray
     step_trace: np.ndarray
     final_estimate: np.ndarray
     channel: np.ndarray
-
-    @property
-    def diverged(self):
-        """Final error not finite or above the all-zero estimator's ``n_r``."""
-        return not self.squared_error[-1] <= self.channel.shape[0]
 
 
 @dataclass
@@ -445,9 +442,9 @@ def _observe(channel, antennas, x, noise, noise_scale):
 def run_trial_rows(config, trial_index, pairs):
     """Run one seeded trial for every ``(algorithm, snr_db)`` pair together.
 
-    Returns one :class:`TrialResult` per pair, in order.  All pairs
-    share the trial's channel, regressors and unit noise draws; only
-    the noise scale and the update rule differ per row.  Each row's
+    Returns one :class:`TrialResult` whose rows are the pairs, in order.
+    All pairs share the trial's channel, regressors and unit noise draws;
+    only the noise scale and the update rule differ per row.  Each row's
     results, error curve included, equal those of a batch of one.
     """
     if trial_index < 0:
@@ -511,17 +508,12 @@ def run_trial_rows(config, trial_index, pairs):
         squared_error[start : start + count] = totals
         round_error[0] = round_error[-1]
 
-    # A row-major copy, so each row's (n_r, L) estimate is contiguous.
-    final = weights.transpose(1, 0, 2).copy()
-    return [
-        TrialResult(
-            squared_error=squared_error[:, row],
-            step_trace=step_trace[:, row],
-            final_estimate=final[row],
-            channel=channel,
-        )
-        for row in range(rows)
-    ]
+    return TrialResult(
+        squared_error=squared_error,
+        step_trace=step_trace,
+        final_estimate=weights.transpose(1, 0, 2),
+        channel=channel,
+    )
 
 
 @contextlib.contextmanager
@@ -548,11 +540,6 @@ def _ordered_map(workers, tasks):
         pool.join()
 
 
-def _trial_errors(config, pairs, trial):
-    """Trial ``trial``'s error curve and ``diverged`` flag for each pair."""
-    return [(r.squared_error, r.diverged) for r in run_trial_rows(config, trial, pairs)]
-
-
 def run_monte_carlo_mse(config, workers=1):
     """Average identification error curves for every (algorithm, SNR) pair.
 
@@ -562,14 +549,15 @@ def run_monte_carlo_mse(config, workers=1):
     curves.
     """
     pairs = [(a, snr) for a in config.algorithms for snr in config.snr_db]
+    # One contiguous curve per row.
     totals = np.zeros((len(pairs), config.max_iterations))
     diverged = np.zeros(len(pairs), dtype=int)
-    task = functools.partial(_trial_errors, config, pairs)
+    task = functools.partial(run_trial_rows, config, pairs=pairs)
     with _ordered_map(workers, config.num_trials) as ordered_map:
-        for rows in ordered_map(task, range(config.num_trials)):
-            for row, (errors, flag) in enumerate(rows):
-                totals[row] += errors
-                diverged[row] += flag
+        for trial in ordered_map(task, range(config.num_trials)):
+            errors = trial.squared_error
+            totals += errors.T
+            diverged += ~(errors[-1] <= config.n_r)
     totals /= config.num_trials
     return [
         MseCurve(
@@ -649,25 +637,15 @@ def _simulate_frames(config, order, point_index, n0, first, count, tables):
     return bit_errors.sum(axis=(2, 3), dtype=np.int64)
 
 
-def _trained_stack(config, pairs, trial):
-    """Channel ``trial``'s true matrix followed by each pair's frozen estimate."""
-    results = run_trial_rows(config, trial, pairs)
-    return np.array([results[0].channel] + [r.final_estimate for r in results])
-
-
-def _frame_bits(config, order):
-    """Payload bits of one OFDM frame: every subcarrier of every transmitter."""
-    bits_per_symbol = qam_constellation(order).bits_per_symbol
-    return config.subcarrier_count * config.n_t * bits_per_symbol
-
-
 def _ber_point(config, tables, point):
-    """Frames of one ``(order, point_index, esn0)`` point: ``(errors, frames)``.
+    """Frames of one ``(order, point_index, esn0)`` point: ``(errors, bits)``.
 
-    ``errors`` holds one bit-error count per detector of ``tables``.
+    ``errors`` holds one bit-error count per detector of ``tables``;
+    ``bits`` counts the payload bits sent.
     """
     order, point_index, esn0 = point
-    bits_per_frame = _frame_bits(config, order)
+    bits_per_symbol = qam_constellation(order).bits_per_symbol
+    bits_per_frame = config.subcarrier_count * config.n_t * bits_per_symbol
     # Frames at which bits_sent first reaches ber_min_bits; no block runs
     # past it, so a point bound by ber_min_bits wastes no frame.
     frames_min = max(1, -(-config.ber_min_bits // bits_per_frame))
@@ -691,7 +669,7 @@ def _ber_point(config, tables, point):
         frames += used
         if met.any():
             break
-    return errors, frames
+    return errors, frames * bits_per_frame
 
 
 def run_ber_sweep(config, workers=1):
@@ -718,10 +696,11 @@ def run_ber_sweep(config, workers=1):
     # One pool serves both phases.
     most = max(config.ber_num_channels, len(points))
     with _ordered_map(workers, most) as ordered_map:
-        task = functools.partial(_trained_stack, config, pairs)
-        cirs = list(ordered_map(task, range(config.ber_num_channels)))
+        task = functools.partial(run_trial_rows, config, pairs=pairs)
+        trials = ordered_map(task, range(config.ber_num_channels))
+        cirs = np.array([[trial.channel, *trial.final_estimate] for trial in trials])
         # Shaped (channel, detector, k, n_r, n_t), detectors in output order.
-        responses = _frequency_responses(np.array(cirs), n_t, n_r, config.tap_length, k)
+        responses = _frequency_responses(cirs, n_t, n_r, config.tap_length, k)
         pinvs, failed = _zero_forcing_tables(responses)
         # Subcarriers last, so the einsums' inner loops run along them.
         tables = (
@@ -734,10 +713,10 @@ def run_ber_sweep(config, workers=1):
     per_order = len(config.esn0_range_db)
     curves = []
     for index, order in enumerate(config.qam_orders):
-        point_errors, point_frames = zip(
+        point_errors, point_bits = zip(
             *outcomes[index * per_order : (index + 1) * per_order]
         )
-        bits_total = np.array(point_frames, dtype=np.int64) * _frame_bits(config, order)
+        bits_total = np.array(point_bits, dtype=np.int64)
         for bit_errors, detector in zip(np.array(point_errors).T, detectors):
             curves.append(
                 BerCurve(

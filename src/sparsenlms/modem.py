@@ -18,6 +18,7 @@ deterministic.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,37 +43,33 @@ class QamConstellation:
     level_codes: np.ndarray     # Gray codeword of each amplitude level
 
 
+@functools.cache
 def qam_constellation(order):
-    """Build (and cache) the constellation tables for ``order``."""
+    """Build the constellation tables for ``order`` (cached per order)."""
     if order not in QAM_ORDERS:
         raise ValueError(f"order must be one of {QAM_ORDERS}, got {order}")
-    if order not in _CONSTELLATIONS:
-        bits_per_symbol = int(np.log2(order))
-        bits_per_axis = bits_per_symbol // 2
-        m = 1 << bits_per_axis
-        # Unit mean symbol energy: the unnormalized square lattice with
-        # levels +-1, +-3, ... has mean energy 2 (order - 1) / 3.
-        scale = 1.0 / np.sqrt(2.0 * (order - 1) / 3.0)
-        level_codes = np.array([_gray_encode(i) for i in range(m)], dtype=np.uint8)
-        code_levels = np.argsort(level_codes).astype(np.int64)
-        amplitudes = (2 * np.arange(m) - (m - 1)) * scale
-        codes = np.arange(order)
-        i_levels = code_levels[codes >> bits_per_axis]
-        q_levels = code_levels[codes & (m - 1)]
-        points = amplitudes[i_levels] + 1j * amplitudes[q_levels]
-        _CONSTELLATIONS[order] = QamConstellation(
-            bits_per_symbol=bits_per_symbol,
-            bits_per_axis=bits_per_axis,
-            levels_per_axis=m,
-            scale=scale,
-            amplitudes=amplitudes,
-            points=points,
-            level_codes=level_codes,
-        )
-    return _CONSTELLATIONS[order]
-
-
-_CONSTELLATIONS: dict[int, QamConstellation] = {}
+    bits_per_symbol = int(np.log2(order))
+    bits_per_axis = bits_per_symbol // 2
+    m = 1 << bits_per_axis
+    # Unit mean symbol energy: the unnormalized square lattice with
+    # levels +-1, +-3, ... has mean energy 2 (order - 1) / 3.
+    scale = 1.0 / np.sqrt(2.0 * (order - 1) / 3.0)
+    level_codes = np.array([_gray_encode(i) for i in range(m)], dtype=np.uint8)
+    code_levels = np.argsort(level_codes).astype(np.int64)
+    amplitudes = (2 * np.arange(m) - (m - 1)) * scale
+    codes = np.arange(order)
+    i_levels = code_levels[codes >> bits_per_axis]
+    q_levels = code_levels[codes & (m - 1)]
+    points = amplitudes[i_levels] + 1j * amplitudes[q_levels]
+    return QamConstellation(
+        bits_per_symbol=bits_per_symbol,
+        bits_per_axis=bits_per_axis,
+        levels_per_axis=m,
+        scale=scale,
+        amplitudes=amplitudes,
+        points=points,
+        level_codes=level_codes,
+    )
 
 
 def qam_modulate(codes, order):

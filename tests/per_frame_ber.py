@@ -64,21 +64,19 @@ def per_frame_ber_sweep(config):
     true_responses = []
     zf_tables = []
     for trial in range(config.ber_num_channels):
-        results = run_trial_rows(
+        result = run_trial_rows(
             config,
             trial,
             [(a, config.ber_training_snr_db) for a in config.algorithms],
         )
         true_response = _frequency_responses(
-            results[0].channel, n_t, n_r, config.tap_length, k
+            result.channel, n_t, n_r, config.tap_length, k
         )
         tables = [_zero_forcing_tables(true_response)] + [
             _zero_forcing_tables(
-                _frequency_responses(
-                    result.final_estimate, n_t, n_r, config.tap_length, k
-                )
+                _frequency_responses(estimate, n_t, n_r, config.tap_length, k)
             )
-            for result in results
+            for estimate in result.final_estimate
         ]
         true_responses.append(true_response)
         pinvs, failed = zip(*tables)

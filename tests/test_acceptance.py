@@ -60,8 +60,8 @@ def desk_scale_tail_means(sparsity, algorithms):
     for algorithm in algorithms:
         tails = np.empty(DESK_TRIALS)
         for trial in range(DESK_TRIALS):
-            result = run_trial_rows(config, trial, [(algorithm, 10.0)])[0]
-            tails[trial] = tail_mean(result.squared_error)
+            result = run_trial_rows(config, trial, [(algorithm, 10.0)])
+            tails[trial] = tail_mean(result.squared_error[:, 0])
         out[algorithm] = tails
     return out
 
@@ -147,7 +147,7 @@ def test_criterion_02_step_size_law():
     low, high = np.inf, -np.inf
     for algorithm in config.algorithms:
         for trial in range(config.num_trials):
-            trace = run_trial_rows(config, trial, [(algorithm, 10.0)])[0].step_trace
+            trace = run_trial_rows(config, trial, [(algorithm, 10.0)]).step_trace
             low = min(low, float(trace.min()))
             high = max(high, float(trace.max()))
     bounds_ok = 0.0 <= low and high < 2.0
@@ -181,8 +181,8 @@ def test_criterion_03_reduction_identities():
             rng_seed=12345,
         )
         for trial in range(2):
-            a = run_trial_rows(config_off, trial, [(penalized, 10.0)])[0]
-            b = run_trial_rows(config_off, trial, [(plain, 10.0)])[0]
+            a = run_trial_rows(config_off, trial, [(penalized, 10.0)])
+            b = run_trial_rows(config_off, trial, [(plain, 10.0)])
             identical = (
                 identical
                 and np.array_equal(a.final_estimate, b.final_estimate)
@@ -210,7 +210,7 @@ def test_criterion_04_noiseless_convergence():
         rng_seed=12345,
     )
     finals = [
-        run_trial_rows(config, trial, [("iss_nlms", float("inf"))])[0].squared_error[-1]
+        run_trial_rows(config, trial, [("iss_nlms", float("inf"))]).squared_error[-1, 0]
         for trial in range(3)
     ]
     mse = float(np.mean(finals))
@@ -258,7 +258,7 @@ def test_criterion_07_step_size_trace_decreases():
         num_trials=1,
         rng_seed=12345,
     )
-    trace = run_trial_rows(config, 0, [("vss_nlms", 10.0)])[0].step_trace
+    trace = run_trial_rows(config, 0, [("vss_nlms", 10.0)]).step_trace[:, 0]
     head = float(trace[: trace.size // 10].mean())
     tail = tail_mean(trace)
     report(
@@ -326,7 +326,7 @@ def test_criterion_09_metric_sanity():
     )
     zero_values = []
     for trial in range(5):
-        chan = run_trial_rows(config, trial, [("iss_nlms", 10.0)])[0].channel
+        chan = run_trial_rows(config, trial, [("iss_nlms", 10.0)]).channel
         zero_values.append(channel_error(chan, np.zeros_like(chan)))
         perfect = channel_error(chan, chan.copy())
         assert perfect == 0.0

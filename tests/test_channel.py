@@ -71,7 +71,7 @@ def test_support_positions_are_uniform():
     assert statistic < 30.578
 
 
-def test_apply_channel_dead_channel():
+def test_observe_dead_channel():
     x, noise = training_chunk(np.random.default_rng(1), 3, 1, 8)
     y = _observe(np.zeros((2, 8), complex), np.array([0, 1, 0]), x, noise,
                  np.array([0.0]))
@@ -79,7 +79,7 @@ def test_apply_channel_dead_channel():
     assert np.all(y == 0)
 
 
-def test_apply_channel_selector():
+def test_observe_selector():
     h = np.zeros((1, 8), dtype=complex)
     h[0, 5] = 1.0
     x = (np.arange(8) + 1j * np.arange(8)).astype(complex)[None, :]

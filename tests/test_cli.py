@@ -199,6 +199,45 @@ def test_invalid_config_is_rejected_before_running(argv, tmp_path, capsys, monke
 
 
 @pytest.mark.parametrize(
+    "argv, name, field",
+    [
+        # File names print the SNR with {:g}: 10.000001 becomes 10.
+        (
+            ["mse-convergence", "--trials", "1", "--override", "max_iterations=50",
+             "--override", "snr_db=[10, 10.000001]"],
+            "mse-convergence_iss_nlms_T1_SNR10.csv",
+            "snr_db",
+        ),
+        (
+            ["ber-sweep", "--override", "qam_orders=[16,16]",
+             "--override", "ber_num_channels=1", "--override", "max_iterations=50",
+             "--override", "esn0_range_db=[20]", "--override", "ber_max_frames=2"],
+            "ber-sweep_true_channel_T1_SNR10_QAM16.csv",
+            "qam_orders",
+        ),
+        (
+            ["trace-stepsize", "--override", "max_iterations=50",
+             "--override", 'algorithms=["vss_nlms","vss_nlms"]'],
+            "trace-stepsize_vss_nlms_T1_SNR10.csv",
+            "algorithms",
+        ),
+    ],
+    ids=["mse-snr", "ber-order", "trace-algorithm"],
+)
+def test_curves_sharing_a_file_are_rejected(argv, name, field, tmp_path, capsys):
+    # Otherwise the later curve would silently overwrite the earlier one.
+    code = run_cli(*argv, "--out", str(tmp_path / "out"))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert name in captured.err
+    assert f"{field} [" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
     "argv, key",
     [
         (["--override", 'c_by_snr={"10": 1e-5, "10": 2e-5}'], "'10'"),
@@ -258,17 +297,17 @@ def test_single_run_and_trace_match_batch_of_one(tmp_path, capsys):
     capsys.readouterr()
     for algorithm in config.algorithms:
         for snr in config.snr_db:
-            alone = run_trial_rows(config, 0, [(algorithm, snr)])[0]
+            alone = run_trial_rows(config, 0, [(algorithm, snr)])
             suffix = f"_{algorithm}_T1_SNR{snr:g}.csv"
             expected = tmp_path / "expected.csv"
+            # The file does not record the divergence count.
             write_mse_csv(expected, MseCurve(
-                values=alone.squared_error, algorithm=algorithm, snr_db=snr,
-                sparsity=config.sparsity, num_trials=1,
-                rng_seed=config.rng_seed, diverged=int(alone.diverged),
+                values=alone.squared_error[:, 0], algorithm=algorithm, snr_db=snr,
+                sparsity=config.sparsity, num_trials=1, rng_seed=config.rng_seed,
             ))
             actual = tmp_path / "single-run" / f"single-run{suffix}"
             assert actual.read_bytes() == expected.read_bytes()
-            write_stepsize_csv(expected, alone.step_trace, algorithm, snr,
+            write_stepsize_csv(expected, alone.step_trace[:, 0], algorithm, snr,
                                config.sparsity, config.rng_seed)
             actual = tmp_path / "trace-stepsize" / f"trace-stepsize{suffix}"
             assert actual.read_bytes() == expected.read_bytes()

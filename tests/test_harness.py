@@ -84,7 +84,7 @@ def updated_antenna(n, **kwargs):
         if count == 0:
             return 0.0
         config = small_config(max_iterations=count, **kwargs)
-        return run_trial_rows(config, 0, [(filters.VSS_NLMS, 10.0)])[0].final_estimate
+        return run_trial_rows(config, 0, [(filters.VSS_NLMS, 10.0)]).final_estimate[0]
 
     changed = np.flatnonzero(np.any(estimate(n) != estimate(n - 1), axis=1))
     assert changed.size == 1
@@ -115,7 +115,7 @@ def test_round_robin_is_fair():
     assert [updated_antenna(n, n_r=3) for n in (99, 100, 101, 199)] == [2, 0, 1, 0]
     # Three updates touch the first three antennas and leave the fourth.
     config = small_config(max_iterations=3)
-    estimate = run_trial_rows(config, 0, [(filters.VSS_NLMS, 10.0)])[0].final_estimate
+    estimate = run_trial_rows(config, 0, [(filters.VSS_NLMS, 10.0)]).final_estimate[0]
     assert [bool(np.any(row)) for row in estimate] == [True, True, True, False]
 
 
@@ -135,7 +135,7 @@ def test_metric_rejects_shape_mismatch():
 
 def test_metric_of_zero_estimator_equals_receive_antenna_count():
     config = small_config()
-    result = run_trial_rows(config, 0, [(filters.VSS_NLMS, 10.0)])[0]
+    result = run_trial_rows(config, 0, [(filters.VSS_NLMS, 10.0)])
     zero = np.zeros_like(result.channel)
     assert channel_error(result.channel, zero) == 4.0
 
@@ -152,8 +152,8 @@ def test_steady_state_mean():
 
 def test_trial_is_deterministic():
     config = small_config()
-    a = run_trial_rows(config, 1, [(filters.VSS_NLMS, 10.0)])[0]
-    b = run_trial_rows(config, 1, [(filters.VSS_NLMS, 10.0)])[0]
+    a = run_trial_rows(config, 1, [(filters.VSS_NLMS, 10.0)])
+    b = run_trial_rows(config, 1, [(filters.VSS_NLMS, 10.0)])
     assert np.array_equal(a.squared_error, b.squared_error)
     assert np.array_equal(a.final_estimate, b.final_estimate)
     assert np.array_equal(a.step_trace, b.step_trace)
@@ -161,16 +161,16 @@ def test_trial_is_deterministic():
 
 def test_trial_data_is_algorithm_and_snr_independent():
     config = small_config(snr_db=[10.0, 20.0], algorithms=list(filters.VARIANTS))
-    base = run_trial_rows(config, 0, [("iss_nlms", 10.0)])[0]
-    other = run_trial_rows(config, 0, [("vss_rza_nlms", 20.0)])[0]
+    base = run_trial_rows(config, 0, [("iss_nlms", 10.0)])
+    other = run_trial_rows(config, 0, [("vss_rza_nlms", 20.0)])
     assert np.array_equal(base.channel, other.channel)
 
 
 def test_all_variants_run_to_completion():
     config = small_config(algorithms=list(filters.VARIANTS))
     for variant in filters.VARIANTS:
-        result = run_trial_rows(config, 0, [(variant, 10.0)])[0]
-        assert result.squared_error.shape == (config.max_iterations,)
+        result = run_trial_rows(config, 0, [(variant, 10.0)])
+        assert result.squared_error.shape == (config.max_iterations, 1)
         assert np.all(result.squared_error >= 0.0)
         assert np.all(np.isfinite(result.squared_error))
 
@@ -183,8 +183,8 @@ def test_trial_rejects_negative_index():
 def test_monte_carlo_single_trial_degenerates_to_the_trial():
     config = small_config(num_trials=1)
     curve = run_monte_carlo_mse(config)[0]
-    trial = run_trial_rows(config, 0, [(filters.VSS_NLMS, 10.0)])[0]
-    assert np.array_equal(curve.values, trial.squared_error)
+    trial = run_trial_rows(config, 0, [(filters.VSS_NLMS, 10.0)])
+    assert np.array_equal(curve.values, trial.squared_error[:, 0])
     assert curve.algorithm == filters.VSS_NLMS
     assert curve.snr_db == 10.0
 
@@ -203,20 +203,6 @@ def test_monte_carlo_emits_one_curve_per_pair():
 
 
 # -- row-batched kernel -------------------------------------------------------
-
-
-def test_kernel_matches_per_sample_reference():
-    # The chunked draws reproduce the per-iteration stream bit for bit,
-    # so estimates and step sizes are equal; the incremental metric
-    # only sums in another order.
-    config = small_config(snr_db=[10.0, float("inf")], max_iterations=300)
-    for variant in filters.VARIANTS:
-        for snr in config.snr_db:
-            result = run_trial_rows(config, 1, [(variant, snr)])[0]
-            errors, steps, estimate = per_sample_trial(config, 1, variant, snr)
-            assert np.array_equal(result.final_estimate, estimate)
-            assert np.array_equal(result.step_trace, steps)
-            np.testing.assert_allclose(result.squared_error, errors, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize(
@@ -243,47 +229,49 @@ def test_batch_rows_equal_batch_of_one(n_r, algorithms):
     )
     pairs = [(a, snr) for a in config.algorithms for snr in config.snr_db]
     batch = run_trial_rows(config, 0, pairs)
-    for (algorithm, snr), row in zip(pairs, batch):
-        alone = run_trial_rows(config, 0, [(algorithm, snr)])[0]
-        assert np.array_equal(row.squared_error, alone.squared_error)
-        assert np.array_equal(row.step_trace, alone.step_trace)
-        assert np.array_equal(row.final_estimate, alone.final_estimate)
+    for row, (algorithm, snr) in enumerate(pairs):
+        alone = run_trial_rows(config, 0, [(algorithm, snr)])
+        assert np.array_equal(batch.squared_error[:, row], alone.squared_error[:, 0])
+        assert np.array_equal(batch.step_trace[:, row], alone.step_trace[:, 0])
+        assert np.array_equal(batch.final_estimate[row], alone.final_estimate[0])
 
 
 @pytest.mark.parametrize(
-    "n_r, max_iterations, shape",
+    "n_r, max_iterations, trial, shape",
     [
-        (4, 1001, {}),
-        (9, 703, {}),
-        (3, 1001, {}),
-        (1, 333, {}),
-        (128, 300, {"n_t": 1, "tap_length": 2}),
+        (4, 1001, 0, {}),
+        (9, 703, 0, {}),
+        (3, 1001, 0, {}),
+        (1, 333, 0, {}),
+        (128, 300, 0, {"n_t": 1, "tap_length": 2}),
+        (4, 300, 1, {"snr_db": [10.0, float("inf")]}),
     ],
-    ids=["n_r4", "n_r9", "n_r3", "n_r1", "n_r128"],
+    ids=["n_r4", "n_r9", "n_r3", "n_r1", "n_r128", "noiseless"],
 )
-def test_round_kernel_matches_per_sample_reference(n_r, max_iterations, shape):
-    # A round updates every antenna at once, each with its own
-    # iteration's data.  Partial final rounds (1001 = 4 * 250 + 1 and
-    # 703 = 9 * 78 + 1) and chunks that are not 100 iterations long (99
-    # at n_r = 9 and 3, 128 at n_r = 128) must leave the per-iteration
-    # results unchanged.
+def test_round_kernel_matches_per_sample_reference(n_r, max_iterations, trial, shape):
+    # The chunked draws reproduce the per-iteration stream bit for bit,
+    # so estimates and step sizes are equal; the incremental metric
+    # only sums in another order.  A round updates every antenna at
+    # once, each with its own iteration's data.  Partial final rounds
+    # (1001 = 4 * 250 + 1 and 703 = 9 * 78 + 1) and chunks that are not
+    # 100 iterations long (99 at n_r = 9 and 3, 128 at n_r = 128) must
+    # leave the per-iteration results unchanged, and so must a noiseless
+    # (+inf dB) row.
     config = small_config(
         n_r=n_r,
-        snr_db=[10.0, 20.0],
         algorithms=list(filters.VARIANTS),
         max_iterations=max_iterations,
-        **shape,
+        **{"snr_db": [10.0, 20.0], **shape},
     )
-    for trial in (0, 1, 2) if n_r == 4 else (0,):
-        for variant in filters.VARIANTS:
-            for snr in config.snr_db:
-                result = run_trial_rows(config, trial, [(variant, snr)])[0]
-                errors, steps, estimate = per_sample_trial(config, trial, variant, snr)
-                assert np.array_equal(result.final_estimate, estimate)
-                assert np.array_equal(result.step_trace, steps)
-                np.testing.assert_allclose(
-                    result.squared_error, errors, rtol=1e-12, atol=0
-                )
+    for variant in filters.VARIANTS:
+        for snr in config.snr_db:
+            result = run_trial_rows(config, trial, [(variant, snr)])
+            errors, steps, estimate = per_sample_trial(config, trial, variant, snr)
+            assert np.array_equal(result.final_estimate[0], estimate)
+            assert np.array_equal(result.step_trace[:, 0], steps)
+            np.testing.assert_allclose(
+                result.squared_error[:, 0], errors, rtol=1e-12, atol=0
+            )
 
 
 @pytest.mark.parametrize("n_r, max_iterations", [(4, 1001), (9, 703)])
@@ -307,11 +295,10 @@ def test_incremental_metric_matches_channel_error():
         snr_db=[10.0, 20.0], algorithms=list(filters.VARIANTS), max_iterations=777
     )
     pairs = [(a, snr) for a in config.algorithms for snr in config.snr_db]
-    for row in run_trial_rows(config, 3, pairs):
+    trial = run_trial_rows(config, 3, pairs)
+    for final_error, estimate in zip(trial.squared_error[-1], trial.final_estimate):
         np.testing.assert_allclose(
-            row.squared_error[-1],
-            channel_error(row.channel, row.final_estimate),
-            rtol=1e-12,
+            final_error, channel_error(trial.channel, estimate), rtol=1e-12
         )
 
 
@@ -327,21 +314,24 @@ def test_divergence_is_counted():
     assert run_monte_carlo_mse(small_config())[0].diverged == 0
 
 
+def rows_failing_at_trial_1(config, trial_index, pairs):
+    """``run_trial_rows`` that raises for trial 1.
+
+    The pool maps it by reference, so it lives at module level.
+    """
+    if trial_index == 1:
+        raise RuntimeError("trial 1 failed")
+    return run_trial_rows(config, trial_index, pairs)
+
+
 def test_pool_is_joined_when_a_task_raises(monkeypatch):
     # Workers are forked after the patch, so a later trial and every BER
     # point raise inside them; the error reaches the caller and no worker
     # outlives the call.
-    run_rows = run_trial_rows
-
-    def failing_rows(config, trial_index, pairs):
-        if trial_index == 1:
-            raise RuntimeError("trial 1 failed")
-        return run_rows(config, trial_index, pairs)
-
     def failing_frames(*args):
         raise RuntimeError("frames failed")
 
-    monkeypatch.setattr(harness, "run_trial_rows", failing_rows)
+    monkeypatch.setattr(harness, "run_trial_rows", rows_failing_at_trial_1)
     with pytest.raises(RuntimeError, match="trial 1 failed"):
         run_monte_carlo_mse(small_config(num_trials=4), workers=2)
     assert multiprocessing.active_children() == []
@@ -392,7 +382,7 @@ def test_iss_nlms_learning_curve_matches_exact_recursion():
     curves = run_monte_carlo_mse(config, workers=2)
     pairs = [("iss_nlms", snr) for snr in config.snr_db]
     trials = np.array([
-        [row.squared_error for row in run_trial_rows(config, trial, pairs)]
+        run_trial_rows(config, trial, pairs).squared_error.T
         for trial in range(config.num_trials)
     ])
     mu, length, n_r = config.mu, config.filter_length(), config.n_r
