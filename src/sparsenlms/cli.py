@@ -11,14 +11,15 @@ The effective configuration is built in three layers: built-in
 defaults, then an optional JSON config file (``--config``), then
 ``--override key=value`` pairs in command-line order.  The dedicated
 ``--seed`` and ``--trials`` flags are applied last.  Unknown keys are
-rejected by name.  Every run writes its artifacts plus a
+rejected by name.  Every run writes one CSV per curve, all through
+:func:`_write_csv` with a header line built from the config, plus a
 ``manifest.json`` recording the effective configuration, the seed and
 a sha256 checksum per artifact; rerunning the same invocation
 reproduces every file byte for byte.
 
 Multi-trial MSE runs and BER sweeps use one process per CPU in this
 process's affinity mask (``taskset -c 0`` makes a run serial); the
-outputs do not depend on the count.
+output files, stdout and stderr do not depend on the count.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ import os
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from .harness import (
     TRUE_CHANNEL,
     ExperimentConfig,
@@ -38,9 +41,6 @@ from .harness import (
     run_monte_carlo_mse,
     run_trial_rows,
     steady_state_mean,
-    write_ber_csv,
-    write_mse_csv,
-    write_stepsize_csv,
 )
 
 SUBCOMMANDS = ("mse-convergence", "ber-sweep", "single-run", "trace-stepsize")
@@ -165,13 +165,43 @@ def _reject_shared_files(subcommand, config):
         )
 
 
+# Rows formatted per write: whole 100k-row curves would hold every row
+# string in memory at once.
+_ROWS_PER_WRITE = 1024
+
+
+def _write_csv(path, comment, columns):
+    """Write ``# comment``, the column names, then one row of ``repr`` values per index.
+
+    ``columns`` maps each name to a 1-D array.  The repr of an int or a
+    float never needs csv quoting, so the rows equal those of
+    ``csv.writer`` with ``lineterminator="\\n"``.
+    """
+    with open(path, "w", newline="") as handle:
+        handle.write(f"# {comment}\n" + ",".join(columns) + "\n")
+        arrays = list(columns.values())
+        for start in range(0, len(arrays[0]), _ROWS_PER_WRITE):
+            stop = start + _ROWS_PER_WRITE
+            texts = [map(repr, array[start:stop].tolist()) for array in arrays]
+            handle.write("\n".join(map(",".join, zip(*texts))) + "\n")
+
+
 def _run_mse_convergence(config, out_dir, workers, subcommand="mse-convergence"):
     files = []
     for curve in run_monte_carlo_mse(config, workers):
         name = _artifact_name(subcommand, curve.algorithm, config, curve.snr_db)
-        write_mse_csv(os.path.join(out_dir, name), curve)
+        with np.errstate(divide="ignore"):
+            db = 10.0 * np.log10(curve.values)
+        _write_csv(
+            os.path.join(out_dir, name),
+            f"mse-curve algorithm={curve.algorithm} snr_db={curve.snr_db:g} "
+            f"sparsity={config.sparsity} num_trials={config.num_trials} "
+            f"rng_seed={config.rng_seed}",
+            {"iteration": np.arange(1, db.size + 1),
+             "mse_linear": curve.values, "mse_db": db},
+        )
         files.append(name)
-        _summarize_mse(subcommand, curve)
+        _summarize_mse(subcommand, curve, config.num_trials)
     return files
 
 
@@ -189,8 +219,12 @@ def _run_trace_stepsize(config, out_dir, workers):
     files = []
     for (algorithm, snr), trace in zip(pairs, traces):
         name = _artifact_name("trace-stepsize", algorithm, config, snr)
-        path = os.path.join(out_dir, name)
-        write_stepsize_csv(path, trace, algorithm, snr, config.sparsity, config.rng_seed)
+        _write_csv(
+            os.path.join(out_dir, name),
+            f"stepsize-trace algorithm={algorithm} snr_db={snr:g} "
+            f"sparsity={config.sparsity} rng_seed={config.rng_seed}",
+            {"iteration": np.arange(1, trace.size + 1), "step_size": trace},
+        )
         files.append(name)
         head = max(1, trace.size // 10)
         print(
@@ -203,15 +237,17 @@ def _run_trace_stepsize(config, out_dir, workers):
 
 def _run_ber_sweep(config, out_dir, workers):
     files = []
+    snr = config.ber_training_snr_db
     for curve in run_ber_sweep(config, workers):
-        name = _artifact_name(
-            "ber-sweep",
-            curve.algorithm,
-            config,
-            curve.training_snr_db,
-            qam_order=curve.qam_order,
+        name = _artifact_name("ber-sweep", curve.algorithm, config, snr, curve.qam_order)
+        _write_csv(
+            os.path.join(out_dir, name),
+            f"ber-curve algorithm={curve.algorithm} qam_order={curve.qam_order} "
+            f"training_snr_db={snr:g} sparsity={config.sparsity} "
+            f"rng_seed={config.rng_seed}",
+            {"esn0_db": curve.esn0_db, "ber": curve.ber,
+             "bit_errors": curve.bit_errors, "bits_total": curve.bits_total},
         )
-        write_ber_csv(os.path.join(out_dir, name), curve)
         files.append(name)
         points = " ".join(
             f"{esn0:g}dB:{ber:.3e}" for esn0, ber in zip(curve.esn0_db, curve.ber)
@@ -222,7 +258,7 @@ def _run_ber_sweep(config, out_dir, workers):
     return files
 
 
-def _summarize_mse(subcommand, curve):
+def _summarize_mse(subcommand, curve, num_trials):
     # Final-1% window mean, the quick convergence-quality readout.
     tail = steady_state_mean(curve.values, fraction=0.01)
     if tail == 0.0:
@@ -234,12 +270,12 @@ def _summarize_mse(subcommand, curve):
     print(
         f"{subcommand} algorithm={curve.algorithm} snr_db={curve.snr_db:g} "
         f"final-1% MSE={tail:.6e} ({db:.2f} dB) "
-        f"diverged={curve.diverged}/{curve.num_trials}"
+        f"diverged={curve.diverged}/{num_trials}"
     )
     if curve.diverged:
         print(
             f"warning: {subcommand} algorithm={curve.algorithm} "
-            f"snr_db={curve.snr_db:g}: {curve.diverged}/{curve.num_trials} "
+            f"snr_db={curve.snr_db:g}: {curve.diverged}/{num_trials} "
             "trials diverged (final squared error not finite or above n_r, "
             "the all-zero estimator's) and are averaged into the curve",
             file=sys.stderr,

@@ -25,7 +25,8 @@ The bit-error-rate sweep trains each algorithm at a fixed SNR, freezes
 the estimates, and transmits Gray-coded QAM over cyclic-prefixed OFDM
 frames of ``K`` subcarriers through the true channel, detecting per
 subcarrier by zero forcing with either the frozen estimates or the true
-channel ("genie" baseline, reported as algorithm ``true_channel``).
+channel ("genie" baseline, reported as algorithm ``true_channel``).  A
+diverged (non-finite) estimate is erased on every subcarrier.
 All detectors see identical frames, bits and noise, so BER differences
 reflect only channel-estimate quality.
 
@@ -92,7 +93,9 @@ diverged.
 Reproducibility: every random stream is derived from ``rng_seed``
 together with the trial (or frame) index through seed sequences, and
 aggregation always runs in fixed trial order, so equal configurations
-produce byte-identical outputs.
+produce byte-identical outputs.  The harness does no I/O: it returns
+curves that carry no copy of the config, and :mod:`sparsenlms.cli`
+writes them.
 
 Independent work runs on up to ``workers`` processes (default 1, which
 opens no pool): one ordered ``imap`` over module-level tasks on a
@@ -233,6 +236,8 @@ class ExperimentConfig:
             values = getattr(self, name)
             if not isinstance(values, (list, tuple)):
                 values = [values]
+            if not values:
+                raise ValueError(f"{name} must not be empty")
             if not all(valid(v) for v in values):
                 raise ValueError(f"{name} must hold {noun}, got {values!r}")
             setattr(self, name, [kind(v) for v in values])
@@ -265,10 +270,6 @@ class ExperimentConfig:
             raise ValueError("tap_length must be at least 1")
         if not 1 <= self.sparsity <= self.tap_length:
             raise ValueError("sparsity must lie in [1, tap_length]")
-        if not self.snr_db:
-            raise ValueError("snr_db must not be empty")
-        if not self.algorithms:
-            raise ValueError("algorithms must not be empty")
         for name in self.algorithms:
             if name not in filters.VARIANTS:
                 raise ValueError(
@@ -285,13 +286,9 @@ class ExperimentConfig:
             raise ValueError("num_trials must be at least 1")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be nonnegative")
-        if not self.qam_orders:
-            raise ValueError("qam_orders must not be empty")
         for order in self.qam_orders:
             if order not in QAM_ORDERS:
                 raise ValueError(f"qam order must be one of {QAM_ORDERS}, got {order}")
-        if not self.esn0_range_db:
-            raise ValueError("esn0_range_db must not be empty")
         if self.ber_num_channels < 1:
             raise ValueError("ber_num_channels must be at least 1")
         if self.ber_min_errors < 0 or self.ber_min_bits < 0:
@@ -389,9 +386,6 @@ class MseCurve:
     values: np.ndarray
     algorithm: str
     snr_db: float
-    sparsity: int
-    num_trials: int
-    rng_seed: int
     diverged: int = 0
 
 
@@ -405,9 +399,6 @@ class BerCurve:
     bits_total: np.ndarray
     algorithm: str
     qam_order: int
-    training_snr_db: float
-    sparsity: int
-    rng_seed: int
 
 
 # -- metrics -------------------------------------------------------------------
@@ -478,35 +469,38 @@ def run_trial_rows(config, trial_index, pairs):
     round_of = np.arange(chunk) // n_r
     updated = (np.arange(n_r) <= antennas[:, None])[:, :, None]
 
-    for start in range(0, total, chunk):
-        count = min(chunk, total - start)
-        x, noise = training_chunk(rng_data, count, config.n_t, config.tap_length)
-        y = _observe(channel, antennas[:count], x, noise, noise_scale)
-        energy = filters.row_energy(x)[:, None]
-        x = x[:, None, :]
-        x_conj = x.conj()
-        for r, i in enumerate(range(0, count, n_r)):
-            # One round: antenna a takes iteration start + i + a.
-            m = min(n_r, count - i)
-            w = weights[:m]
-            _, step_trace[start + i : start + i + m] = filters.update_rows(
-                w, grad_avg[:m], x[i : i + m], x_conj[i : i + m],
-                energy[i : i + m], y[i : i + m], params,
+    # A diverging row overflows to NaN, which the CLI reports; numpy's
+    # warnings, printed once per process, would repeat per pool worker.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, total, chunk):
+            count = min(chunk, total - start)
+            x, noise = training_chunk(rng_data, count, config.n_t, config.tap_length)
+            y = _observe(channel, antennas[:count], x, noise, noise_scale)
+            energy = filters.row_energy(x)[:, None]
+            x = x[:, None, :]
+            x_conj = x.conj()
+            for r, i in enumerate(range(0, count, n_r)):
+                # One round: antenna a takes iteration start + i + a.
+                m = min(n_r, count - i)
+                w = weights[:m]
+                _, step_trace[start + i : start + i + m] = filters.update_rows(
+                    w, grad_avg[:m], x[i : i + m], x_conj[i : i + m],
+                    energy[i : i + m], y[i : i + m], params,
+                )
+                # A partial final round leaves the later antennas' entries
+                # unset; no iteration of that round reads them.
+                round_error[r + 1, :m] = filters.row_energy(entries[:m] - w)
+            rounds = round_of[:count]
+            history = np.where(
+                updated[:count], round_error[rounds + 1], round_error[rounds]
             )
-            # A partial final round leaves the later antennas' entries
-            # unset; no iteration of that round reads them.
-            round_error[r + 1, :m] = filters.row_energy(entries[:m] - w)
-        rounds = round_of[:count]
-        history = np.where(
-            updated[:count], round_error[rounds + 1], round_error[rounds]
-        )
-        # Antenna by antenna, so the rounding is the same for any B: one
-        # sum call would add 8 or more antennas pairwise when B = 1.
-        totals = history[:, 0]
-        for antenna in range(1, n_r):
-            totals = totals + history[:, antenna]
-        squared_error[start : start + count] = totals
-        round_error[0] = round_error[-1]
+            # Antenna by antenna, so the rounding is the same for any B: one
+            # sum call would add 8 or more antennas pairwise when B = 1.
+            totals = history[:, 0]
+            for antenna in range(1, n_r):
+                totals = totals + history[:, antenna]
+            squared_error[start : start + count] = totals
+            round_error[0] = round_error[-1]
 
     return TrialResult(
         squared_error=squared_error,
@@ -564,9 +558,6 @@ def run_monte_carlo_mse(config, workers=1):
             values=totals[row],
             algorithm=algorithm,
             snr_db=snr,
-            sparsity=config.sparsity,
-            num_trials=config.num_trials,
-            rng_seed=config.rng_seed,
             diverged=int(diverged[row]),
         )
         for row, (algorithm, snr) in enumerate(pairs)
@@ -593,6 +584,10 @@ def _zero_forcing_tables(freq_resp):
     ``freq_resp`` is a stack of matrices, ``(..., n_r, n_t)``; the mask
     has the stack's leading shape.
     """
+    # The SVD of a diverged (non-finite) estimate would not converge; as
+    # zeros it is rank deficient, so all its bits count as errors.
+    finite = np.isfinite(freq_resp).all(axis=(-2, -1))
+    freq_resp = np.where(finite[..., None, None], freq_resp, 0.0)
     singular = np.linalg.svd(freq_resp, compute_uv=False)
     failed = singular[..., -1] <= singular[..., 0] * 1e-12
     return np.linalg.pinv(freq_resp), failed
@@ -726,74 +721,6 @@ def run_ber_sweep(config, workers=1):
                     bits_total=bits_total,
                     algorithm=detector,
                     qam_order=int(order),
-                    training_snr_db=config.ber_training_snr_db,
-                    sparsity=config.sparsity,
-                    rng_seed=config.rng_seed,
                 )
             )
     return curves
-
-
-# -- CSV output ---------------------------------------------------------------
-
-
-# Rows formatted per write: whole 100k-row curves would hold every row
-# string in memory at once.
-_ROWS_PER_WRITE = 1024
-
-
-def _write_rows(handle, *columns):
-    """Write one row of ``repr`` values per index of the columns, a block at a time.
-
-    The repr of an int or a float never needs csv quoting, so the bytes
-    equal those of ``csv.writer`` with ``lineterminator="\\n"``.
-    """
-    for start in range(0, len(columns[0]), _ROWS_PER_WRITE):
-        stop = start + _ROWS_PER_WRITE
-        texts = [map(repr, column[start:stop].tolist()) for column in columns]
-        handle.write("\n".join(map(",".join, zip(*texts))) + "\n")
-
-
-def write_mse_csv(path, curve):
-    """Write an MSE curve as ``iteration, mse_linear, mse_db`` rows."""
-    values = np.asarray(curve.values, dtype=float)
-    with np.errstate(divide="ignore"):
-        db = 10.0 * np.log10(values)
-    with open(path, "w", newline="") as handle:
-        handle.write(
-            f"# mse-curve algorithm={curve.algorithm} snr_db={curve.snr_db:g} "
-            f"sparsity={curve.sparsity} num_trials={curve.num_trials} "
-            f"rng_seed={curve.rng_seed}\n"
-            "iteration,mse_linear,mse_db\n"
-        )
-        _write_rows(handle, np.arange(1, values.size + 1), values, db)
-
-
-def write_stepsize_csv(path, trace, algorithm, snr_db, sparsity, rng_seed):
-    """Write a step-size trace as ``iteration, step_size`` rows."""
-    trace = np.asarray(trace, dtype=float)
-    with open(path, "w", newline="") as handle:
-        handle.write(
-            f"# stepsize-trace algorithm={algorithm} snr_db={snr_db:g} "
-            f"sparsity={sparsity} rng_seed={rng_seed}\n"
-            "iteration,step_size\n"
-        )
-        _write_rows(handle, np.arange(1, trace.size + 1), trace)
-
-
-def write_ber_csv(path, curve):
-    """Write a BER curve as ``esn0_db, ber, bit_errors, bits_total`` rows."""
-    with open(path, "w", newline="") as handle:
-        handle.write(
-            f"# ber-curve algorithm={curve.algorithm} qam_order={curve.qam_order} "
-            f"training_snr_db={curve.training_snr_db:g} sparsity={curve.sparsity} "
-            f"rng_seed={curve.rng_seed}\n"
-            "esn0_db,ber,bit_errors,bits_total\n"
-        )
-        _write_rows(
-            handle,
-            np.asarray(curve.esn0_db, dtype=float),
-            np.asarray(curve.ber, dtype=float),
-            np.asarray(curve.bit_errors),
-            np.asarray(curve.bits_total),
-        )

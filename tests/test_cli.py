@@ -1,6 +1,8 @@
-"""Unit tests for the command-line front end."""
+"""Unit tests for the command-line front end and its CSV output."""
 
+import csv
 import hashlib
+import io
 import json
 import multiprocessing
 import os
@@ -19,12 +21,7 @@ from sparsenlms.cli import (
     parse_and_dispatch,
     parse_invocation,
 )
-from sparsenlms.harness import (
-    MseCurve,
-    run_trial_rows,
-    write_mse_csv,
-    write_stepsize_csv,
-)
+from sparsenlms.harness import MseCurve, run_monte_carlo_mse
 
 
 def run_cli(*args):
@@ -288,29 +285,24 @@ def test_ber_sweep_emits_one_csv_per_detector(tmp_path, capsys):
 
 def test_single_run_and_trace_match_batch_of_one(tmp_path, capsys):
     # Both commands run the 12 rows of trial 0 as one batch; each file
-    # must equal the one written from that pair's own batch-of-one run.
+    # must equal the one a run of that pair alone, a batch of one, writes.
     options = ["--seed", "99", "--trials", "5", "--override", "max_iterations=1000"]
     config = build_config(parse_invocation(["single-run", *options]))
     assert len(config.algorithms) * len(config.snr_db) == 12
+    alone = tmp_path / "alone"
     for command in ("single-run", "trace-stepsize"):
         assert run_cli(command, "--out", str(tmp_path / command), *options) == 0
+        for algorithm in config.algorithms:
+            for snr in config.snr_db:
+                assert run_cli(
+                    command, "--out", str(alone), *options,
+                    "--override", f"algorithms={algorithm}",
+                    "--override", f"snr_db={snr!r}",
+                ) == 0
+                name = f"{command}_{algorithm}_T1_SNR{snr:g}.csv"
+                expected = (alone / name).read_bytes()
+                assert (tmp_path / command / name).read_bytes() == expected
     capsys.readouterr()
-    for algorithm in config.algorithms:
-        for snr in config.snr_db:
-            alone = run_trial_rows(config, 0, [(algorithm, snr)])
-            suffix = f"_{algorithm}_T1_SNR{snr:g}.csv"
-            expected = tmp_path / "expected.csv"
-            # The file does not record the divergence count.
-            write_mse_csv(expected, MseCurve(
-                values=alone.squared_error[:, 0], algorithm=algorithm, snr_db=snr,
-                sparsity=config.sparsity, num_trials=1, rng_seed=config.rng_seed,
-            ))
-            actual = tmp_path / "single-run" / f"single-run{suffix}"
-            assert actual.read_bytes() == expected.read_bytes()
-            write_stepsize_csv(expected, alone.step_trace[:, 0], algorithm, snr,
-                               config.sparsity, config.rng_seed)
-            actual = tmp_path / "trace-stepsize" / f"trace-stepsize{suffix}"
-            assert actual.read_bytes() == expected.read_bytes()
 
 
 def test_manifest_records_checksums(tmp_path, capsys):
@@ -357,10 +349,9 @@ def test_divergence_is_reported(tmp_path, capsys):
 
 def test_non_finite_tail_prints_nan_db(capsys):
     curve = MseCurve(
-        values=np.array([1.0, np.inf]), algorithm="vss_nlms", snr_db=10.0,
-        sparsity=1, num_trials=1, rng_seed=0, diverged=1,
+        values=np.array([1.0, np.inf]), algorithm="vss_nlms", snr_db=10.0, diverged=1
     )
-    _summarize_mse("single-run", curve)
+    _summarize_mse("single-run", curve, 1)
     assert "(nan dB) diverged=1/1" in capsys.readouterr().out
 
 
@@ -429,3 +420,135 @@ def test_worker_count_follows_the_affinity_mask(monkeypatch):
     assert cli._worker_count() == 1
     monkeypatch.delattr(os, "fork")
     assert cli._worker_count() == 1
+
+
+# Run the CLI pinned to the CPU given as the first argument.
+PINNED = (
+    "import os, sys; os.sched_setaffinity(0, {int(sys.argv.pop(1))}); "
+    "from sparsenlms.cli import entry_point; entry_point()"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # iss_nlms at mu = 50 overflows to NaN in every trial.
+        [
+            "mse-convergence", "--trials", "4", "--override", "mu=50",
+            "--override", "algorithms=iss_nlms", "--override", "snr_db=10",
+            "--override", "max_iterations=3000",
+        ],
+        # The same estimator, trained on two channels, then frozen.
+        [
+            "ber-sweep", "--override", "mu=50", "--override", "algorithms=iss_nlms",
+            "--override", "qam_orders=[16]", "--override", "esn0_range_db=[20]",
+            "--override", "ber_num_channels=2", "--override", "max_iterations=3000",
+            "--override", "ber_max_frames=4",
+        ],
+    ],
+    ids=["mse", "ber"],
+)
+def test_diverging_run_is_the_same_pooled_and_on_one_cpu(argv, tmp_path):
+    # Each pool worker is its own process, so numpy warnings printed once
+    # per process would repeat per worker.
+    cpus = sorted(getattr(os, "sched_getaffinity", lambda pid: ())(0))
+    if len(cpus) < 2 or not hasattr(os, "fork"):
+        pytest.skip("needs a fork pool of 2 or more CPUs")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    runs = []
+    for name, prefix in (
+        ("pooled", [sys.executable, "-m", "sparsenlms"]),
+        ("serial", [sys.executable, "-c", PINNED, str(cpus[0])]),
+    ):
+        out = tmp_path / name
+        done = subprocess.run(
+            [*prefix, *argv, "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        runs.append((done.returncode, done.stdout, done.stderr, files))
+    assert runs[0][0] == 0, runs[0][2]
+    assert runs[0] == runs[1]
+
+
+# -- CSV output ---------------------------------------------------------------
+
+
+def test_mse_csv_format(tmp_path, capsys):
+    argv = [
+        "mse-convergence", "--seed", "99", "--trials", "1",
+        "--override", "algorithms=vss_nlms", "--override", "snr_db=10",
+        "--override", "max_iterations=5",
+    ]
+    assert run_cli(*argv, "--out", str(tmp_path)) == 0
+    capsys.readouterr()
+    curve = run_monte_carlo_mse(build_config(parse_invocation(argv)))[0]
+    lines = (tmp_path / "mse-convergence_vss_nlms_T1_SNR10.csv").read_text().splitlines()
+    assert lines[0] == (
+        "# mse-curve algorithm=vss_nlms snr_db=10 sparsity=1 num_trials=1 rng_seed=99"
+    )
+    assert lines[1] == "iteration,mse_linear,mse_db"
+    assert len(lines) == 2 + 5
+    first = lines[2].split(",")
+    assert first[0] == "1"
+    assert float(first[1]) == curve.values[0]
+    # mse_db is 10 log10 of mse_linear on every row.
+    for line in lines[2:]:
+        linear = float(line.split(",")[1])
+        assert line.split(",")[2] == repr(float(10.0 * np.log10(linear)))
+
+
+def test_csv_writers_match_csv_module_bytes(tmp_path):
+    # Longer than two blocks of rows, so block boundaries are covered.
+    rows = 2 * cli._ROWS_PER_WRITE + 3
+    rng = np.random.default_rng(8)
+    values = np.concatenate([[0.0, 1e-300, 1.0, 1e300], rng.random(rows - 4)])
+    counts = rng.integers(0, 999, rows - 4)
+    iterations = np.arange(1, rows + 1)
+    with np.errstate(divide="ignore"):
+        db = 10.0 * np.log10(values)
+    esn0_db = np.linspace(12.0, 30.0, rows)
+    bit_errors = np.concatenate([[0, 1, 2, 2**40], counts])
+    bits_total = np.concatenate([[1, 7, 1024, 2**50], counts + 999])
+    cli._write_csv(
+        tmp_path / "mse.csv", "mse-curve algorithm=iss_nlms",
+        {"iteration": iterations, "mse_linear": values, "mse_db": db},
+    )
+    cli._write_csv(
+        tmp_path / "step.csv", "stepsize-trace algorithm=iss_nlms",
+        {"iteration": iterations, "step_size": values},
+    )
+    cli._write_csv(
+        tmp_path / "ber.csv", "ber-curve algorithm=iss_nlms",
+        {"esn0_db": esn0_db, "ber": values,
+         "bit_errors": bit_errors, "bits_total": bits_total},
+    )
+
+    expected_mse, expected_step = io.StringIO(), io.StringIO()
+    expected_ber = io.StringIO()
+    writer = csv.writer(expected_mse, lineterminator="\n")
+    writer.writerow(["iteration", "mse_linear", "mse_db"])
+    for i, (linear, decibel) in enumerate(zip(values, db), start=1):
+        writer.writerow([i, repr(float(linear)), repr(float(decibel))])
+    writer = csv.writer(expected_step, lineterminator="\n")
+    writer.writerow(["iteration", "step_size"])
+    for i, value in enumerate(values, start=1):
+        writer.writerow([i, repr(float(value))])
+
+    writer = csv.writer(expected_ber, lineterminator="\n")
+    writer.writerow(["esn0_db", "ber", "bit_errors", "bits_total"])
+    for row in zip(esn0_db, values, bit_errors, bits_total):
+        writer.writerow([repr(float(row[0])), repr(float(row[1])), *map(int, row[2:])])
+
+    mse_lines = (tmp_path / "mse.csv").read_bytes().split(b"\n", 1)
+    step_lines = (tmp_path / "step.csv").read_bytes().split(b"\n", 1)
+    ber_lines = (tmp_path / "ber.csv").read_bytes().split(b"\n", 1)
+    assert mse_lines[0] == b"# mse-curve algorithm=iss_nlms"
+    assert step_lines[0] == b"# stepsize-trace algorithm=iss_nlms"
+    assert ber_lines[0] == b"# ber-curve algorithm=iss_nlms"
+    assert mse_lines[1] == expected_mse.getvalue().encode()
+    assert step_lines[1] == expected_step.getvalue().encode()
+    assert ber_lines[1] == expected_ber.getvalue().encode()
+    assert b"1,0.0,-inf\n" in mse_lines[1]

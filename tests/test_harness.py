@@ -1,7 +1,5 @@
-"""Unit tests for experiment orchestration, metrics and persistence."""
+"""Unit tests for experiment orchestration and metrics."""
 
-import csv
-import io
 import math
 import multiprocessing
 
@@ -13,18 +11,13 @@ from sparsenlms import filters, harness
 from sparsenlms.channel import generate_sparse_channel
 from sparsenlms.harness import (
     FRAME_BLOCK,
-    BerCurve,
     ExperimentConfig,
-    MseCurve,
     TRUE_CHANNEL,
     channel_error,
     run_ber_sweep,
     run_monte_carlo_mse,
     run_trial_rows,
     steady_state_mean,
-    write_ber_csv,
-    write_mse_csv,
-    write_stepsize_csv,
 )
 from sparsenlms.modem import qam_modulate
 
@@ -510,6 +503,9 @@ def test_config_from_dict_accepts_scalars_for_lists():
         ("mu", -1.0),
         ("epsilon_rza", -1.0),
         ("c_by_snr", {"10": 1e-5, "10.0": 2e-5}),
+        ("snr_db", []),
+        ("esn0_range_db", []),
+        ("algorithms", []),
     ],
 )
 def test_config_rejects_bad_list_elements_by_name(field, value):
@@ -581,6 +577,22 @@ def test_ber_sweep_erases_rank_deficient_subcarriers():
     config = ber_config(max_iterations=1, esn0_range_db=[30.0])
     curves = {c.algorithm: c for c in run_ber_sweep(config)}
     estimator = curves["vss_nlms"]
+    assert estimator.bits_total.tolist() == [2048]
+    assert estimator.bit_errors.tolist() == [2048]
+    assert estimator.ber.tolist() == [1.0]
+    assert curves[TRUE_CHANNEL].bit_errors.tolist() == [0]
+
+
+def test_ber_sweep_erases_a_diverged_estimator():
+    # mu = 50 overflows the estimate to NaN, on which the SVD would not
+    # converge; the estimator is erased on every subcarrier instead.
+    config = ber_config(
+        mu=50.0, algorithms=["iss_nlms"], max_iterations=1000, esn0_range_db=[30.0]
+    )
+    trial = run_trial_rows(config, 0, [("iss_nlms", config.ber_training_snr_db)])
+    assert np.isnan(trial.final_estimate).any()
+    curves = {c.algorithm: c for c in run_ber_sweep(config)}
+    estimator = curves["iss_nlms"]
     assert estimator.bits_total.tolist() == [2048]
     assert estimator.bit_errors.tolist() == [2048]
     assert estimator.ber.tolist() == [1.0]
@@ -729,67 +741,3 @@ def test_genie_ber_matches_closed_form():
     assert len(z) == 8
     assert max(map(abs, z)) <= 5.0
 
-
-# -- persistence --------------------------------------------------------------
-
-
-def test_mse_csv_format(tmp_path):
-    config = small_config(max_iterations=5, num_trials=1)
-    curve = run_monte_carlo_mse(config)[0]
-    path = tmp_path / "curve.csv"
-    write_mse_csv(path, curve)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("# mse-curve algorithm=vss_nlms snr_db=10")
-    assert lines[1] == "iteration,mse_linear,mse_db"
-    assert len(lines) == 2 + 5
-    first = lines[2].split(",")
-    assert first[0] == "1"
-    assert float(first[1]) == curve.values[0]
-
-
-def test_csv_writers_match_csv_module_bytes(tmp_path):
-    # Longer than two blocks of rows, so block boundaries are covered.
-    rows = 2 * harness._ROWS_PER_WRITE + 3
-    rng = np.random.default_rng(8)
-    values = np.concatenate([[0.0, 1e-300, 1.0, 1e300], rng.random(rows - 4)])
-    counts = rng.integers(0, 999, rows - 4)
-    curve = MseCurve(
-        values=values, algorithm="iss_nlms", snr_db=10.0, sparsity=1,
-        num_trials=1, rng_seed=3,
-    )
-    write_mse_csv(tmp_path / "mse.csv", curve)
-    write_stepsize_csv(tmp_path / "step.csv", values, "iss_nlms", 10.0, 1, 3)
-    ber = BerCurve(
-        esn0_db=np.linspace(12.0, 30.0, rows), ber=values,
-        bit_errors=np.concatenate([[0, 1, 2, 2**40], counts]),
-        bits_total=np.concatenate([[1, 7, 1024, 2**50], counts + 999]),
-        algorithm="iss_nlms", qam_order=16, training_snr_db=10.0, sparsity=1,
-        rng_seed=3,
-    )
-    write_ber_csv(tmp_path / "ber.csv", ber)
-
-    expected_mse, expected_step = io.StringIO(), io.StringIO()
-    expected_ber = io.StringIO()
-    writer = csv.writer(expected_mse, lineterminator="\n")
-    writer.writerow(["iteration", "mse_linear", "mse_db"])
-    with np.errstate(divide="ignore"):
-        db = 10.0 * np.log10(values)
-    for i, (linear, decibel) in enumerate(zip(values, db), start=1):
-        writer.writerow([i, repr(float(linear)), repr(float(decibel))])
-    writer = csv.writer(expected_step, lineterminator="\n")
-    writer.writerow(["iteration", "step_size"])
-    for i, value in enumerate(values, start=1):
-        writer.writerow([i, repr(float(value))])
-
-    writer = csv.writer(expected_ber, lineterminator="\n")
-    writer.writerow(["esn0_db", "ber", "bit_errors", "bits_total"])
-    for row in zip(ber.esn0_db, ber.ber, ber.bit_errors, ber.bits_total):
-        writer.writerow([repr(float(row[0])), repr(float(row[1])), *map(int, row[2:])])
-
-    mse_lines = (tmp_path / "mse.csv").read_bytes().split(b"\n", 1)
-    step_lines = (tmp_path / "step.csv").read_bytes().split(b"\n", 1)
-    ber_lines = (tmp_path / "ber.csv").read_bytes().split(b"\n", 1)
-    assert mse_lines[1] == expected_mse.getvalue().encode()
-    assert step_lines[1] == expected_step.getvalue().encode()
-    assert ber_lines[1] == expected_ber.getvalue().encode()
-    assert b"1,0.0,-inf\n" in mse_lines[1]
