@@ -1,16 +1,13 @@
 """Sparse NLMS adaptive filtering for MIMO multipath channel estimation."""
 
-from .filters import VARIANTS, AlgorithmConfig, initial_state, step
+from .filters import VARIANTS
 from .harness import ExperimentConfig, run_ber_sweep, run_monte_carlo_mse
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgorithmConfig",
     "ExperimentConfig",
     "VARIANTS",
-    "initial_state",
     "run_ber_sweep",
     "run_monte_carlo_mse",
-    "step",
 ]

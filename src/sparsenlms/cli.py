@@ -255,6 +255,13 @@ def _run_ber_sweep(config, out_dir, workers):
         print(
             f"ber-sweep algorithm={curve.algorithm} qam={curve.qam_order} {points}"
         )
+        if curve.diverged:
+            print(
+                f"warning: ber-sweep algorithm={curve.algorithm} qam={curve.qam_order}: "
+                f"{curve.diverged}/{config.ber_num_channels} training channels diverged "
+                "(final estimate not finite) and are erased on every subcarrier",
+                file=sys.stderr,
+            )
     return files
 
 

@@ -15,12 +15,14 @@ vss_rza_nlms   adaptive    reweighted zero attraction
 ============== =========== ====================================
 
 All variants share the same structure.  With taps ``w``, regressor ``x``
-and observation ``y``:
+and observation ``y``, one update takes, in this order:
 
-* prediction error ``e = y - w.T @ x`` (plain transpose; the linear model
-  this package estimates is ``y = h.T @ x + z``),
-* normalized gradient correction ``mu * e * conj(x) / ||x||^2``,
-* penalty subtracted from the corrected taps (zero for some variants).
+* the prediction error ``e = y - w.T @ x`` from the current taps (plain
+  transpose; the model estimated is ``y = h.T @ x + z``),
+* the step size: the fixed ``mu``, or the vss law on the refreshed
+  smoothed gradient,
+* the normalized gradient correction ``mu * e * conj(x) / ||x||^2``,
+* the penalty of the pre-update taps, subtracted after the correction.
 
 The correction uses the conjugate regressor: for circularly symmetric
 complex inputs an unconjugated correction has zero mean pull toward the
@@ -47,8 +49,8 @@ The update law is written once, in :func:`update_rows`, for ``B``
 filters (rows) that share a regressor but may differ in variant and
 parameters (:class:`RowParams`).  An optional leading antenna axis
 advances several independent sets of rows in one call, each set with
-its own regressor.  :func:`step` is a batch of one with input
-validation.  Row reductions go through :func:`row_dot`, whose rounding
+its own regressor.  It is the only update kernel: a single filter is a
+batch of one.  Row reductions go through :func:`row_dot`, whose rounding
 does not depend on ``B`` or on the antenna axis, so a row's trajectory
 is bitwise the same in any batch.
 """
@@ -165,36 +167,6 @@ class AlgorithmConfig:
         return adaptive, gamma, epsilon
 
 
-@dataclass
-class FilterState:
-    """Mutable quantities of one adaptive filter.
-
-    ``weights`` holds the current tap estimates, ``grad_avg`` the
-    smoothed gradient used by vss variants (kept at zero by iss
-    variants), ``step_size`` the step applied in the most recent update
-    and ``iteration`` the number of updates performed.
-    """
-
-    weights: np.ndarray
-    grad_avg: np.ndarray
-    step_size: float
-    iteration: int = 0
-
-
-def initial_state(length, config):
-    """Zero-initialized state for a filter with ``length`` taps."""
-    if length < 1:
-        raise ValueError("length must be at least 1")
-    adaptive, _, _ = config.law()
-    step = 0.0 if adaptive else config.mu
-    return FilterState(
-        weights=np.zeros(length, dtype=np.complex128),
-        grad_avg=np.zeros(length, dtype=np.complex128),
-        step_size=float(step),
-        iteration=0,
-    )
-
-
 def componentwise_sign(values):
     """Signum applied separately to real and imaginary parts.
 
@@ -282,9 +254,10 @@ def update_rows(weights, grad_avg, x, x_conj, energy, y, params):
 
     ``weights`` and ``grad_avg`` are ``(B, L)`` complex arrays, updated
     in place; ``y`` holds the ``B`` observations, ``x_conj`` is
-    ``conj(x)`` and ``energy`` is ``||x||^2``.  Every row follows the
-    update sequence of :func:`step`.  Returns the prediction errors and
-    the step sizes applied, both shaped ``(B,)``.
+    ``conj(x)`` and ``energy`` is :func:`row_energy` of ``x``.  Each
+    row takes its error from the current taps, then its step size, then
+    the correction, then subtracts the penalty of its pre-update taps.
+    Returns the prediction errors and the step sizes, both ``(B,)``.
 
     An optional leading antenna axis updates ``A`` independent sets of
     rows at once, each with its own regressor: ``weights`` and
@@ -308,53 +281,3 @@ def update_rows(weights, grad_avg, x, x_conj, energy, y, params):
     weights += (mu * e / energy)[..., None] * x_conj
     weights -= penalty
     return e, mu
-
-
-def step(state, x, y, config):
-    """Run one update and return ``(new_state, error)``.
-
-    The update sequence is: error from the current taps, step size
-    (smoothed-gradient refresh for vss variants, the fixed ``mu``
-    otherwise), gradient correction, penalty subtraction.  The input
-    state is not modified.  This is :func:`update_rows` on a batch of
-    one.
-
-    Raises
-    ------
-    ValueError
-        On shape mismatch, non-finite inputs, or a zero-energy
-        regressor (the update direction would be undefined; callers
-        are expected to supply persistently exciting regressors).
-    """
-    x = np.asarray(x, dtype=np.complex128)
-    if x.shape != state.weights.shape:
-        raise ValueError(
-            f"regressor shape {x.shape} does not match taps "
-            f"{state.weights.shape}"
-        )
-    if not np.all(np.isfinite(x)):
-        raise ValueError("regressor contains non-finite values")
-    if not np.isfinite(y):
-        raise ValueError("observation is not finite")
-    energy = np.vdot(x, x).real
-    if energy == 0.0:
-        raise ValueError("regressor energy is zero; cannot normalize")
-
-    weights = np.array(state.weights, dtype=np.complex128, ndmin=2)
-    grad_avg = np.array(state.grad_avg, dtype=np.complex128, ndmin=2)
-    e, mu = update_rows(
-        weights,
-        grad_avg,
-        x,
-        np.conj(x),
-        energy,
-        np.array([y], dtype=np.complex128),
-        RowParams([config]),
-    )
-    new_state = FilterState(
-        weights=weights[0],
-        grad_avg=grad_avg[0],
-        step_size=float(mu[0]),
-        iteration=state.iteration + 1,
-    )
-    return new_state, e[0]

@@ -26,9 +26,9 @@ the estimates, and transmits Gray-coded QAM over cyclic-prefixed OFDM
 frames of ``K`` subcarriers through the true channel, detecting per
 subcarrier by zero forcing with either the frozen estimates or the true
 channel ("genie" baseline, reported as algorithm ``true_channel``).  A
-diverged (non-finite) estimate is erased on every subcarrier.
-All detectors see identical frames, bits and noise, so BER differences
-reflect only channel-estimate quality.
+diverged (non-finite) estimate is erased on every subcarrier and counted
+in the curve's ``diverged``.  All detectors see identical frames, bits
+and noise, so BER differences reflect only channel-estimate quality.
 
 Frames are synthesized directly in the frequency domain.  Because the
 cyclic prefix is at least as long as the channel memory (``cp_length
@@ -391,7 +391,10 @@ class MseCurve:
 
 @dataclass
 class BerCurve:
-    """Measured bit error rates over a range of symbol SNRs."""
+    """Measured bit error rates over a range of symbol SNRs.
+
+    ``diverged`` counts the training channels whose estimate is not finite.
+    """
 
     esn0_db: np.ndarray
     ber: np.ndarray
@@ -399,19 +402,10 @@ class BerCurve:
     bits_total: np.ndarray
     algorithm: str
     qam_order: int
+    diverged: int
 
 
 # -- metrics -------------------------------------------------------------------
-
-
-def channel_error(h_true, h_est):
-    """Squared Frobenius distance between two channel matrices."""
-    h_true = np.asarray(h_true)
-    h_est = np.asarray(h_est)
-    if h_true.shape != h_est.shape:
-        raise ValueError(f"shape mismatch: {h_true.shape} vs {h_est.shape}")
-    diff = h_true - h_est
-    return float(np.sum(diff.real**2 + diff.imag**2))
 
 
 def steady_state_mean(values, fraction=0.1):
@@ -573,7 +567,6 @@ def _frequency_responses(cir_matrix, n_t, n_r, tap_length, k):
     ``cir_matrix`` is ``(..., n_r, n_t * tap_length)``; leading stack
     axes are kept.
     """
-    cir_matrix = np.asarray(cir_matrix)
     cirs = cir_matrix.reshape(*cir_matrix.shape[:-2], n_r, n_t, tap_length)
     return np.moveaxis(np.fft.fft(cirs, n=k, axis=-1), -1, -3)
 
@@ -694,6 +687,7 @@ def run_ber_sweep(config, workers=1):
         task = functools.partial(run_trial_rows, config, pairs=pairs)
         trials = ordered_map(task, range(config.ber_num_channels))
         cirs = np.array([[trial.channel, *trial.final_estimate] for trial in trials])
+        diverged = (~np.isfinite(cirs).all(axis=(2, 3))).sum(axis=0)
         # Shaped (channel, detector, k, n_r, n_t), detectors in output order.
         responses = _frequency_responses(cirs, n_t, n_r, config.tap_length, k)
         pinvs, failed = _zero_forcing_tables(responses)
@@ -712,7 +706,8 @@ def run_ber_sweep(config, workers=1):
             *outcomes[index * per_order : (index + 1) * per_order]
         )
         bits_total = np.array(point_bits, dtype=np.int64)
-        for bit_errors, detector in zip(np.array(point_errors).T, detectors):
+        per_detector = zip(detectors, np.array(point_errors).T, diverged)
+        for detector, bit_errors, count in per_detector:
             curves.append(
                 BerCurve(
                     esn0_db=np.asarray(config.esn0_range_db, dtype=float),
@@ -721,6 +716,7 @@ def run_ber_sweep(config, workers=1):
                     bits_total=bits_total,
                     algorithm=detector,
                     qam_order=int(order),
+                    diverged=int(count),
                 )
             )
     return curves

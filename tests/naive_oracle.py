@@ -1,10 +1,13 @@
-"""Deliberately naive reference implementation of the six update rules.
+"""Deliberately naive references for the update rules and the error metric.
 
-Everything here is written with plain Python scalars and explicit loops,
-no numpy, so that agreement with the vectorized package code is evidence
-of correctness rather than shared bugs.  Used by the unit tests and by
-the acceptance suite.
+The six update rules are written with plain Python scalars and explicit
+loops, no numpy, so that agreement with the vectorized package code is
+evidence of correctness rather than shared bugs.  :func:`channel_error`
+scores a whole estimate directly.  Used by the unit tests and by the
+acceptance suite.
 """
+
+import numpy as np
 
 
 def csign(z):
@@ -77,3 +80,18 @@ def run_oracle(variant, regressors, observations, mu=0.2, mu_max=2.0,
         steps.append(step)
 
     return {"weights": weights_history, "errors": errors, "steps": steps}
+
+
+
+def channel_error(h_true, h_est):
+    """Squared Frobenius distance between two channel matrices.
+
+    Computed from the whole estimate at once, unlike the harness, which
+    rescores only the antennas each round changed.
+    """
+    h_true = np.asarray(h_true)
+    h_est = np.asarray(h_est)
+    if h_true.shape != h_est.shape:
+        raise ValueError(f"shape mismatch: {h_true.shape} vs {h_est.shape}")
+    diff = h_true - h_est
+    return float(np.sum(diff.real**2 + diff.imag**2))

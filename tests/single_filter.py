@@ -1,0 +1,20 @@
+"""One adaptive filter advanced through ``filters.update_rows`` as a batch of one."""
+
+import numpy as np
+
+from sparsenlms import filters
+
+
+def update_one(weights, grad_avg, x, y, config):
+    """Run one update of a single filter and return ``(error, step_size)``.
+
+    ``weights`` and ``grad_avg`` are complex vectors of the regressor's
+    length, updated in place; ``config`` is a ``filters.AlgorithmConfig``.
+    """
+    x = np.asarray(x, dtype=np.complex128)
+    errors, steps = filters.update_rows(
+        weights[None], grad_avg[None], x, x.conj(), filters.row_energy(x),
+        np.array([y], dtype=np.complex128), filters.RowParams([config]),
+    )
+    return errors[0], float(steps[0])
+

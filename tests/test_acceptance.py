@@ -18,12 +18,12 @@ from sparsenlms.cli import parse_and_dispatch
 from sparsenlms.harness import (
     ExperimentConfig,
     TRUE_CHANNEL,
-    channel_error,
     run_ber_sweep,
     run_trial_rows,
 )
 import acceptance_report
-from naive_oracle import run_oracle
+from naive_oracle import channel_error, run_oracle
+from single_filter import update_one
 
 
 def report(number, passed, details):
@@ -117,11 +117,11 @@ def test_criterion_01_oracle_equivalence():
         oracle_ys = [complex(y) for y in ys]
         for variant in filters.VARIANTS:
             config = filters.AlgorithmConfig(variant=variant, **params)
-            state = filters.initial_state(length, config)
+            weights, grad_avg = np.zeros((2, length), complex)
             trajectory = np.empty((200, length), dtype=np.complex128)
             for n, (x, y) in enumerate(zip(xs, ys)):
-                state, _ = filters.step(state, x, y, config)
-                trajectory[n] = state.weights
+                update_one(weights, grad_avg, x, y, config)
+                trajectory[n] = weights
             expected = np.array(
                 run_oracle(variant, oracle_xs, oracle_ys, **params)["weights"]
             )

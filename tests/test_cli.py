@@ -406,6 +406,9 @@ def test_worker_count_does_not_change_outputs(argv, tmp_path, capsys, monkeypatc
     if "mu=1.9" in argv:
         assert "diverged=3/3" in runs[0][1]
         assert "warning: " in runs[0][2]
+    if argv[0] == "ber-sweep":
+        # No training channel diverged, so there is no warning.
+        assert runs[0][2] == ""
     assert multiprocessing.active_children() == []
 
 
@@ -438,7 +441,8 @@ PINNED = (
             "--override", "algorithms=iss_nlms", "--override", "snr_db=10",
             "--override", "max_iterations=3000",
         ],
-        # The same estimator, trained on two channels, then frozen.
+        # The same estimator, trained on two channels, then frozen; one
+        # warning names the curve and both diverged channels.
         [
             "ber-sweep", "--override", "mu=50", "--override", "algorithms=iss_nlms",
             "--override", "qam_orders=[16]", "--override", "esn0_range_db=[20]",
@@ -471,6 +475,11 @@ def test_diverging_run_is_the_same_pooled_and_on_one_cpu(argv, tmp_path):
         runs.append((done.returncode, done.stdout, done.stderr, files))
     assert runs[0][0] == 0, runs[0][2]
     assert runs[0] == runs[1]
+    if argv[0] == "ber-sweep":
+        assert runs[0][2] == (
+            "warning: ber-sweep algorithm=iss_nlms qam=16: 2/2 training channels "
+            "diverged (final estimate not finite) and are erased on every subcarrier\n"
+        )
 
 
 # -- CSV output ---------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from sparsenlms import filters
 from naive_oracle import run_oracle
+from single_filter import update_one
 
 
 def complex_normal(rng, size, scale=1.0):
@@ -15,14 +16,14 @@ def make_config(variant, **kwargs):
     return filters.AlgorithmConfig(variant=variant, **kwargs)
 
 
-# -- prediction error (returned by step) --------------------------------------
+# -- prediction error (returned by update_rows) -------------------------------
 
 
 def test_error_zero_estimator_passes_observation_through():
     config = make_config(filters.ISS_NLMS)
-    state = filters.initial_state(4, config)
     x = np.array([1.0, 2.0, -1.0, 0.5], dtype=np.complex128)
-    _, e = filters.step(state, x, 3 + 1j, config)
+    weights, grad_avg = np.zeros((2, 4), complex)
+    e, _ = update_one(weights, grad_avg, x, 3 + 1j, config)
     assert e == 3 + 1j
 
 
@@ -30,28 +31,18 @@ def test_error_perfect_estimator_is_zero():
     rng = np.random.default_rng(11)
     w = complex_normal(rng, 6)
     x = complex_normal(rng, 6)
-    state = filters.FilterState(weights=w, grad_avg=np.zeros(6, complex), step_size=0.2)
-    _, e = filters.step(state, x, np.dot(w, x), make_config(filters.ISS_NLMS))
+    config = make_config(filters.ISS_NLMS)
+    e, _ = update_one(w, np.zeros(6, complex), x, np.dot(w, x), config)
     assert e == 0
 
 
 def test_error_hand_example():
     # Plain transpose, no conjugation: e = 3 - [1, 0] . [1, 1] = 2.
-    state = filters.FilterState(
-        weights=np.array([1.0, 0.0], dtype=np.complex128),
-        grad_avg=np.zeros(2, dtype=np.complex128),
-        step_size=0.2,
-    )
+    weights = np.array([1.0, 0.0], dtype=np.complex128)
     x = np.array([1.0, 1.0], dtype=np.complex128)
-    _, e = filters.step(state, x, 3.0, make_config(filters.ISS_NLMS))
-    assert e == 2.0
-
-
-def test_error_rejects_shape_mismatch():
     config = make_config(filters.ISS_NLMS)
-    state = filters.initial_state(4, config)
-    with pytest.raises(ValueError, match="does not match"):
-        filters.step(state, np.ones(3, dtype=np.complex128), 1.0, config)
+    e, _ = update_one(weights, np.zeros(2, complex), x, 3.0, config)
+    assert e == 2.0
 
 
 # -- componentwise sign -------------------------------------------------------
@@ -110,47 +101,39 @@ def test_vss_rejects_nonpositive_threshold():
                 make_config(variant, c_threshold=c_threshold)
 
 
-# -- gradient smoothing (new_state.grad_avg of step) --------------------------
+# -- gradient smoothing (grad_avg after update_rows) --------------------------
 
 
 def vss_step(grad_avg, x, y, beta):
-    """One vss_nlms update from zero taps; returns ``(new_state, error)``."""
+    """One vss_nlms update from zero taps; returns ``(grad_avg, error)``."""
+    grad_avg = np.array(grad_avg, dtype=complex)
     config = make_config(filters.VSS_NLMS, beta=beta)
-    state = filters.FilterState(
-        weights=np.zeros(x.size, dtype=complex),
-        grad_avg=np.asarray(grad_avg, dtype=complex),
-        step_size=0.0,
-    )
-    return filters.step(state, x, y, config)
+    error, _ = update_one(np.zeros(x.size, complex), grad_avg, x, y, config)
+    return grad_avg, error
 
 
 def test_grad_avg_no_smoothing_equals_normalized_gradient():
     rng = np.random.default_rng(7)
     x = complex_normal(rng, 5)
     e = 0.3 - 0.7j
-    new_state, error = vss_step(np.zeros(5), x, e, 0.0)
+    grad_avg, error = vss_step(np.zeros(5), x, e, 0.0)
     assert error == e
     expected = (e / np.vdot(x, x).real) * np.conj(x)
-    assert np.allclose(new_state.grad_avg, expected, rtol=0, atol=0)
+    assert np.allclose(grad_avg, expected, rtol=0, atol=0)
 
 
 def test_grad_avg_zero_history_scales_by_one_minus_beta():
     rng = np.random.default_rng(8)
     x = complex_normal(rng, 5)
     e = 1.0 + 2.0j
-    new_state, _ = vss_step(np.zeros(5), x, e, 0.75)
+    grad_avg, _ = vss_step(np.zeros(5), x, e, 0.75)
     expected = 0.25 * (e / np.vdot(x, x).real) * np.conj(x)
-    assert np.allclose(new_state.grad_avg, expected, rtol=1e-15)
+    assert np.allclose(grad_avg, expected, rtol=1e-15)
 
 
 def test_grad_avg_hand_example():
-    new_state, _ = vss_step([0.1], np.array([1.0], dtype=complex), 1.0, 0.99)
-    assert new_state.grad_avg[0] == pytest.approx(0.109, rel=1e-12)
-
-
-def test_grad_avg_rejects_zero_regressor():
-    with pytest.raises(ValueError, match="zero"):
-        vss_step(np.zeros(3), np.zeros(3, dtype=complex), 1.0, 0.5)
+    grad_avg, _ = vss_step([0.1], np.array([1.0], dtype=complex), 1.0, 0.99)
+    assert grad_avg[0] == pytest.approx(0.109, rel=1e-12)
 
 
 def test_grad_avg_rejects_bad_beta():
@@ -210,27 +193,28 @@ def test_reweighted_approaches_plain_attraction_for_tiny_taps():
     assert np.allclose(za, rza, rtol=1e-9)
 
 
-# -- single update steps ------------------------------------------------------
+# -- single updates -----------------------------------------------------------
 
 
 def test_step_iss_scalar_hand_example():
     config = make_config(filters.ISS_NLMS, mu=0.2)
-    state = filters.initial_state(1, config)
-    new_state, e = filters.step(
-        state, np.array([1.0], dtype=complex), 1.0, config
+    weights = np.zeros(1, complex)
+    e, step_size = update_one(
+        weights, np.zeros(1, complex), np.array([1.0], dtype=complex), 1.0, config
     )
     assert e == 1.0
-    assert new_state.weights[0] == pytest.approx(0.2, rel=0, abs=0)
-    assert new_state.step_size == 0.2
-    assert new_state.iteration == 1
+    assert weights[0] == pytest.approx(0.2, rel=0, abs=0)
+    assert step_size == 0.2
 
 
 def test_step_vss_with_beta_near_one_barely_moves():
     config = make_config(filters.VSS_ZA_NLMS, beta=1.0 - 1e-9, gamma_za=0.0)
-    state = filters.initial_state(1, config)
-    new_state, _ = filters.step(state, np.array([1.0], dtype=complex), 1.0, config)
-    assert new_state.step_size < 1e-12
-    assert abs(new_state.weights[0]) < 1e-12
+    weights = np.zeros(1, complex)
+    _, step_size = update_one(
+        weights, np.zeros(1, complex), np.array([1.0], dtype=complex), 1.0, config
+    )
+    assert step_size < 1e-12
+    assert abs(weights[0]) < 1e-12
 
 
 def test_step_zero_error_zero_penalty_leaves_weights_unchanged():
@@ -238,48 +222,12 @@ def test_step_zero_error_zero_penalty_leaves_weights_unchanged():
     for variant in filters.VARIANTS:
         config = make_config(variant)
         w = complex_normal(rng, 4)
-        state = filters.FilterState(
-            weights=w.copy(), grad_avg=np.zeros(4, complex), step_size=0.0
-        )
+        weights = w.copy()
         x = complex_normal(rng, 4)
         y = np.dot(w, x)  # exact, so e == 0
-        new_state, e = filters.step(state, x, y, config)
+        e, _ = update_one(weights, np.zeros(4, complex), x, y, config)
         assert e == 0
-        assert np.array_equal(new_state.weights, w)
-
-
-def test_step_does_not_mutate_input_state():
-    config = make_config(filters.VSS_RZA_NLMS, gamma_rza=1e-3)
-    state = filters.initial_state(3, config)
-    before = state.weights.copy()
-    rng = np.random.default_rng(4)
-    filters.step(state, complex_normal(rng, 3), 1.0 + 1j, config)
-    assert np.array_equal(state.weights, before)
-    assert state.iteration == 0
-
-
-def test_step_iteration_counts_updates():
-    config = make_config(filters.ISS_NLMS)
-    state = filters.initial_state(2, config)
-    rng = np.random.default_rng(31)
-    for k in range(1, 6):
-        state, _ = filters.step(state, complex_normal(rng, 2), 0.5j, config)
-        assert state.iteration == k
-
-
-def test_step_rejects_degenerate_inputs():
-    config = make_config(filters.ISS_NLMS)
-    state = filters.initial_state(2, config)
-    with pytest.raises(ValueError, match="zero"):
-        filters.step(state, np.zeros(2, dtype=complex), 1.0, config)
-    with pytest.raises(ValueError, match="does not match"):
-        filters.step(state, np.ones(3, dtype=complex), 1.0, config)
-    with pytest.raises(ValueError, match="non-finite"):
-        filters.step(
-            state, np.array([1.0, np.inf], dtype=complex), 1.0, config
-        )
-    with pytest.raises(ValueError, match="not finite"):
-        filters.step(state, np.ones(2, dtype=complex), np.nan, config)
+        assert np.array_equal(weights, w)
 
 
 def test_config_validation():
@@ -302,22 +250,23 @@ def test_config_validation():
 def test_iss_config_ignores_vss_fields():
     # Fixed-step variants must not validate (or read) the vss knobs.
     config = make_config(filters.ISS_ZA_NLMS, mu_max=99.0, beta=5.0, c_threshold=-1.0)
-    state = filters.initial_state(1, config)
-    new_state, _ = filters.step(state, np.array([1.0 + 0j]), 1.0, config)
-    assert new_state.step_size == config.mu
+    weights, grad_avg = np.zeros((2, 1), complex)
+    _, step_size = update_one(weights, grad_avg, np.array([1.0 + 0j]), 1.0, config)
+    assert step_size == config.mu
 
 
 # -- reduction identities -----------------------------------------------------
 
 
 def run_variant(variant, regressors, observations, **kwargs):
+    """The taps after each update, one row per update."""
     config = make_config(variant, **kwargs)
-    state = filters.initial_state(regressors[0].size, config)
+    weights, grad_avg = np.zeros((2, regressors[0].size), complex)
     trajectory = []
     for x, y in zip(regressors, observations):
-        state, _ = filters.step(state, x, y, config)
-        trajectory.append(state.weights.copy())
-    return np.array(trajectory), state
+        update_one(weights, grad_avg, x, y, config)
+        trajectory.append(weights.copy())
+    return np.array(trajectory)
 
 
 def test_za_with_zero_gamma_reduces_to_plain_bitwise():
@@ -328,8 +277,8 @@ def test_za_with_zero_gamma_reduces_to_plain_bitwise():
         (filters.VSS_ZA_NLMS, filters.VSS_NLMS),
         (filters.ISS_ZA_NLMS, filters.ISS_NLMS),
     ]:
-        got, _ = run_variant(za, xs, ys, gamma_za=0.0)
-        want, _ = run_variant(plain, xs, ys)
+        got = run_variant(za, xs, ys, gamma_za=0.0)
+        want = run_variant(plain, xs, ys)
         assert np.array_equal(got, want)
 
 
@@ -337,8 +286,8 @@ def test_rza_with_zero_gamma_reduces_to_plain_bitwise():
     rng = np.random.default_rng(78)
     xs = [complex_normal(rng, 6) for _ in range(50)]
     ys = [complex(*rng.standard_normal(2)) for _ in range(50)]
-    got, _ = run_variant(filters.VSS_RZA_NLMS, xs, ys, gamma_rza=0.0)
-    want, _ = run_variant(filters.VSS_NLMS, xs, ys)
+    got = run_variant(filters.VSS_RZA_NLMS, xs, ys, gamma_rza=0.0)
+    want = run_variant(filters.VSS_NLMS, xs, ys)
     assert np.array_equal(got, want)
 
 
@@ -349,27 +298,26 @@ def test_vss_step_bounds_hold_throughout_noisy_run():
     rng = np.random.default_rng(90)
     w_true = complex_normal(rng, 8, scale=0.3)
     config = make_config(filters.VSS_NLMS)
-    state = filters.initial_state(8, config)
+    weights, grad_avg = np.zeros((2, 8), complex)
     for n in range(500):
         x = complex_normal(rng, 8)
         y = np.dot(w_true, x) + 0.05 * complex(*rng.standard_normal(2))
-        state, e = filters.step(state, x, y, config)
-        assert 0.0 <= state.step_size < config.mu_max
+        e, step_size = update_one(weights, grad_avg, x, y, config)
+        assert 0.0 <= step_size < config.mu_max
         if n == 0:
             assert e != 0
-            assert state.step_size > 0.0
+            assert step_size > 0.0
 
 
 def test_vss_step_size_decays_as_noiseless_run_converges():
     rng = np.random.default_rng(91)
     w_true = complex_normal(rng, 8, scale=0.3)
     config = make_config(filters.VSS_NLMS, beta=0.9)
-    state = filters.initial_state(8, config)
+    weights, grad_avg = np.zeros((2, 8), complex)
     trace = np.empty(1000)
     for n in range(1000):
         x = complex_normal(rng, 8)
-        state, _ = filters.step(state, x, np.dot(w_true, x), config)
-        trace[n] = state.step_size
+        _, trace[n] = update_one(weights, grad_avg, x, np.dot(w_true, x), config)
     assert trace[900:].mean() < trace[:100].mean()
 
 
@@ -377,11 +325,11 @@ def test_iss_noiseless_convergence_below_threshold():
     rng = np.random.default_rng(92)
     w_true = complex_normal(rng, 64, scale=np.sqrt(0.5 / 64))
     config = make_config(filters.ISS_NLMS, mu=0.2)
-    state = filters.initial_state(64, config)
+    weights, grad_avg = np.zeros((2, 64), complex)
     for _ in range(5000):
         x = complex_normal(rng, 64)
-        state, _ = filters.step(state, x, np.dot(w_true, x), config)
-    residual = np.vdot(w_true - state.weights, w_true - state.weights).real
+        update_one(weights, grad_avg, x, np.dot(w_true, x), config)
+    residual = np.vdot(w_true - weights, w_true - weights).real
     assert residual < 1e-6
 
 
@@ -411,7 +359,7 @@ def test_trajectories_match_naive_oracle(variant):
             [complex(y) for y in ys],
             **ORACLE_PARAMS,
         )
-        got, _ = run_variant(variant, xs, ys, **ORACLE_PARAMS)
+        got = run_variant(variant, xs, ys, **ORACLE_PARAMS)
         want = np.array(expected["weights"])
         scale = max(1.0, float(np.abs(want).max()))
         assert np.abs(got - want).max() / scale < 1e-10

@@ -6,14 +6,15 @@ import multiprocessing
 import numpy as np
 import pytest
 
+from naive_oracle import channel_error
 from per_frame_ber import per_frame_ber_sweep
+from single_filter import update_one
 from sparsenlms import filters, harness
 from sparsenlms.channel import generate_sparse_channel
 from sparsenlms.harness import (
     FRAME_BLOCK,
     ExperimentConfig,
     TRUE_CHANNEL,
-    channel_error,
     run_ber_sweep,
     run_monte_carlo_mse,
     run_trial_rows,
@@ -37,9 +38,9 @@ def small_config(**kwargs):
 def per_sample_trial(config, trial_index, algorithm, snr_db):
     """One estimation trial written the slow way, as a reference.
 
-    Each iteration draws its regressor and noise pair on its own, calls
-    ``filters.step`` for the scheduled antenna and scores the whole
-    estimate with ``channel_error``.  Returns ``(squared_error,
+    Each iteration draws its regressor and noise pair on its own, updates
+    the scheduled antenna's filter alone (a batch of one) and scores the
+    whole estimate with ``channel_error``.  Returns ``(squared_error,
     step_trace, estimate)``.
     """
     algo = config.algorithm_config(algorithm, snr_db)
@@ -50,8 +51,8 @@ def per_sample_trial(config, trial_index, algorithm, snr_db):
     rng = np.random.default_rng([config.rng_seed, trial_index, 1])
     length = config.filter_length()
     sigma = np.sqrt(config.noise_variance(snr_db) / 2.0)
-    states = [filters.initial_state(length, algo) for _ in range(config.n_r)]
     estimate = np.zeros((config.n_r, length), dtype=complex)
+    grad_avg = np.zeros_like(estimate)
     errors, steps = [], []
     for n in range(1, config.max_iterations + 1):
         antenna = (n - 1) % config.n_r
@@ -60,10 +61,9 @@ def per_sample_trial(config, trial_index, algorithm, snr_db):
         )
         pair = rng.standard_normal(2)
         y = np.dot(chan[antenna], x) + sigma * (pair[0] + 1j * pair[1])
-        states[antenna], _ = filters.step(states[antenna], x, y, algo)
-        estimate[antenna] = states[antenna].weights
+        _, step_size = update_one(estimate[antenna], grad_avg[antenna], x, y, algo)
         errors.append(channel_error(chan, estimate))
-        steps.append(states[antenna].step_size)
+        steps.append(step_size)
     return np.array(errors), np.array(steps), estimate
 
 
@@ -580,12 +580,15 @@ def test_ber_sweep_erases_rank_deficient_subcarriers():
     assert estimator.bits_total.tolist() == [2048]
     assert estimator.bit_errors.tolist() == [2048]
     assert estimator.ber.tolist() == [1.0]
+    # Erased, but finite: not counted as diverged.
+    assert estimator.diverged == 0
     assert curves[TRUE_CHANNEL].bit_errors.tolist() == [0]
 
 
 def test_ber_sweep_erases_a_diverged_estimator():
     # mu = 50 overflows the estimate to NaN, on which the SVD would not
-    # converge; the estimator is erased on every subcarrier instead.
+    # converge; the estimator is erased on every subcarrier instead, and
+    # both training channels count as diverged.
     config = ber_config(
         mu=50.0, algorithms=["iss_nlms"], max_iterations=1000, esn0_range_db=[30.0]
     )
@@ -596,7 +599,9 @@ def test_ber_sweep_erases_a_diverged_estimator():
     assert estimator.bits_total.tolist() == [2048]
     assert estimator.bit_errors.tolist() == [2048]
     assert estimator.ber.tolist() == [1.0]
+    assert estimator.diverged == 2
     assert curves[TRUE_CHANNEL].bit_errors.tolist() == [0]
+    assert curves[TRUE_CHANNEL].diverged == 0
 
 
 def bits_per_frame(config, order):
