@@ -57,8 +57,6 @@ is bitwise the same in any batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 ISS_NLMS = "iss_nlms"
@@ -78,93 +76,16 @@ VARIANTS = (
 )
 
 
-# Per variant: whether the step adapts, and the fields holding the penalty
-# strength and reweighting scale (none: 0).
+# Per variant: whether the step adapts, and its penalty (none, zero
+# attraction or reweighted zero attraction).
 _LAWS = {
-    ISS_NLMS: (False, None, None),
-    VSS_NLMS: (True, None, None),
-    ISS_ZA_NLMS: (False, "gamma_za", None),
-    ISS_RZA_NLMS: (False, "gamma_rza", "epsilon_rza"),
-    VSS_ZA_NLMS: (True, "gamma_za", None),
-    VSS_RZA_NLMS: (True, "gamma_rza", "epsilon_rza"),
+    ISS_NLMS: (False, None),
+    VSS_NLMS: (True, None),
+    ISS_ZA_NLMS: (False, "za"),
+    ISS_RZA_NLMS: (False, "rza"),
+    VSS_ZA_NLMS: (True, "za"),
+    VSS_RZA_NLMS: (True, "rza"),
 }
-
-
-@dataclass
-class AlgorithmConfig:
-    """Parameters of one update rule.
-
-    Parameters irrelevant to the chosen variant are not validated and
-    never change its results: fixed step-size variants ignore
-    ``mu_max``, ``c_threshold`` and ``beta``, and a penalized variant
-    reads only its own strength (and ``epsilon_rza`` if reweighted);
-    see :meth:`law`.
-
-    Parameters
-    ----------
-    variant : str
-        One of :data:`VARIANTS`.
-    mu : float
-        Fixed step size for iss variants.  Must be positive.
-    mu_max : float
-        Upper step-size bound for vss variants, in ``(0, 2]``; values
-        above 2 destabilize the normalized update.
-    c_threshold : float
-        Positive threshold in the vss law.  The adaptive step equals
-        ``mu_max / 2`` exactly when the smoothed gradient energy equals
-        this value.
-    beta : float
-        Gradient smoothing factor, in ``[0, 1)``.
-    gamma_za : float
-        Zero-attraction strength, nonnegative.
-    gamma_rza : float
-        Reweighted zero-attraction strength, nonnegative.
-    epsilon_rza : float
-        Reweighting scale; attraction falls off for tap magnitudes
-        beyond ``1 / epsilon_rza``.  Must be positive.
-    """
-
-    variant: str
-    mu: float = 0.2
-    mu_max: float = 2.0
-    c_threshold: float = 1e-4
-    beta: float = 0.99
-    gamma_za: float = 0.0
-    gamma_rza: float = 0.0
-    epsilon_rza: float = 20.0
-
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(
-                f"unknown variant {self.variant!r}; expected one of {VARIANTS}"
-            )
-        adaptive, strength, scale = _LAWS[self.variant]
-        # Every check is written as ``not <valid range>``, so NaN fails it.
-        if adaptive:
-            if not 0.0 < self.mu_max <= 2.0:
-                raise ValueError("mu_max must lie in (0, 2]")
-            if not self.c_threshold > 0.0:
-                raise ValueError("c_threshold must be positive")
-            if not 0.0 <= self.beta < 1.0:
-                raise ValueError("beta must lie in [0, 1)")
-        elif not self.mu > 0.0:
-            raise ValueError("mu must be positive")
-        if strength is not None and not getattr(self, strength) >= 0.0:
-            raise ValueError(f"{strength} must be nonnegative")
-        if scale is not None and not getattr(self, scale) > 0.0:
-            raise ValueError(f"{scale} must be positive")
-
-    def law(self):
-        """The variant as data: ``(adaptive, gamma, epsilon)``.
-
-        ``adaptive`` selects the vss step over the fixed ``mu``, and
-        ``gamma`` and ``epsilon`` set the penalty of :func:`_attraction`:
-        ``(gamma_za, 0)`` for zero attraction, ``(0, 0)`` for none.
-        """
-        adaptive, strength, scale = _LAWS[self.variant]
-        gamma = 0.0 if strength is None else getattr(self, strength)
-        epsilon = 0.0 if scale is None else getattr(self, scale)
-        return adaptive, gamma, epsilon
 
 
 def componentwise_sign(values):
@@ -199,7 +120,7 @@ def vss_steps(grad_avg, mu_max, c_threshold):
     gradient ``grad_avg`` (a 1-D vector is one row), so the result is
     real, lies in ``[0, mu_max)`` and equals ``mu_max / 2`` exactly when
     the energy equals ``c_threshold``.  Array parameters broadcast
-    against the rows; :class:`AlgorithmConfig` validates them.
+    against the rows and are not validated.
     """
     energy = row_energy(grad_avg)
     return mu_max * energy / (energy + c_threshold)
@@ -220,31 +141,40 @@ def _attraction(weights, gamma, epsilon):
 class RowParams:
     """Update laws of ``B`` filters updated together, one entry per row.
 
-    Each row carries its variant's :meth:`AlgorithmConfig.law` and
-    parameters: ``vss`` marks the rows whose step follows the vss law
-    (the others use ``mu``), ``keep`` and ``smooth`` are the gradient
-    smoothing weights ``beta`` and ``1 - beta``, and every row
-    subtracts the penalty of :func:`_attraction` with its ``gamma`` and
-    ``epsilon``.  ``adaptive`` (some row adapts its step) and
-    ``penalized`` (some strength is nonzero) are derived from these;
-    :func:`update_rows` skips the smoothing and vss law when no row
-    adapts, and the penalty when every strength is 0.
+    ``variants`` names each row's rule (one of :data:`VARIANTS`); every
+    other argument is one value per row or one for all rows, and a row
+    reads only those of its own variant.  Nothing is validated.
+
+    ``vss`` marks the rows whose step follows the vss law (the others
+    use ``mu``), ``keep`` and ``smooth`` are the gradient smoothing
+    weights ``beta`` and ``1 - beta``, and every row subtracts the
+    penalty of :func:`_attraction` with its ``gamma`` and ``epsilon``:
+    ``(gamma_za, 0)`` for zero attraction, ``(0, 0)`` for none.
+    ``adaptive`` (some row adapts its step) and ``penalized`` (some
+    strength is nonzero) are derived from these; :func:`update_rows`
+    skips the smoothing and vss law when no row adapts, and the penalty
+    when every strength is 0.
     """
 
-    def __init__(self, configs):
-        configs = tuple(configs)
-        adaptive, gamma, epsilon = zip(*(c.law() for c in configs))
+    def __init__(
+        self, variants, mu, mu_max, c_threshold, beta, gamma_za, gamma_rza, epsilon_rza
+    ):
+        adaptive, penalty = zip(*(_LAWS[v] for v in variants))
+        rows = len(adaptive)
+        za = np.array([p == "za" for p in penalty])
+        rza = np.array([p == "rza" for p in penalty])
         self.vss = np.array(adaptive)
         # beta = 1 keeps a fixed-step row's smoothed gradient at zero, so
         # a diverging fixed-step row cannot overflow it.
-        beta = np.where(self.vss, [c.beta for c in configs], 1.0)
-        self.mu = np.array([c.mu for c in configs], dtype=float)
-        self.mu_max = np.array([c.mu_max for c in configs], dtype=float)
-        self.c_threshold = np.array([c.c_threshold for c in configs], dtype=float)
+        beta = np.where(self.vss, beta, 1.0)
+        self.mu = np.full(rows, mu, dtype=float)
+        self.mu_max = np.full(rows, mu_max, dtype=float)
+        self.c_threshold = np.full(rows, c_threshold, dtype=float)
         self.keep = beta[:, None]
         self.smooth = 1.0 - beta
-        self.gamma = np.array(gamma, dtype=float)[:, None]
-        self.epsilon = np.array(epsilon, dtype=float)[:, None]
+        gamma = np.where(za, gamma_za, np.where(rza, gamma_rza, 0.0))
+        self.gamma = gamma[:, None]
+        self.epsilon = np.where(rza, epsilon_rza, 0.0)[:, None]
         self.adaptive = bool(self.vss.any())
         self.penalized = bool(self.gamma.any())
 

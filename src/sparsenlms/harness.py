@@ -179,10 +179,6 @@ class ExperimentConfig:
     It is unset by default: a flat 1e-4 keeps the adaptive step in its
     productive range during the transient, while 1e-5 pins the step
     against ``mu_max``, where the normalized update barely contracts.
-
-    Every algorithm is resolved at every SNR it can run at (``snr_db``
-    and ``ber_training_snr_db``) on construction, so an invalid filter
-    parameter is rejected here rather than partway through a run.
     """
 
     n_t: int = 4
@@ -221,9 +217,11 @@ class ExperimentConfig:
             if entry.type == "float" and not _is_real(value):
                 raise ValueError(f"{entry.name} must be a number, got {value!r}")
             if entry.type == "float | None" and not (
-                value is None or (_is_real(value) and value >= 0.0)
+                value is None or (_is_real(value) and 0.0 <= value < math.inf)
             ):
-                raise ValueError(f"{entry.name} must be null or a number >= 0, got {value!r}")
+                raise ValueError(
+                    f"{entry.name} must be null or a finite number >= 0, got {value!r}"
+                )
         # Scalars are accepted where lists are expected (a single SNR, a
         # single QAM order, one algorithm name), and elements are checked
         # and normalized so serialized configs round-trip exactly.
@@ -256,7 +254,8 @@ class ExperimentConfig:
                     f"c_by_snr must name each SNR once, got {self.c_by_snr!r}"
                 )
             self.c_by_snr = table
-        # +inf dB is the noiseless case; NaN and -inf have no noise level.
+        # +inf dB is the noiseless case; NaN and -inf have no noise level,
+        # and below about -3083 dB the noise level overflows.
         for name, values in (
             ("snr_db", self.snr_db),
             ("esn0_range_db", self.esn0_range_db),
@@ -264,6 +263,13 @@ class ExperimentConfig:
         ):
             if not all(value > -math.inf for value in values):
                 raise ValueError(f"{name} must not be NaN or -inf")
+            for value in values:
+                try:
+                    10.0 ** (-value / 10.0)
+                except OverflowError:
+                    raise ValueError(
+                        f"{name} {value:g} dB gives a noise level that overflows"
+                    ) from None
         if self.n_t < 1 or self.n_r < 1:
             raise ValueError("n_t and n_r must be at least 1")
         if self.tap_length < 1:
@@ -277,11 +283,19 @@ class ExperimentConfig:
                 )
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        # Both also enter the penalty strengths, so they are checked under
-        # their own names whichever variants run (NaN fails too).
+        # Filter parameters are checked whichever variants run, and NaN
+        # fails every check.  An infinite mu or epsilon_rza would turn the
+        # penalty strengths derived from them, and so the taps, into NaN;
+        # a mu_max above 2 destabilizes the normalized update.
         for name in ("mu", "epsilon_rza"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not 0.0 < self.mu_max <= 2.0:
+            raise ValueError("mu_max must lie in (0, 2]")
+        if not self.c_threshold > 0.0:
+            raise ValueError("c_threshold must be positive")
+        if not 0.0 <= self.beta < 1.0:
+            raise ValueError("beta must lie in [0, 1)")
         if self.num_trials < 1:
             raise ValueError("num_trials must be at least 1")
         if self.rng_seed < 0:
@@ -295,9 +309,6 @@ class ExperimentConfig:
             raise ValueError("ber stopping thresholds must be nonnegative")
         if self.ber_max_frames < 1:
             raise ValueError("ber_max_frames must be at least 1")
-        for name in self.algorithms:
-            for snr in [*self.snr_db, self.ber_training_snr_db]:
-                self.algorithm_config(name, snr)
 
     # -- resolution helpers -------------------------------------------------
 
@@ -308,20 +319,22 @@ class ExperimentConfig:
         """Received signal power ``1 / filter_length()`` times ``10**(-snr_db / 10)``."""
         return (1.0 / self.filter_length()) * 10.0 ** (-snr_db / 10.0)
 
-    def algorithm_config(self, variant, snr_db):
-        """Resolve the filter parameters for one variant at one SNR."""
-        variance = self.noise_variance(snr_db)
+    def row_params(self, pairs):
+        """The ``filters.RowParams`` of ``(algorithm, snr_db)`` pairs, one row each."""
         rho_za, rho_rza = DEFAULT_RHO[self.sparsity == 1]
         rho_za = rho_za if self.rho_za is None else self.rho_za
         rho_rza = rho_rza if self.rho_rza is None else self.rho_rza
-        return filters.AlgorithmConfig(
-            variant=variant,
+        variants, snrs = zip(*pairs)
+        variances = [self.noise_variance(snr) for snr in snrs]
+        c_by_snr = self.c_by_snr or {}
+        return filters.RowParams(
+            variants=variants,
             mu=self.mu,
             mu_max=self.mu_max,
-            c_threshold=(self.c_by_snr or {}).get(snr_db, self.c_threshold),
+            c_threshold=[c_by_snr.get(snr, self.c_threshold) for snr in snrs],
             beta=self.beta,
-            gamma_za=self.mu * rho_za * variance,
-            gamma_rza=self.mu * rho_rza * self.epsilon_rza * variance,
+            gamma_za=[self.mu * rho_za * v for v in variances],
+            gamma_rza=[self.mu * rho_rza * self.epsilon_rza * v for v in variances],
             epsilon_rza=self.epsilon_rza,
         )
 
@@ -442,7 +455,7 @@ def run_trial_rows(config, trial_index, pairs):
 
     n_r, length, total = config.n_r, config.filter_length(), config.max_iterations
     rows = len(pairs)
-    params = filters.RowParams(config.algorithm_config(a, s) for a, s in pairs)
+    params = config.row_params(pairs)
     noise_scale = np.sqrt([config.noise_variance(snr) / 2.0 for _, snr in pairs])
     # Whole rounds, so every chunk starts at antenna 0.
     chunk = n_r * max(1, CHUNK_ITERATIONS // n_r)

@@ -116,7 +116,7 @@ def test_criterion_01_oracle_equivalence():
         oracle_xs = [[complex(v) for v in x] for x in xs]
         oracle_ys = [complex(y) for y in ys]
         for variant in filters.VARIANTS:
-            config = filters.AlgorithmConfig(variant=variant, **params)
+            config = filters.RowParams([variant], **params)
             weights, grad_avg = np.zeros((2, length), complex)
             trajectory = np.empty((200, length), dtype=np.complex128)
             for n, (x, y) in enumerate(zip(xs, ys)):

@@ -196,6 +196,42 @@ def test_invalid_config_is_rejected_before_running(argv, tmp_path, capsys, monke
 
 
 @pytest.mark.parametrize(
+    "argv, field",
+    [
+        # Accepted before whenever only fixed-step variants ran.
+        (["single-run", "--override", "beta=1.5", "--override", "algorithms=iss_nlms"],
+         "beta"),
+        (["single-run", "--override", "mu_max=2.5", "--override", "algorithms=iss_nlms"],
+         "mu_max"),
+        # Infinite penalty inputs, which ran to an all-NaN curve or were
+        # named by the strength derived from them.
+        (["single-run", "--override", "rho_za=Infinity",
+          "--override", "algorithms=vss_za_nlms", "--override", "snr_db=20"], "rho_za"),
+        (["single-run", "--override", "epsilon_rza=Infinity",
+          "--override", "algorithms=vss_rza_nlms", "--override", "snr_db=20"],
+         "epsilon_rza"),
+        (["single-run", "--override", "mu=Infinity", "--override", "algorithms=iss_nlms"],
+         "mu"),
+        (["single-run", "--override", "rho_za=Infinity", "--override", "snr_db=Infinity"],
+         "rho_za"),
+        # SNRs whose noise level overflows a float.
+        (["single-run", "--dump-config", "--override", "snr_db=-3100"], "snr_db"),
+        (["ber-sweep", "--override", "esn0_range_db=[-3100]"], "esn0_range_db"),
+        (["ber-sweep", "--override", "ber_training_snr_db=-3100"], "ber_training_snr_db"),
+    ],
+)
+def test_invalid_filter_input_is_named(argv, field, tmp_path, capsys):
+    code = run_cli(*argv, "--out", str(tmp_path / "out"))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: {field} ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
     "argv, name, field",
     [
         # File names print the SNR with {:g}: 10.000001 becomes 10.

@@ -12,8 +12,16 @@ def complex_normal(rng, size, scale=1.0):
     return scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
 
 
+# The naive oracle's defaults: no penalty unless a strength is given.
+ORACLE_DEFAULTS = dict(
+    mu=0.2, mu_max=2.0, c_threshold=1e-4, beta=0.99,
+    gamma_za=0.0, gamma_rza=0.0, epsilon_rza=20.0,
+)
+
+
 def make_config(variant, **kwargs):
-    return filters.AlgorithmConfig(variant=variant, **kwargs)
+    """The ``RowParams`` of one filter, with the oracle's defaults."""
+    return filters.RowParams([variant], **{**ORACLE_DEFAULTS, **kwargs})
 
 
 # -- prediction error (returned by update_rows) -------------------------------
@@ -93,14 +101,6 @@ def test_vss_stays_below_mu_max_and_increases_with_energy():
         previous = mu
 
 
-def test_vss_rejects_nonpositive_threshold():
-    # The threshold is validated once, where the law's parameters enter.
-    for variant in (filters.VSS_NLMS, filters.VSS_ZA_NLMS, filters.VSS_RZA_NLMS):
-        for c_threshold in (0.0, -1e-4, np.nan):
-            with pytest.raises(ValueError, match="c_threshold"):
-                make_config(variant, c_threshold=c_threshold)
-
-
 # -- gradient smoothing (grad_avg after update_rows) --------------------------
 
 
@@ -134,12 +134,6 @@ def test_grad_avg_zero_history_scales_by_one_minus_beta():
 def test_grad_avg_hand_example():
     grad_avg, _ = vss_step([0.1], np.array([1.0], dtype=complex), 1.0, 0.99)
     assert grad_avg[0] == pytest.approx(0.109, rel=1e-12)
-
-
-def test_grad_avg_rejects_bad_beta():
-    for beta in (1.0, -0.1):
-        with pytest.raises(ValueError, match="beta"):
-            make_config(filters.VSS_NLMS, beta=beta)
 
 
 # -- penalties ----------------------------------------------------------------
@@ -230,29 +224,17 @@ def test_step_zero_error_zero_penalty_leaves_weights_unchanged():
         assert np.array_equal(weights, w)
 
 
-def test_config_validation():
-    with pytest.raises(ValueError, match="unknown variant"):
-        make_config("nlms")
-    with pytest.raises(ValueError, match="mu_max"):
-        make_config(filters.VSS_NLMS, mu_max=2.5)
-    with pytest.raises(ValueError, match="beta"):
-        make_config(filters.VSS_NLMS, beta=1.0)
-    with pytest.raises(ValueError, match="c_threshold"):
-        make_config(filters.VSS_NLMS, c_threshold=0.0)
-    with pytest.raises(ValueError, match="mu must be positive"):
-        make_config(filters.ISS_NLMS, mu=0.0)
-    with pytest.raises(ValueError, match="gamma_za"):
-        make_config(filters.ISS_ZA_NLMS, gamma_za=-1.0)
-    with pytest.raises(ValueError, match="epsilon_rza"):
-        make_config(filters.VSS_RZA_NLMS, epsilon_rza=0.0)
-
-
 def test_iss_config_ignores_vss_fields():
-    # Fixed-step variants must not validate (or read) the vss knobs.
-    config = make_config(filters.ISS_ZA_NLMS, mu_max=99.0, beta=5.0, c_threshold=-1.0)
-    weights, grad_avg = np.zeros((2, 1), complex)
-    _, step_size = update_one(weights, grad_avg, np.array([1.0 + 0j]), 1.0, config)
-    assert step_size == config.mu
+    # Fixed-step rows do not read the vss knobs, even out-of-range ones.
+    x = np.array([1.0 + 0j, -0.5j])
+    results = []
+    for vss_fields in ({}, dict(mu_max=99.0, beta=5.0, c_threshold=-1.0)):
+        config = make_config(filters.ISS_ZA_NLMS, gamma_za=0.01, **vss_fields)
+        weights, grad_avg = np.full((2, 2), 0.3 + 0.1j)
+        _, step_size = update_one(weights, grad_avg, x, 1.0, config)
+        assert step_size == 0.2
+        results.append((weights, grad_avg))
+    assert all(np.array_equal(a, b) for a, b in zip(*results))
 
 
 # -- reduction identities -----------------------------------------------------
@@ -303,7 +285,7 @@ def test_vss_step_bounds_hold_throughout_noisy_run():
         x = complex_normal(rng, 8)
         y = np.dot(w_true, x) + 0.05 * complex(*rng.standard_normal(2))
         e, step_size = update_one(weights, grad_avg, x, y, config)
-        assert 0.0 <= step_size < config.mu_max
+        assert 0.0 <= step_size < 2.0
         if n == 0:
             assert e != 0
             assert step_size > 0.0
@@ -336,10 +318,7 @@ def test_iss_noiseless_convergence_below_threshold():
 # -- oracle equivalence -------------------------------------------------------
 
 
-ORACLE_PARAMS = dict(
-    mu=0.2, mu_max=2.0, c_threshold=1e-4, beta=0.99,
-    gamma_za=3e-4, gamma_rza=6e-4, epsilon_rza=20.0,
-)
+ORACLE_PARAMS = dict(ORACLE_DEFAULTS, gamma_za=3e-4, gamma_rza=6e-4)
 
 
 @pytest.mark.parametrize("variant", filters.VARIANTS)

@@ -43,7 +43,7 @@ def per_sample_trial(config, trial_index, algorithm, snr_db):
     whole estimate with ``channel_error``.  Returns ``(squared_error,
     step_trace, estimate)``.
     """
-    algo = config.algorithm_config(algorithm, snr_db)
+    algo = config.row_params([(algorithm, snr_db)])
     chan = generate_sparse_channel(
         np.random.default_rng([config.rng_seed, trial_index, 0]),
         config.n_t, config.n_r, config.tap_length, config.sparsity,
@@ -413,34 +413,42 @@ def test_config_power_conventions():
     assert config.noise_variance(20.0) == pytest.approx(0.01 / 64)
 
 
+def penalties(config, snr_db):
+    """``(gamma_za, gamma_rza, epsilon_rza)`` as ``row_params`` resolves them at one SNR."""
+    pairs = [(filters.VSS_ZA_NLMS, snr_db), (filters.VSS_RZA_NLMS, snr_db)]
+    params = config.row_params(pairs)
+    return params.gamma[0, 0], params.gamma[1, 0], params.epsilon[1, 0]
+
+
 def test_config_rho_defaults_follow_sparsity():
     for sparsity, rho_za, rho_rza in ((1, 0.006, 0.0006), (4, 0.002, 0.0002)):
         config = ExperimentConfig(sparsity=sparsity)
-        algo = config.algorithm_config(filters.VSS_RZA_NLMS, 10.0)
+        gamma_za, gamma_rza, _ = penalties(config, 10.0)
         variance = config.noise_variance(10.0)
-        assert algo.gamma_za == 0.2 * rho_za * variance
-        assert algo.gamma_rza == 0.2 * rho_rza * 20.0 * variance
+        assert gamma_za == 0.2 * rho_za * variance
+        assert gamma_rza == 0.2 * rho_rza * 20.0 * variance
     # An explicit weight replaces its own default only.
     config = ExperimentConfig(sparsity=4, rho_za=0.6)
-    algo = config.algorithm_config(filters.VSS_RZA_NLMS, 10.0)
+    gamma_za, gamma_rza, _ = penalties(config, 10.0)
     variance = config.noise_variance(10.0)
-    assert algo.gamma_za == 0.2 * 0.6 * variance
-    assert algo.gamma_rza == 0.2 * 0.0002 * 20.0 * variance
+    assert gamma_za == 0.2 * 0.6 * variance
+    assert gamma_rza == 0.2 * 0.0002 * 20.0 * variance
 
 
 def test_config_gamma_resolution():
     config = ExperimentConfig(sparsity=1)
-    algo = config.algorithm_config(filters.VSS_RZA_NLMS, 10.0)
+    gamma_za, gamma_rza, epsilon_rza = penalties(config, 10.0)
     variance = config.noise_variance(10.0)
-    assert algo.gamma_za == pytest.approx(0.2 * 0.006 * variance, rel=1e-12)
-    assert algo.gamma_rza == pytest.approx(0.2 * 0.0006 * 20.0 * variance, rel=1e-12)
-    assert algo.epsilon_rza == 20.0
+    assert gamma_za == pytest.approx(0.2 * 0.006 * variance, rel=1e-12)
+    assert gamma_rza == pytest.approx(0.2 * 0.0006 * 20.0 * variance, rel=1e-12)
+    assert epsilon_rza == 20.0
 
 
 def test_config_c_by_snr_table():
     config = ExperimentConfig(c_by_snr={10.0: 1e-5})
     for snr, c_threshold in ((10.0, 1e-5), (10, 1e-5), (20.0, config.c_threshold)):
-        assert config.algorithm_config(filters.VSS_NLMS, snr).c_threshold == c_threshold
+        params = config.row_params([(filters.VSS_NLMS, snr)])
+        assert params.c_threshold[0] == c_threshold
 
 
 def test_config_validation_errors():
@@ -454,16 +462,39 @@ def test_config_validation_errors():
         ExperimentConfig(qam_orders=[32])
     with pytest.raises(ValueError, match="cp_length"):
         ExperimentConfig(cp_length=3).validate_ofdm()
-    # Filter parameters are checked for every algorithm at every SNR,
-    # the BER training SNR included.
-    with pytest.raises(ValueError, match="mu must be positive"):
-        ExperimentConfig(mu=-1.0, algorithms=["iss_nlms"])
-    with pytest.raises(ValueError, match="beta"):
-        ExperimentConfig(beta=5.0, algorithms=["vss_nlms"])
-    with pytest.raises(ValueError, match="c_threshold"):
-        ExperimentConfig(
-            snr_db=[20.0], ber_training_snr_db=10.0, c_by_snr={10.0: 0.0}
-        )
+    with pytest.raises(ValueError, match="c_by_snr"):
+        ExperimentConfig(c_by_snr={10.0: 0.0})
+
+
+@pytest.mark.parametrize(
+    "overrides, name",
+    [
+        (dict(mu_max=2.5), "mu_max"),
+        (dict(beta=1.0), "beta"),
+        (dict(beta=-0.1), "beta"),
+        (dict(c_threshold=0.0), "c_threshold"),
+        (dict(c_threshold=-1e-4), "c_threshold"),
+        (dict(c_threshold=math.nan), "c_threshold"),
+        # Even where c_by_snr gives every SNR its own threshold.
+        (dict(c_threshold=0.0, snr_db=[10.0], c_by_snr={10.0: 1e-5}), "c_threshold"),
+        (dict(mu=0.0), "mu"),
+        (dict(mu=math.inf), "mu"),
+        (dict(epsilon_rza=0.0), "epsilon_rza"),
+        (dict(epsilon_rza=math.inf), "epsilon_rza"),
+        (dict(rho_za=-1.0), "rho_za"),
+        (dict(rho_za=math.inf), "rho_za"),
+        (dict(rho_rza=math.inf), "rho_rza"),
+        (dict(rho_za=math.inf, snr_db=[math.inf]), "rho_za"),
+        # 10**310 overflows a float.
+        (dict(snr_db=[-3100.0]), "snr_db"),
+        (dict(esn0_range_db=[12.0, -3100.0]), "esn0_range_db"),
+        (dict(ber_training_snr_db=-3100.0), "ber_training_snr_db"),
+    ],
+)
+def test_filter_parameters_are_checked_whatever_algorithms_run(overrides, name):
+    # Only iss_nlms runs, which reads neither the vss knobs nor a penalty.
+    with pytest.raises(ValueError, match=f"^{name} "):
+        ExperimentConfig(algorithms=["iss_nlms"], **overrides)
 
 
 def test_config_dict_round_trip():
