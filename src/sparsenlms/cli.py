@@ -43,8 +43,6 @@ from .harness import (
     steady_state_mean,
 )
 
-SUBCOMMANDS = ("mse-convergence", "ber-sweep", "single-run", "trace-stepsize")
-
 
 class CliError(Exception):
     """Contract violation surfaced to the user with a nonzero exit."""
@@ -56,7 +54,7 @@ def parse_invocation(argv):
         prog="sparsenlms",
         description="Sparse adaptive MIMO channel estimation experiments.",
     )
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("subcommand", choices=tuple(_RUNNERS))
     parser.add_argument("--config", dest="config_path", metavar="PATH")
     parser.add_argument(
         "--override",
@@ -238,20 +236,20 @@ def _run_trace_stepsize(config, out_dir, workers):
 def _run_ber_sweep(config, out_dir, workers):
     files = []
     snr = config.ber_training_snr_db
+    esn0_db = np.array(config.esn0_range_db)
     for curve in run_ber_sweep(config, workers):
         name = _artifact_name("ber-sweep", curve.algorithm, config, snr, curve.qam_order)
+        ber = curve.bit_errors / curve.bits_total
         _write_csv(
             os.path.join(out_dir, name),
             f"ber-curve algorithm={curve.algorithm} qam_order={curve.qam_order} "
             f"training_snr_db={snr:g} sparsity={config.sparsity} "
             f"rng_seed={config.rng_seed}",
-            {"esn0_db": curve.esn0_db, "ber": curve.ber,
+            {"esn0_db": esn0_db, "ber": ber,
              "bit_errors": curve.bit_errors, "bits_total": curve.bits_total},
         )
         files.append(name)
-        points = " ".join(
-            f"{esn0:g}dB:{ber:.3e}" for esn0, ber in zip(curve.esn0_db, curve.ber)
-        )
+        points = " ".join(f"{e:g}dB:{b:.3e}" for e, b in zip(esn0_db, ber))
         print(
             f"ber-sweep algorithm={curve.algorithm} qam={curve.qam_order} {points}"
         )

@@ -1,7 +1,8 @@
 """Normalized LMS adaptive filter updates with sparsity-promoting penalties.
 
 This module implements the six update rules used throughout the package,
-operating on complex tap vectors:
+operating on complex tap vectors.  :data:`VARIANTS` lists them in this
+order, the key order of ``_LAWS``, the one table of variants:
 
 ============== =========== ====================================
 variant        step size   penalty on the pre-update taps
@@ -59,33 +60,18 @@ from __future__ import annotations
 
 import numpy as np
 
-ISS_NLMS = "iss_nlms"
-VSS_NLMS = "vss_nlms"
-ISS_ZA_NLMS = "iss_za_nlms"
-ISS_RZA_NLMS = "iss_rza_nlms"
-VSS_ZA_NLMS = "vss_za_nlms"
-VSS_RZA_NLMS = "vss_rza_nlms"
-
-VARIANTS = (
-    ISS_NLMS,
-    VSS_NLMS,
-    ISS_ZA_NLMS,
-    ISS_RZA_NLMS,
-    VSS_ZA_NLMS,
-    VSS_RZA_NLMS,
-)
-
-
-# Per variant: whether the step adapts, and its penalty (none, zero
-# attraction or reweighted zero attraction).
+# Per variant, in default order: whether the step adapts, and its
+# penalty (none, zero attraction or reweighted zero attraction).
 _LAWS = {
-    ISS_NLMS: (False, None),
-    VSS_NLMS: (True, None),
-    ISS_ZA_NLMS: (False, "za"),
-    ISS_RZA_NLMS: (False, "rza"),
-    VSS_ZA_NLMS: (True, "za"),
-    VSS_RZA_NLMS: (True, "rza"),
+    "iss_nlms": (False, None),
+    "vss_nlms": (True, None),
+    "iss_za_nlms": (False, "za"),
+    "iss_rza_nlms": (False, "rza"),
+    "vss_za_nlms": (True, "za"),
+    "vss_rza_nlms": (True, "rza"),
 }
+
+VARIANTS = tuple(_LAWS)
 
 
 def componentwise_sign(values):

@@ -94,8 +94,8 @@ Reproducibility: every random stream is derived from ``rng_seed``
 together with the trial (or frame) index through seed sequences, and
 aggregation always runs in fixed trial order, so equal configurations
 produce byte-identical outputs.  The harness does no I/O: it returns
-curves that carry no copy of the config, and :mod:`sparsenlms.cli`
-writes them.
+curves of counts and values measured, with no copy of the config (BER
+curves hold no E_s/N_0 axis or rates); :mod:`sparsenlms.cli` writes them.
 
 Independent work runs on up to ``workers`` processes (default 1, which
 opens no pool): one ordered ``imap`` over module-level tasks on a
@@ -241,11 +241,11 @@ class ExperimentConfig:
             setattr(self, name, [kind(v) for v in values])
         if self.c_by_snr is not None:
             if not isinstance(self.c_by_snr, Mapping) or not all(
-                _is_snr_key(k) and _is_real(v) and v > 0.0
+                _is_snr_key(k) and _is_real(v) and 0.0 < v < math.inf
                 for k, v in self.c_by_snr.items()
             ):
                 raise ValueError(
-                    "c_by_snr must map SNR in dB to a positive c_threshold, "
+                    "c_by_snr must map SNR in dB to a positive finite c_threshold, "
                     f"got {self.c_by_snr!r}"
                 )
             table = {float(k): float(v) for k, v in self.c_by_snr.items()}
@@ -284,16 +284,16 @@ class ExperimentConfig:
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         # Filter parameters are checked whichever variants run, and NaN
-        # fails every check.  An infinite mu or epsilon_rza would turn the
-        # penalty strengths derived from them, and so the taps, into NaN;
-        # a mu_max above 2 destabilizes the normalized update.
+        # fails every check.  An infinite mu or epsilon_rza makes the taps
+        # NaN through the penalty strengths, an infinite c_threshold pins
+        # the adaptive step at 0, and a mu_max above 2 is unstable.
         for name in ("mu", "epsilon_rza"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
         if not 0.0 < self.mu_max <= 2.0:
             raise ValueError("mu_max must lie in (0, 2]")
-        if not self.c_threshold > 0.0:
-            raise ValueError("c_threshold must be positive")
+        if not 0.0 < self.c_threshold < math.inf:
+            raise ValueError("c_threshold must be positive and finite")
         if not 0.0 <= self.beta < 1.0:
             raise ValueError("beta must lie in [0, 1)")
         if self.num_trials < 1:
@@ -404,13 +404,11 @@ class MseCurve:
 
 @dataclass
 class BerCurve:
-    """Measured bit error rates over a range of symbol SNRs.
+    """Bit errors and bits sent per ``config.esn0_range_db`` point; BER is their ratio.
 
     ``diverged`` counts the training channels whose estimate is not finite.
     """
 
-    esn0_db: np.ndarray
-    ber: np.ndarray
     bit_errors: np.ndarray
     bits_total: np.ndarray
     algorithm: str
@@ -712,24 +710,19 @@ def run_ber_sweep(config, workers=1):
         )
         task = functools.partial(_ber_point, config, tables)
         outcomes = list(ordered_map(task, points))
-    per_order = len(config.esn0_range_db)
-    curves = []
-    for index, order in enumerate(config.qam_orders):
-        point_errors, point_bits = zip(
-            *outcomes[index * per_order : (index + 1) * per_order]
+    # Points ran order by order: errors are (order, point, detector).
+    shape = (len(config.qam_orders), len(config.esn0_range_db))
+    errors, bits = zip(*outcomes)
+    errors = np.array(errors).reshape(*shape, len(detectors))
+    bits = np.array(bits, dtype=np.int64).reshape(shape)
+    return [
+        BerCurve(
+            bit_errors=errors[o, :, d],
+            bits_total=bits[o],
+            algorithm=detector,
+            qam_order=order,
+            diverged=int(diverged[d]),
         )
-        bits_total = np.array(point_bits, dtype=np.int64)
-        per_detector = zip(detectors, np.array(point_errors).T, diverged)
-        for detector, bit_errors, count in per_detector:
-            curves.append(
-                BerCurve(
-                    esn0_db=np.asarray(config.esn0_range_db, dtype=float),
-                    ber=bit_errors / bits_total,
-                    bit_errors=bit_errors,
-                    bits_total=bits_total,
-                    algorithm=detector,
-                    qam_order=int(order),
-                    diverged=int(count),
-                )
-            )
-    return curves
+        for o, order in enumerate(config.qam_orders)
+        for d, detector in enumerate(detectors)
+    ]

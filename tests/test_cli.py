@@ -21,7 +21,7 @@ from sparsenlms.cli import (
     parse_and_dispatch,
     parse_invocation,
 )
-from sparsenlms.harness import MseCurve, run_monte_carlo_mse
+from sparsenlms.harness import MseCurve, run_ber_sweep, run_monte_carlo_mse
 
 
 def run_cli(*args):
@@ -29,6 +29,21 @@ def run_cli(*args):
 
 
 REPEATED_KEY_CONFIG = "repeated-key.json"
+
+# Two QAM orders at two E_s/N_0 points, small enough to run in a second.
+SMALL_BER_SWEEP = [
+    "ber-sweep",
+    "--override", "algorithms=vss_nlms",
+    "--override", "n_t=2", "--override", "n_r=2",
+    "--override", "tap_length=4", "--override", "cp_length=4",
+    "--override", "subcarrier_count=16",
+    "--override", "qam_orders=[16, 64]",
+    "--override", "esn0_range_db=[15, 30]",
+    "--override", "ber_num_channels=2",
+    "--override", "ber_min_errors=0", "--override", "ber_min_bits=2000",
+    "--override", "ber_max_frames=100", "--override", "max_iterations=300",
+    "--seed", "55",
+]
 
 
 def small_overrides():
@@ -218,6 +233,13 @@ def test_invalid_config_is_rejected_before_running(argv, tmp_path, capsys, monke
         (["single-run", "--dump-config", "--override", "snr_db=-3100"], "snr_db"),
         (["ber-sweep", "--override", "esn0_range_db=[-3100]"], "esn0_range_db"),
         (["ber-sweep", "--override", "ber_training_snr_db=-3100"], "ber_training_snr_db"),
+        # An infinite threshold pins the adaptive step at 0: a flat curve.
+        (["single-run", "--override", "c_threshold=Infinity",
+          "--override", "algorithms=vss_nlms", "--override", "snr_db=20",
+          "--override", "max_iterations=400"], "c_threshold"),
+        (["single-run", "--override", 'c_by_snr={"20": Infinity}',
+          "--override", "algorithms=vss_nlms", "--override", "snr_db=20",
+          "--override", "max_iterations=400"], "c_by_snr"),
     ],
 )
 def test_invalid_filter_input_is_named(argv, field, tmp_path, capsys):
@@ -229,6 +251,13 @@ def test_invalid_filter_input_is_named(argv, field, tmp_path, capsys):
     assert "Traceback" not in captured.err
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
+
+
+def test_unknown_subcommand_lists_the_runners_in_order(capsys):
+    assert cli.parse_and_dispatch(["bogus"]) == 2
+    captured = capsys.readouterr()
+    assert "{mse-convergence,ber-sweep,single-run,trace-stepsize}" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(
@@ -401,19 +430,7 @@ def test_non_finite_tail_prints_nan_db(capsys):
             "mse-convergence", "--trials", "3",
             "--override", "mu=1.9", "--override", "max_iterations=1000",
         ],
-        [
-            "ber-sweep",
-            "--override", "algorithms=vss_nlms",
-            "--override", "n_t=2", "--override", "n_r=2",
-            "--override", "tap_length=4", "--override", "cp_length=4",
-            "--override", "subcarrier_count=16",
-            "--override", "qam_orders=[16, 64]",
-            "--override", "esn0_range_db=[15, 30]",
-            "--override", "ber_num_channels=2",
-            "--override", "ber_min_errors=0", "--override", "ber_min_bits=2000",
-            "--override", "ber_max_frames=100", "--override", "max_iterations=300",
-            "--seed", "55",
-        ],
+        SMALL_BER_SWEEP,
     ],
     ids=["mse", "mse-diverging", "ber"],
 )
@@ -543,6 +560,26 @@ def test_mse_csv_format(tmp_path, capsys):
     for line in lines[2:]:
         linear = float(line.split(",")[1])
         assert line.split(",")[2] == repr(float(10.0 * np.log10(linear)))
+
+
+def test_ber_csv_rows_derive_from_the_curve_counts(tmp_path, capsys):
+    assert run_cli(*SMALL_BER_SWEEP, "--out", str(tmp_path)) == 0
+    out = capsys.readouterr().out.splitlines()
+    config = build_config(parse_invocation(SMALL_BER_SWEEP))
+    curves = run_ber_sweep(config)
+    assert len(curves) == 4
+    for curve in curves:
+        name = f"ber-sweep_{curve.algorithm}_T1_SNR10_QAM{curve.qam_order}.csv"
+        lines = (tmp_path / name).read_text().splitlines()
+        assert lines[1] == "esn0_db,ber,bit_errors,bits_total"
+        # The axis comes from the config and the rate from the counts.
+        errors, bits = curve.bit_errors.tolist(), curve.bits_total.tolist()
+        rows = list(zip(config.esn0_range_db, errors, bits, strict=True))
+        assert lines[2:] == [f"{esn0!r},{e / b!r},{e},{b}" for esn0, e, b in rows]
+        points = " ".join(f"{esn0:g}dB:{e / b:.3e}" for esn0, e, b in rows)
+        assert (
+            f"ber-sweep algorithm={curve.algorithm} qam={curve.qam_order} {points}"
+        ) in out
 
 
 def test_csv_writers_match_csv_module_bytes(tmp_path):

@@ -27,8 +27,17 @@ def make_config(variant, **kwargs):
 # -- prediction error (returned by update_rows) -------------------------------
 
 
+def test_variants_keep_the_default_order():
+    # The default algorithms: the order of stdout lines and of the
+    # manifest's config.
+    assert filters.VARIANTS == (
+        "iss_nlms", "vss_nlms", "iss_za_nlms",
+        "iss_rza_nlms", "vss_za_nlms", "vss_rza_nlms",
+    )
+
+
 def test_error_zero_estimator_passes_observation_through():
-    config = make_config(filters.ISS_NLMS)
+    config = make_config("iss_nlms")
     x = np.array([1.0, 2.0, -1.0, 0.5], dtype=np.complex128)
     weights, grad_avg = np.zeros((2, 4), complex)
     e, _ = update_one(weights, grad_avg, x, 3 + 1j, config)
@@ -39,7 +48,7 @@ def test_error_perfect_estimator_is_zero():
     rng = np.random.default_rng(11)
     w = complex_normal(rng, 6)
     x = complex_normal(rng, 6)
-    config = make_config(filters.ISS_NLMS)
+    config = make_config("iss_nlms")
     e, _ = update_one(w, np.zeros(6, complex), x, np.dot(w, x), config)
     assert e == 0
 
@@ -48,7 +57,7 @@ def test_error_hand_example():
     # Plain transpose, no conjugation: e = 3 - [1, 0] . [1, 1] = 2.
     weights = np.array([1.0, 0.0], dtype=np.complex128)
     x = np.array([1.0, 1.0], dtype=np.complex128)
-    config = make_config(filters.ISS_NLMS)
+    config = make_config("iss_nlms")
     e, _ = update_one(weights, np.zeros(2, complex), x, 3.0, config)
     assert e == 2.0
 
@@ -107,7 +116,7 @@ def test_vss_stays_below_mu_max_and_increases_with_energy():
 def vss_step(grad_avg, x, y, beta):
     """One vss_nlms update from zero taps; returns ``(grad_avg, error)``."""
     grad_avg = np.array(grad_avg, dtype=complex)
-    config = make_config(filters.VSS_NLMS, beta=beta)
+    config = make_config("vss_nlms", beta=beta)
     error, _ = update_one(np.zeros(x.size, complex), grad_avg, x, y, config)
     return grad_avg, error
 
@@ -191,7 +200,7 @@ def test_reweighted_approaches_plain_attraction_for_tiny_taps():
 
 
 def test_step_iss_scalar_hand_example():
-    config = make_config(filters.ISS_NLMS, mu=0.2)
+    config = make_config("iss_nlms", mu=0.2)
     weights = np.zeros(1, complex)
     e, step_size = update_one(
         weights, np.zeros(1, complex), np.array([1.0], dtype=complex), 1.0, config
@@ -202,7 +211,7 @@ def test_step_iss_scalar_hand_example():
 
 
 def test_step_vss_with_beta_near_one_barely_moves():
-    config = make_config(filters.VSS_ZA_NLMS, beta=1.0 - 1e-9, gamma_za=0.0)
+    config = make_config("vss_za_nlms", beta=1.0 - 1e-9, gamma_za=0.0)
     weights = np.zeros(1, complex)
     _, step_size = update_one(
         weights, np.zeros(1, complex), np.array([1.0], dtype=complex), 1.0, config
@@ -229,7 +238,7 @@ def test_iss_config_ignores_vss_fields():
     x = np.array([1.0 + 0j, -0.5j])
     results = []
     for vss_fields in ({}, dict(mu_max=99.0, beta=5.0, c_threshold=-1.0)):
-        config = make_config(filters.ISS_ZA_NLMS, gamma_za=0.01, **vss_fields)
+        config = make_config("iss_za_nlms", gamma_za=0.01, **vss_fields)
         weights, grad_avg = np.full((2, 2), 0.3 + 0.1j)
         _, step_size = update_one(weights, grad_avg, x, 1.0, config)
         assert step_size == 0.2
@@ -256,8 +265,8 @@ def test_za_with_zero_gamma_reduces_to_plain_bitwise():
     xs = [complex_normal(rng, 6) for _ in range(50)]
     ys = [complex(*rng.standard_normal(2)) for _ in range(50)]
     for za, plain in [
-        (filters.VSS_ZA_NLMS, filters.VSS_NLMS),
-        (filters.ISS_ZA_NLMS, filters.ISS_NLMS),
+        ("vss_za_nlms", "vss_nlms"),
+        ("iss_za_nlms", "iss_nlms"),
     ]:
         got = run_variant(za, xs, ys, gamma_za=0.0)
         want = run_variant(plain, xs, ys)
@@ -268,8 +277,8 @@ def test_rza_with_zero_gamma_reduces_to_plain_bitwise():
     rng = np.random.default_rng(78)
     xs = [complex_normal(rng, 6) for _ in range(50)]
     ys = [complex(*rng.standard_normal(2)) for _ in range(50)]
-    got = run_variant(filters.VSS_RZA_NLMS, xs, ys, gamma_rza=0.0)
-    want = run_variant(filters.VSS_NLMS, xs, ys)
+    got = run_variant("vss_rza_nlms", xs, ys, gamma_rza=0.0)
+    want = run_variant("vss_nlms", xs, ys)
     assert np.array_equal(got, want)
 
 
@@ -279,7 +288,7 @@ def test_rza_with_zero_gamma_reduces_to_plain_bitwise():
 def test_vss_step_bounds_hold_throughout_noisy_run():
     rng = np.random.default_rng(90)
     w_true = complex_normal(rng, 8, scale=0.3)
-    config = make_config(filters.VSS_NLMS)
+    config = make_config("vss_nlms")
     weights, grad_avg = np.zeros((2, 8), complex)
     for n in range(500):
         x = complex_normal(rng, 8)
@@ -294,7 +303,7 @@ def test_vss_step_bounds_hold_throughout_noisy_run():
 def test_vss_step_size_decays_as_noiseless_run_converges():
     rng = np.random.default_rng(91)
     w_true = complex_normal(rng, 8, scale=0.3)
-    config = make_config(filters.VSS_NLMS, beta=0.9)
+    config = make_config("vss_nlms", beta=0.9)
     weights, grad_avg = np.zeros((2, 8), complex)
     trace = np.empty(1000)
     for n in range(1000):
@@ -306,7 +315,7 @@ def test_vss_step_size_decays_as_noiseless_run_converges():
 def test_iss_noiseless_convergence_below_threshold():
     rng = np.random.default_rng(92)
     w_true = complex_normal(rng, 64, scale=np.sqrt(0.5 / 64))
-    config = make_config(filters.ISS_NLMS, mu=0.2)
+    config = make_config("iss_nlms", mu=0.2)
     weights, grad_avg = np.zeros((2, 64), complex)
     for _ in range(5000):
         x = complex_normal(rng, 64)

@@ -26,7 +26,7 @@ from sparsenlms.modem import qam_modulate
 def small_config(**kwargs):
     defaults = dict(
         snr_db=[10.0],
-        algorithms=[filters.VSS_NLMS],
+        algorithms=["vss_nlms"],
         max_iterations=50,
         num_trials=2,
         rng_seed=99,
@@ -77,7 +77,7 @@ def updated_antenna(n, **kwargs):
         if count == 0:
             return 0.0
         config = small_config(max_iterations=count, **kwargs)
-        return run_trial_rows(config, 0, [(filters.VSS_NLMS, 10.0)]).final_estimate[0]
+        return run_trial_rows(config, 0, [("vss_nlms", 10.0)]).final_estimate[0]
 
     changed = np.flatnonzero(np.any(estimate(n) != estimate(n - 1), axis=1))
     assert changed.size == 1
@@ -108,7 +108,7 @@ def test_round_robin_is_fair():
     assert [updated_antenna(n, n_r=3) for n in (99, 100, 101, 199)] == [2, 0, 1, 0]
     # Three updates touch the first three antennas and leave the fourth.
     config = small_config(max_iterations=3)
-    estimate = run_trial_rows(config, 0, [(filters.VSS_NLMS, 10.0)]).final_estimate[0]
+    estimate = run_trial_rows(config, 0, [("vss_nlms", 10.0)]).final_estimate[0]
     assert [bool(np.any(row)) for row in estimate] == [True, True, True, False]
 
 
@@ -128,7 +128,7 @@ def test_metric_rejects_shape_mismatch():
 
 def test_metric_of_zero_estimator_equals_receive_antenna_count():
     config = small_config()
-    result = run_trial_rows(config, 0, [(filters.VSS_NLMS, 10.0)])
+    result = run_trial_rows(config, 0, [("vss_nlms", 10.0)])
     zero = np.zeros_like(result.channel)
     assert channel_error(result.channel, zero) == 4.0
 
@@ -145,8 +145,8 @@ def test_steady_state_mean():
 
 def test_trial_is_deterministic():
     config = small_config()
-    a = run_trial_rows(config, 1, [(filters.VSS_NLMS, 10.0)])
-    b = run_trial_rows(config, 1, [(filters.VSS_NLMS, 10.0)])
+    a = run_trial_rows(config, 1, [("vss_nlms", 10.0)])
+    b = run_trial_rows(config, 1, [("vss_nlms", 10.0)])
     assert np.array_equal(a.squared_error, b.squared_error)
     assert np.array_equal(a.final_estimate, b.final_estimate)
     assert np.array_equal(a.step_trace, b.step_trace)
@@ -170,15 +170,15 @@ def test_all_variants_run_to_completion():
 
 def test_trial_rejects_negative_index():
     with pytest.raises(ValueError, match="trial_index"):
-        run_trial_rows(small_config(), -1, [(filters.VSS_NLMS, 10.0)])
+        run_trial_rows(small_config(), -1, [("vss_nlms", 10.0)])
 
 
 def test_monte_carlo_single_trial_degenerates_to_the_trial():
     config = small_config(num_trials=1)
     curve = run_monte_carlo_mse(config)[0]
-    trial = run_trial_rows(config, 0, [(filters.VSS_NLMS, 10.0)])
+    trial = run_trial_rows(config, 0, [("vss_nlms", 10.0)])
     assert np.array_equal(curve.values, trial.squared_error[:, 0])
-    assert curve.algorithm == filters.VSS_NLMS
+    assert curve.algorithm == "vss_nlms"
     assert curve.snr_db == 10.0
 
 
@@ -203,8 +203,8 @@ def test_monte_carlo_emits_one_curve_per_pair():
     [
         (4, filters.VARIANTS),
         (9, filters.VARIANTS),
-        (4, [filters.ISS_NLMS, filters.VSS_NLMS]),
-        (4, [filters.ISS_NLMS, filters.ISS_ZA_NLMS, filters.ISS_RZA_NLMS]),
+        (4, ["iss_nlms", "vss_nlms"]),
+        (4, ["iss_nlms", "iss_za_nlms", "iss_rza_nlms"]),
     ],
     ids=["n_r4", "n_r9", "unpenalized", "fixed-step"],
 )
@@ -278,7 +278,7 @@ def test_one_update_call_per_antenna_round(n_r, max_iterations, monkeypatch):
 
     monkeypatch.setattr(filters, "update_rows", counting)
     config = small_config(n_r=n_r, snr_db=[10.0, 20.0], max_iterations=max_iterations)
-    run_trial_rows(config, 0, [(filters.VSS_NLMS, 10.0), (filters.ISS_NLMS, 20.0)])
+    run_trial_rows(config, 0, [("vss_nlms", 10.0), ("iss_nlms", 20.0)])
     assert len(calls) == math.ceil(max_iterations / n_r)
     assert sum(calls) == max_iterations
 
@@ -415,7 +415,7 @@ def test_config_power_conventions():
 
 def penalties(config, snr_db):
     """``(gamma_za, gamma_rza, epsilon_rza)`` as ``row_params`` resolves them at one SNR."""
-    pairs = [(filters.VSS_ZA_NLMS, snr_db), (filters.VSS_RZA_NLMS, snr_db)]
+    pairs = [("vss_za_nlms", snr_db), ("vss_rza_nlms", snr_db)]
     params = config.row_params(pairs)
     return params.gamma[0, 0], params.gamma[1, 0], params.epsilon[1, 0]
 
@@ -447,7 +447,7 @@ def test_config_gamma_resolution():
 def test_config_c_by_snr_table():
     config = ExperimentConfig(c_by_snr={10.0: 1e-5})
     for snr, c_threshold in ((10.0, 1e-5), (10, 1e-5), (20.0, config.c_threshold)):
-        params = config.row_params([(filters.VSS_NLMS, snr)])
+        params = config.row_params([("vss_nlms", snr)])
         assert params.c_threshold[0] == c_threshold
 
 
@@ -489,6 +489,8 @@ def test_config_validation_errors():
         (dict(snr_db=[-3100.0]), "snr_db"),
         (dict(esn0_range_db=[12.0, -3100.0]), "esn0_range_db"),
         (dict(ber_training_snr_db=-3100.0), "ber_training_snr_db"),
+        # Pins the adaptive step at 0, a flat curve at the all-zero error.
+        (dict(c_threshold=math.inf), "c_threshold"),
     ],
 )
 def test_filter_parameters_are_checked_whatever_algorithms_run(overrides, name):
@@ -537,6 +539,7 @@ def test_config_from_dict_accepts_scalars_for_lists():
         ("snr_db", []),
         ("esn0_range_db", []),
         ("algorithms", []),
+        ("c_by_snr", {10.0: math.inf}),
     ],
 )
 def test_config_rejects_bad_list_elements_by_name(field, value):
@@ -573,14 +576,18 @@ def ber_config(**kwargs):
 
 
 def test_ber_sweep_curves_and_counters():
-    curves = run_ber_sweep(ber_config())
+    config = ber_config()
+    curves = run_ber_sweep(config)
     names = [(c.algorithm, c.qam_order) for c in curves]
     assert (TRUE_CHANNEL, 16) in names
     assert ("vss_nlms", 16) in names
     for curve in curves:
-        assert np.all((curve.ber >= 0.0) & (curve.ber <= 1.0))
+        ber = curve.bit_errors / curve.bits_total
+        assert np.all((ber >= 0.0) & (ber <= 1.0))
         assert np.all(curve.bits_total >= 2000)
-        assert np.array_equal(curve.esn0_db, [15.0, 30.0])
+        # One count per configured E_s/N_0 point, in config order.
+        points = (len(config.esn0_range_db),)
+        assert curve.bit_errors.shape == curve.bits_total.shape == points
         assert np.all(curve.bit_errors <= curve.bits_total)
 
 
@@ -610,7 +617,7 @@ def test_ber_sweep_erases_rank_deficient_subcarriers():
     estimator = curves["vss_nlms"]
     assert estimator.bits_total.tolist() == [2048]
     assert estimator.bit_errors.tolist() == [2048]
-    assert estimator.ber.tolist() == [1.0]
+    assert (estimator.bit_errors / estimator.bits_total).tolist() == [1.0]
     # Erased, but finite: not counted as diverged.
     assert estimator.diverged == 0
     assert curves[TRUE_CHANNEL].bit_errors.tolist() == [0]
@@ -629,7 +636,7 @@ def test_ber_sweep_erases_a_diverged_estimator():
     estimator = curves["iss_nlms"]
     assert estimator.bits_total.tolist() == [2048]
     assert estimator.bit_errors.tolist() == [2048]
-    assert estimator.ber.tolist() == [1.0]
+    assert (estimator.bit_errors / estimator.bits_total).tolist() == [1.0]
     assert estimator.diverged == 2
     assert curves[TRUE_CHANNEL].bit_errors.tolist() == [0]
     assert curves[TRUE_CHANNEL].diverged == 0
@@ -769,7 +776,7 @@ def test_genie_ber_matches_closed_form():
         bits_per_symbol = int(math.log2(curve.qam_order))
         assert curve.bits_total.tolist() == [300 * k * n_t * bits_per_symbol] * 4
         bits = frames[:, None, None] * bits_per_symbol
-        for esn0, errors in zip(curve.esn0_db, curve.bit_errors):
+        for esn0, errors in zip(config.esn0_range_db, curve.bit_errors, strict=True):
             n0 = 10.0 ** (-esn0 / 10.0)
             p = gray_qam_ber(curve.qam_order, 1.0 / (n0 * np.array(g_diagonals)))
             expected = np.sum(bits * p)

@@ -6,7 +6,7 @@ import re
 from pathlib import Path
 
 import sparsenlms
-from sparsenlms.harness import TrialResult
+from sparsenlms.harness import BerCurve, MseCurve, TrialResult
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -51,6 +51,17 @@ def test_readme_trial_snippet_runs_and_names_every_field(capsys):
     after = section.split(snippet, 1)[1].split("\n\n", 2)[1]
     for entry in dataclasses.fields(TrialResult):
         assert f"`{entry.name}`" in after
+
+
+def test_readme_names_every_curve_field():
+    paragraphs = [" ".join(p.split()) for p in library_use_section().split("\n\n")]
+    (paragraph,) = [
+        p for p in paragraphs if p.startswith("`run_monte_carlo_mse` returns one `MseCurve`")
+    ]
+    mse, ber = paragraph.split("`run_ber_sweep` returns one `BerCurve`", 1)
+    for curve_type, text in ((MseCurve, mse), (BerCurve, ber)):
+        for entry in dataclasses.fields(curve_type):
+            assert f"`{entry.name}`" in text
 
 
 def test_every_public_name_is_used_inside_the_package():
