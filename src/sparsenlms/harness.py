@@ -98,14 +98,14 @@ curves of counts and values measured, with no copy of the config (BER
 curves hold no E_s/N_0 axis or rates); :mod:`sparsenlms.cli` writes them.
 
 Independent work runs on up to ``workers`` processes (default 1, which
-opens no pool): one ordered ``imap`` over module-level tasks on a
-``fork`` pool.  Both experiments map :func:`run_trial_rows` over the
-trials: the MSE run adds each trial's error block in trial order exactly
-as a serial run does and counts divergence from its last row, and the
-BER sweep keeps the channels and frozen estimates.  Each (QAM order,
-E_s/N_0) point is then one task, running its block loop and stop rule on
-the stacked tables and returning its error counts and bits sent.
-Outputs are byte-identical for every worker count.
+opens no pool): one ordered ``Executor.map`` over module-level tasks on
+a ``fork`` process pool.  Both experiments map :func:`run_trial_rows`
+over the trials: the MSE run adds each trial's error block in trial
+order exactly as a serial run does and counts divergence from its last
+row, and the BER sweep keeps the channels and frozen estimates.  Each
+(QAM order, E_s/N_0) point is then one task, running its block loop and
+stop rule on the stacked tables and returning its error counts and bits
+sent.  Outputs are byte-identical for every worker count.
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ import functools
 import math
 import numbers
 from collections.abc import Mapping
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -350,14 +350,10 @@ class ExperimentConfig:
     # -- serialization ------------------------------------------------------
 
     def to_dict(self):
-        out = {}
-        for entry in fields(self):
-            value = getattr(self, entry.name)
-            if isinstance(value, list):
-                value = list(value)
-            elif isinstance(value, dict):
-                value = {str(float(k)): float(v) for k, v in value.items()}
-            out[entry.name] = value
+        out = asdict(self)
+        if self.c_by_snr is not None:
+            # JSON keys are strings; sorted dumps order them as text.
+            out["c_by_snr"] = {str(k): v for k, v in self.c_by_snr.items()}
         return out
 
     @classmethod
@@ -520,23 +516,23 @@ def _ordered_map(workers, tasks):
     """Yield a ``map(task, items)`` that returns results in item order.
 
     With ``workers > 1`` and ``tasks > 1`` (the most items any one map
-    call gets) it is ``imap`` on a ``fork`` pool of ``min(workers,
-    tasks)`` processes, otherwise the builtin ``map``.  The pool is closed
-    and joined when the block ends, and terminated and joined if it
-    raises (a task that raises raises here too), so no worker outlives
-    the block.
+    call gets) it is ``Executor.map`` on a ``fork`` process pool of
+    ``min(workers, tasks)`` workers, otherwise the builtin ``map``.  A
+    task that raises raises here too: the map's pending tasks are
+    cancelled and its running ones finish.  A worker that dies raises
+    ``BrokenProcessPool``.  No worker outlives the block.
     """
     processes = min(workers, tasks)
     if processes <= 1:
         yield map
         return
-    # Imported only where a pool is opened, so serial runs never load it.
+    # Imported only where a pool is opened, so serial runs never load them.
+    import concurrent.futures
     import multiprocessing
 
-    with multiprocessing.get_context("fork").Pool(processes) as pool:
-        yield pool.imap
-        pool.close()
-        pool.join()
+    context = multiprocessing.get_context("fork")
+    with concurrent.futures.ProcessPoolExecutor(processes, mp_context=context) as pool:
+        yield pool.map
 
 
 def run_monte_carlo_mse(config, workers=1):

@@ -2,6 +2,10 @@
 
 import math
 import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -332,6 +336,37 @@ def test_pool_is_joined_when_a_task_raises(monkeypatch):
     with pytest.raises(RuntimeError, match="frames failed"):
         run_ber_sweep(ber_config(ber_num_channels=1), workers=2)
     assert multiprocessing.active_children() == []
+
+
+# A pooled map whose worker for item 3 dies without a result.
+DEAD_WORKER = """
+import os
+from sparsenlms import harness
+
+def task(item):
+    if item == 3:
+        os._exit(1)
+    return item
+
+with harness._ordered_map(2, 6) as ordered_map:
+    print(list(ordered_map(task, range(6))))
+"""
+
+
+def test_a_dead_worker_fails_the_run():
+    # A lost worker must end the run with an error, not leave it waiting
+    # for a result that never comes.
+    if not hasattr(os, "fork"):
+        pytest.skip("needs a fork pool")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", DEAD_WORKER],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode != 0
+    assert "BrokenProcessPool" in done.stderr, done.stderr
 
 
 def test_iss_nlms_steady_state_matches_theory():
