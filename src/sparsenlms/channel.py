@@ -30,13 +30,6 @@ def generate_sparse_channel(rng, n_t, n_r, tap_length, sparsity):
         Source of randomness; a generator seeded identically yields an
         identical realization.
     """
-    if n_t < 1 or n_r < 1:
-        raise ValueError("antenna counts must be at least 1")
-    if tap_length < 1:
-        raise ValueError("tap_length must be at least 1")
-    if not 1 <= sparsity <= tap_length:
-        raise ValueError("sparsity must lie in [1, tap_length]")
-
     entries = np.zeros((n_r, n_t * tap_length), dtype=np.complex128)
     for ir in range(n_r):
         for it in range(n_t):

@@ -127,6 +127,8 @@ def build_config(invocation):
             config.validate_ofdm()
     except (ValueError, TypeError) as exc:
         raise CliError(str(exc)) from exc
+    if invocation.subcommand in ("single-run", "trace-stepsize"):
+        config = replace(config, num_trials=1)  # trial 0 alone, once checked
     _reject_shared_files(invocation.subcommand, config)
     return config
 
@@ -205,9 +207,7 @@ def _run_mse_convergence(config, out_dir, workers, subcommand="mse-convergence")
 
 def _run_single_run(config, out_dir, workers):
     # Averaging a single trial returns it exactly (0.0 + x, then x / 1).
-    return _run_mse_convergence(
-        replace(config, num_trials=1), out_dir, workers, "single-run"
-    )
+    return _run_mse_convergence(config, out_dir, workers, "single-run")
 
 
 def _run_trace_stepsize(config, out_dir, workers):

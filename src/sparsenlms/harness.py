@@ -6,7 +6,9 @@ matrix by running one adaptive filter per receive antenna.  Iteration
 fresh unit-power training regressor and a noisy observation through the
 true channel.  Identification quality is tracked per iteration as the
 squared Frobenius distance between the true and estimated matrices, and
-averaged across trials elementwise.
+averaged across trials elementwise.  ``ExperimentConfig.__post_init__``
+is the only input check: ``channel``, ``signals`` and ``modem`` trust
+their arguments.
 
 Noise levels derive from the received SNR: with unit-norm receive rows
 and unit-total-power regressors the received signal power is ``1 /

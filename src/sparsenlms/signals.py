@@ -26,8 +26,6 @@ def training_chunk(rng, count, n_t, tap_length):
     consumes the stream.  Splitting a run into chunks of any size
     therefore leaves every value unchanged.
     """
-    if n_t < 1 or tap_length < 1:
-        raise ValueError("n_t and tap_length must be at least 1")
     length = n_t * tap_length
     draws = rng.standard_normal((count, 2 * length + 2))
     scale = np.sqrt(0.5 / length)

@@ -48,16 +48,6 @@ def test_generation_is_deterministic():
     assert np.array_equal(a, b)
 
 
-def test_generation_validates_arguments():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError, match="sparsity"):
-        generate_sparse_channel(rng, 2, 2, 4, 5)
-    with pytest.raises(ValueError, match="antenna"):
-        generate_sparse_channel(rng, 0, 2, 4, 1)
-    with pytest.raises(ValueError, match="tap_length"):
-        generate_sparse_channel(rng, 2, 2, 0, 1)
-
-
 def test_support_positions_are_uniform():
     # Chi-square goodness of fit over 1e4 single-tap links; 30.578 is
     # the 1% critical value at 15 degrees of freedom.

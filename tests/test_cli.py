@@ -56,14 +56,25 @@ def small_overrides():
 
 
 def test_dump_config_round_trips(tmp_path, capsys):
-    assert run_cli("single-run", "--dump-config", "--override", "sparsity=4") == 0
-    first = capsys.readouterr().out
-    config_path = tmp_path / "config.json"
-    config_path.write_text(first)
-    assert run_cli("single-run", "--config", str(config_path), "--dump-config") == 0
-    second = capsys.readouterr().out
-    assert first == second
-    assert json.loads(first)["sparsity"] == 4
+    cases = [
+        (["sparsity=4"], {"sparsity": 4}),
+        # A scalar where a list is stored, a c_by_snr table and a rho weight.
+        (
+            ["snr_db=20", 'c_by_snr={"10": 1e-5}', "rho_za=0.6"],
+            {"snr_db": [20.0], "c_by_snr": {"10.0": 1e-5}, "rho_za": 0.6},
+        ),
+    ]
+    for overrides, expected in cases:
+        argv = [arg for item in overrides for arg in ("--override", item)]
+        assert run_cli("single-run", "--dump-config", *argv) == 0
+        first = capsys.readouterr().out
+        config_path = tmp_path / "config.json"
+        config_path.write_text(first)
+        assert run_cli("single-run", "--config", str(config_path), "--dump-config") == 0
+        second = capsys.readouterr().out
+        assert first == second
+        dumped = json.loads(first)
+        assert {key: dumped[key] for key in expected} == expected
 
 
 @pytest.mark.parametrize(
@@ -101,7 +112,7 @@ def test_module_invocation_runs_the_cli(module):
 
 def test_seed_and_trials_flags_apply_last(capsys):
     assert run_cli(
-        "single-run", "--dump-config",
+        "mse-convergence", "--dump-config",
         "--override", "rng_seed=1", "--override", "num_trials=7",
         "--seed", "42", "--trials", "3",
     ) == 0
@@ -194,6 +205,9 @@ def test_invalid_value_is_rejected(tmp_path, capsys):
         # last value: in an override and in a config file.
         ["single-run", "--override", 'c_by_snr={"10": 1e-5, "10": 2e-5}'],
         ["single-run", "--config", REPEATED_KEY_CONFIG],
+        # The smallest channel is one transmit antenna and one tap.
+        ["single-run", "--override", "n_t=0"],
+        ["single-run", "--override", "tap_length=0"],
     ],
 )
 def test_invalid_config_is_rejected_before_running(argv, tmp_path, capsys, monkeypatch):
@@ -376,8 +390,14 @@ def test_manifest_records_checksums(tmp_path, capsys):
     capsys.readouterr()
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["command"] == "trace-stepsize"
-    assert manifest["config"]["num_trials"] == 2
-    assert manifest["artifacts"]
+    # The trace runs trial 0 alone, whatever --trials says.
+    assert manifest["config"]["num_trials"] == 1
+    assert sorted(manifest["artifacts"]) == sorted(p.name for p in tmp_path.glob("*.csv"))
+    lines = (tmp_path / "trace-stepsize_iss_nlms_T1_SNR10.csv").read_text().splitlines()
+    assert lines[:2] == [
+        "# stepsize-trace algorithm=iss_nlms snr_db=10 sparsity=1 rng_seed=12345",
+        "iteration,step_size",
+    ]
     for name, digest in manifest["artifacts"].items():
         payload = (tmp_path / name).read_bytes()
         assert hashlib.sha256(payload).hexdigest() == digest
@@ -571,6 +591,10 @@ def test_ber_csv_rows_derive_from_the_curve_counts(tmp_path, capsys):
     for curve in curves:
         name = f"ber-sweep_{curve.algorithm}_T1_SNR10_QAM{curve.qam_order}.csv"
         lines = (tmp_path / name).read_text().splitlines()
+        assert lines[0] == (
+            f"# ber-curve algorithm={curve.algorithm} qam_order={curve.qam_order} "
+            "training_snr_db=10 sparsity=1 rng_seed=55"
+        )
         assert lines[1] == "esn0_db,ber,bit_errors,bits_total"
         # The axis comes from the config and the rate from the counts.
         errors, bits = curve.bit_errors.tolist(), curve.bits_total.tolist()

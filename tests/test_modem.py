@@ -27,11 +27,6 @@ def test_bits_per_symbol():
     assert qam_constellation(256).bits_per_symbol == 8
 
 
-def test_invalid_order_rejected():
-    with pytest.raises(ValueError, match="order must be one of"):
-        qam_constellation(32)
-
-
 @pytest.mark.parametrize("order", QAM_ORDERS)
 def test_modulate_demodulate_round_trip(order):
     rng = np.random.default_rng(300 + order)
@@ -53,12 +48,6 @@ def test_gray_neighbor_property(order):
     for i in range(table.levels_per_axis - 1):
         diff = int(table.level_codes[i] ^ table.level_codes[i + 1])
         assert bin(diff).count("1") == 1
-
-
-def test_modulate_rejects_codes_outside_the_constellation():
-    for codes in ([0, 16], [-1, 3]):
-        with pytest.raises(ValueError, match="must lie in"):
-            qam_modulate(np.array(codes), 16)
 
 
 def test_tie_breaks_toward_lower_gray_codeword():

@@ -39,11 +39,6 @@ def test_regressor_determinism():
         assert noise_a[i] == pair[0] + 1j * pair[1]
 
 
-def test_regressor_validates_arguments():
-    with pytest.raises(ValueError, match="at least 1"):
-        training_chunk(np.random.default_rng(0), 3, 0, 8)
-
-
 def test_cyclic_prefix_makes_convolution_circular():
     # Reference OFDM link built the slow way: per-stream inverse DFT,
     # cyclic prefix, per-link linear convolution, prefix removal and
