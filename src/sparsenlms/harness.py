@@ -85,12 +85,12 @@ regressors and noise are unchanged bit for bit.  Each row's noise is
 the shared unit pair scaled by its own SNR.  The error metric is always
 computed, incrementally: after each round the updated antennas' errors
 are rescored into an ``(n_r, B)`` per-antenna table for that round.  At
-chunk end each iteration's table is rebuilt from its round's table (the
-antennas the round has already reached at that iteration) and the
-previous round's (the others), and summed antenna by antenna.  Every
-trial runs all ``max_iterations`` updates.  A trial whose final error
-is not finite or exceeds the all-zero estimator's ``n_r`` counts as
-diverged.
+chunk end one index rule reads each iteration's error: at chunk
+iteration ``i`` antenna ``a`` holds its error after round ``(i - a) //
+n_r + 1`` (round 0 being the chunk's start), and the antennas are summed
+one by one.  Every trial runs all ``max_iterations`` updates.  A trial
+whose final error is not finite or exceeds the all-zero estimator's
+``n_r`` counts as diverged.
 
 Reproducibility: every random stream is derived from ``rng_seed``
 together with the trial (or frame) index through seed sequences, and
@@ -167,7 +167,7 @@ def _is_snr_key(key):
         return False
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of one experiment.
 
@@ -240,7 +240,7 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must not be empty")
             if not all(valid(v) for v in values):
                 raise ValueError(f"{name} must hold {noun}, got {values!r}")
-            setattr(self, name, [kind(v) for v in values])
+            object.__setattr__(self, name, [kind(v) for v in values])
         if self.c_by_snr is not None:
             if not isinstance(self.c_by_snr, Mapping) or not all(
                 _is_snr_key(k) and _is_real(v) and 0.0 < v < math.inf
@@ -255,7 +255,7 @@ class ExperimentConfig:
                 raise ValueError(
                     f"c_by_snr must name each SNR once, got {self.c_by_snr!r}"
                 )
-            self.c_by_snr = table
+            object.__setattr__(self, "c_by_snr", table)
         # +inf dB is the noiseless case; NaN and -inf have no noise level,
         # and below about -3083 dB the noise level overflows.
         for name, values in (
@@ -465,12 +465,7 @@ def run_trial_rows(config, trial_index, pairs):
     # chunk; entry 0 holds the errors the chunk starts from.
     round_error = np.empty((chunk // n_r + 1, n_r, rows))
     round_error[0] = filters.row_energy(channel)[:, None]
-    # Iteration i of a chunk updates antenna i % n_r in round i // n_r:
-    # the antennas up to that one already carry this round's update, the
-    # others still carry the previous round's.
     antennas = np.arange(chunk) % n_r
-    round_of = np.arange(chunk) // n_r
-    updated = (np.arange(n_r) <= antennas[:, None])[:, :, None]
 
     # A diverging row overflows to NaN, which the CLI reports; numpy's
     # warnings, printed once per process, would repeat per pool worker.
@@ -493,15 +488,14 @@ def run_trial_rows(config, trial_index, pairs):
                 # A partial final round leaves the later antennas' entries
                 # unset; no iteration of that round reads them.
                 round_error[r + 1, :m] = filters.row_energy(entries[:m] - w)
-            rounds = round_of[:count]
-            history = np.where(
-                updated[:count], round_error[rounds + 1], round_error[rounds]
-            )
+            # At chunk iteration i antenna a holds the error after round
+            # (i - a) // n_r + 1, entry i + n_r - a of its repeated column.
             # Antenna by antenna, so the rounding is the same for any B: one
             # sum call would add 8 or more antennas pairwise when B = 1.
-            totals = history[:, 0]
-            for antenna in range(1, n_r):
-                totals = totals + history[:, antenna]
+            totals = 0.0
+            for a in range(n_r):
+                repeated = np.repeat(round_error[:, a], n_r, axis=0)
+                totals = totals + repeated[n_r - a : n_r - a + count]
             squared_error[start : start + count] = totals
             round_error[0] = round_error[-1]
 

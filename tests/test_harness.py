@@ -1,5 +1,6 @@
 """Unit tests for experiment orchestration and metrics."""
 
+import dataclasses
 import math
 import multiprocessing
 import os
@@ -242,17 +243,25 @@ def test_batch_rows_equal_batch_of_one(n_r, algorithms):
         (1, 333, 0, {}),
         (128, 300, 0, {"n_t": 1, "tap_length": 2}),
         (4, 300, 1, {"snr_db": [10.0, float("inf")]}),
+        (4, 3, 0, {}),
+        (7, 100, 0, {}),
     ],
-    ids=["n_r4", "n_r9", "n_r3", "n_r1", "n_r128", "noiseless"],
+    ids=[
+        "n_r4", "n_r9", "n_r3", "n_r1", "n_r128", "noiseless", "sub_round",
+        "short_chunk",
+    ],
 )
 def test_round_kernel_matches_per_sample_reference(n_r, max_iterations, trial, shape):
     # The chunked draws reproduce the per-iteration stream bit for bit,
     # so estimates and step sizes are equal; the incremental metric
     # only sums in another order.  A round updates every antenna at
-    # once, each with its own iteration's data.  Partial final rounds
-    # (1001 = 4 * 250 + 1 and 703 = 9 * 78 + 1) and chunks that are not
-    # 100 iterations long (99 at n_r = 9 and 3, 128 at n_r = 128) must
-    # leave the per-iteration results unchanged, and so must a noiseless
+    # once, each with its own iteration's data, and chunk iteration i
+    # reads antenna a's error after round (i - a) // n_r + 1.  Partial
+    # final rounds (1001 = 4 * 250 + 1 and 703 = 9 * 78 + 1), chunks
+    # that are not 100 iterations long (99 at n_r = 9 and 3, 128 at
+    # n_r = 128), a trial shorter than one round (3 < 4) and a final
+    # chunk shorter than one round (100 = 98 + 2 at n_r = 7) must leave
+    # the per-iteration results unchanged, and so must a noiseless
     # (+inf dB) row.
     config = small_config(
         n_r=n_r,
@@ -499,6 +508,10 @@ def test_config_validation_errors():
         ExperimentConfig(cp_length=3).validate_ofdm()
     with pytest.raises(ValueError, match="c_by_snr"):
         ExperimentConfig(c_by_snr={10.0: 0.0})
+    # An assigned field would skip the check, so no field can be assigned.
+    config = ExperimentConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.n_t = 0
 
 
 @pytest.mark.parametrize(
