@@ -20,6 +20,11 @@ reproduces every file byte for byte.
 Multi-trial MSE runs and BER sweeps use one process per CPU in this
 process's affinity mask (``taskset -c 0`` makes a run serial); the
 output files, stdout and stderr do not depend on the count.
+
+At module level this imports only the standard library and
+:mod:`sparsenlms.config`.  numpy and the harness load when a runner
+starts, so ``--help``, ``--dump-config`` and every rejected invocation
+answer without them.
 """
 
 from __future__ import annotations
@@ -32,16 +37,7 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
-from .harness import (
-    TRUE_CHANNEL,
-    ExperimentConfig,
-    run_ber_sweep,
-    run_monte_carlo_mse,
-    run_trial_rows,
-    steady_state_mean,
-)
+from .config import TRUE_CHANNEL, ExperimentConfig
 
 
 class CliError(Exception):
@@ -160,8 +156,8 @@ def _reject_shared_files(subcommand, config):
     if len(set(names)) < len(names):
         name = next(name for i, name in enumerate(names) if name in names[:i])
         raise CliError(
-            f"algorithms {config.algorithms} and {other} "
-            f"{getattr(config, other)} give two curves the file {name}"
+            f"algorithms {list(config.algorithms)} and {other} "
+            f"{list(getattr(config, other))} give two curves the file {name}"
         )
 
 
@@ -187,6 +183,10 @@ def _write_csv(path, comment, columns):
 
 
 def _run_mse_convergence(config, out_dir, workers, subcommand="mse-convergence"):
+    import numpy as np
+
+    from .harness import run_monte_carlo_mse
+
     files = []
     for curve in run_monte_carlo_mse(config, workers):
         name = _artifact_name(subcommand, curve.algorithm, config, curve.snr_db)
@@ -211,6 +211,10 @@ def _run_single_run(config, out_dir, workers):
 
 
 def _run_trace_stepsize(config, out_dir, workers):
+    import numpy as np
+
+    from .harness import run_trial_rows, steady_state_mean
+
     # One trial, so there is nothing to share between workers.
     pairs = [(a, snr) for a in config.algorithms for snr in config.snr_db]
     traces = run_trial_rows(config, 0, pairs).step_trace.T
@@ -234,6 +238,10 @@ def _run_trace_stepsize(config, out_dir, workers):
 
 
 def _run_ber_sweep(config, out_dir, workers):
+    import numpy as np
+
+    from .harness import run_ber_sweep
+
     files = []
     snr = config.ber_training_snr_db
     esn0_db = np.array(config.esn0_range_db)
@@ -264,6 +272,8 @@ def _run_ber_sweep(config, out_dir, workers):
 
 
 def _summarize_mse(subcommand, curve, num_trials):
+    from .harness import steady_state_mean
+
     # Final-1% window mean, the quick convergence-quality readout.
     tail = steady_state_mean(curve.values, fraction=0.01)
     if tail == 0.0:

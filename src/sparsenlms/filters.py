@@ -1,8 +1,10 @@
 """Normalized LMS adaptive filter updates with sparsity-promoting penalties.
 
 This module implements the six update rules used throughout the package,
-operating on complex tap vectors.  :data:`VARIANTS` lists them in this
-order, the key order of ``_LAWS``, the one table of variants:
+operating on complex tap vectors.  The one table of variants, ``_LAWS``,
+lives in :mod:`sparsenlms.config` (which imports no numpy, so a config
+can be checked before numpy loads); ``config.VARIANTS`` lists its keys
+in this order:
 
 ============== =========== ====================================
 variant        step size   penalty on the pre-update taps
@@ -60,18 +62,7 @@ from __future__ import annotations
 
 import numpy as np
 
-# Per variant, in default order: whether the step adapts, and its
-# penalty (none, zero attraction or reweighted zero attraction).
-_LAWS = {
-    "iss_nlms": (False, None),
-    "vss_nlms": (True, None),
-    "iss_za_nlms": (False, "za"),
-    "iss_rza_nlms": (False, "rza"),
-    "vss_za_nlms": (True, "za"),
-    "vss_rza_nlms": (True, "rza"),
-}
-
-VARIANTS = tuple(_LAWS)
+from .config import _LAWS
 
 
 def componentwise_sign(values):
@@ -127,7 +118,7 @@ def _attraction(weights, gamma, epsilon):
 class RowParams:
     """Update laws of ``B`` filters updated together, one entry per row.
 
-    ``variants`` names each row's rule (one of :data:`VARIANTS`); every
+    ``variants`` names each row's rule (one of ``config.VARIANTS``); every
     other argument is one value per row or one for all rows, and a row
     reads only those of its own variant.  Nothing is validated.
 

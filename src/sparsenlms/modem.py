@@ -1,12 +1,13 @@
 """Gray-coded square QAM modulation and hard-decision demodulation on symbol codes.
 
-Square constellations of order 16, 64 and 256 are supported.  A symbol's
-code is its ``log2(order)``-bit pattern read as an integer, most
-significant bit first: the high half Gray-codes the in-phase level and
-the low half the quadrature level, and the lattice is scaled to unit
-mean symbol energy.  Axis-adjacent constellation points therefore differ
-in exactly one bit, and the bit errors of a decision are the set bits of
-the XOR of the sent and decided codes (:func:`code_bit_errors`).
+Square constellations of the orders in ``config.QAM_ORDERS`` (16, 64
+and 256) are supported.  A symbol's code is its ``log2(order)``-bit
+pattern read as an integer, most significant bit first: the high half
+Gray-codes the in-phase level and the low half the quadrature level, and
+the lattice is scaled to unit mean symbol energy.  Axis-adjacent
+constellation points therefore differ in exactly one bit, and the bit
+errors of a decision are the set bits of the XOR of the sent and decided
+codes (:func:`code_bit_errors`).
 :func:`qam_modulate` maps codes to symbols and :func:`qam_demodulate`
 maps symbols back to codes; both keep the array's shape.
 
@@ -22,8 +23,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-
-QAM_ORDERS = (16, 64, 256)
 
 
 def _gray_encode(index):

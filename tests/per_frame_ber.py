@@ -10,8 +10,8 @@ position, so the tests can pin the block loop and the rounding to them.
 
 import numpy as np
 
+from sparsenlms.config import TRUE_CHANNEL
 from sparsenlms.harness import (
-    TRUE_CHANNEL,
     _frequency_responses,
     _zero_forcing_tables,
     run_trial_rows,

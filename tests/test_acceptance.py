@@ -15,12 +15,8 @@ import pytest
 
 from sparsenlms import filters
 from sparsenlms.cli import parse_and_dispatch
-from sparsenlms.harness import (
-    ExperimentConfig,
-    TRUE_CHANNEL,
-    run_ber_sweep,
-    run_trial_rows,
-)
+from sparsenlms.config import TRUE_CHANNEL, VARIANTS, ExperimentConfig
+from sparsenlms.harness import run_ber_sweep, run_trial_rows
 import acceptance_report
 from naive_oracle import channel_error, run_oracle
 from single_filter import update_one
@@ -115,7 +111,7 @@ def test_criterion_01_oracle_equivalence():
         ]
         oracle_xs = [[complex(v) for v in x] for x in xs]
         oracle_ys = [complex(y) for y in ys]
-        for variant in filters.VARIANTS:
+        for variant in VARIANTS:
             config = filters.RowParams([variant], **params)
             weights, grad_avg = np.zeros((2, length), complex)
             trajectory = np.empty((200, length), dtype=np.complex128)

@@ -5,7 +5,8 @@ import pytest
 
 from sparsenlms.channel import generate_sparse_channel
 from sparsenlms.filters import row_dot
-from sparsenlms.harness import ExperimentConfig, _observe
+from sparsenlms.config import ExperimentConfig
+from sparsenlms.harness import _observe
 from sparsenlms.signals import training_chunk
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sparsenlms import filters
+from sparsenlms.config import VARIANTS
 from naive_oracle import run_oracle
 from single_filter import update_one
 
@@ -30,7 +31,7 @@ def make_config(variant, **kwargs):
 def test_variants_keep_the_default_order():
     # The default algorithms: the order of stdout lines and of the
     # manifest's config.
-    assert filters.VARIANTS == (
+    assert VARIANTS == (
         "iss_nlms", "vss_nlms", "iss_za_nlms",
         "iss_rza_nlms", "vss_za_nlms", "vss_rza_nlms",
     )
@@ -222,7 +223,7 @@ def test_step_vss_with_beta_near_one_barely_moves():
 
 def test_step_zero_error_zero_penalty_leaves_weights_unchanged():
     rng = np.random.default_rng(21)
-    for variant in filters.VARIANTS:
+    for variant in VARIANTS:
         config = make_config(variant)
         w = complex_normal(rng, 4)
         weights = w.copy()
@@ -330,7 +331,7 @@ def test_iss_noiseless_convergence_below_threshold():
 ORACLE_PARAMS = dict(ORACLE_DEFAULTS, gamma_za=3e-4, gamma_rza=6e-4)
 
 
-@pytest.mark.parametrize("variant", filters.VARIANTS)
+@pytest.mark.parametrize("variant", VARIANTS)
 def test_trajectories_match_naive_oracle(variant):
     rng = np.random.default_rng(1000)
     for _ in range(5):

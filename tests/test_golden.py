@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparsenlms.harness import ExperimentConfig, run_ber_sweep, run_monte_carlo_mse
+from sparsenlms.config import ExperimentConfig
+from sparsenlms.harness import run_ber_sweep, run_monte_carlo_mse
 
 ANCHORS = Path(__file__).with_name("golden") / "anchors.json"
 

@@ -16,10 +16,9 @@ from per_frame_ber import per_frame_ber_sweep
 from single_filter import update_one
 from sparsenlms import filters, harness
 from sparsenlms.channel import generate_sparse_channel
+from sparsenlms.config import TRUE_CHANNEL, VARIANTS, ExperimentConfig
 from sparsenlms.harness import (
     FRAME_BLOCK,
-    ExperimentConfig,
-    TRUE_CHANNEL,
     run_ber_sweep,
     run_monte_carlo_mse,
     run_trial_rows,
@@ -158,15 +157,15 @@ def test_trial_is_deterministic():
 
 
 def test_trial_data_is_algorithm_and_snr_independent():
-    config = small_config(snr_db=[10.0, 20.0], algorithms=list(filters.VARIANTS))
+    config = small_config(snr_db=[10.0, 20.0], algorithms=list(VARIANTS))
     base = run_trial_rows(config, 0, [("iss_nlms", 10.0)])
     other = run_trial_rows(config, 0, [("vss_rza_nlms", 20.0)])
     assert np.array_equal(base.channel, other.channel)
 
 
 def test_all_variants_run_to_completion():
-    config = small_config(algorithms=list(filters.VARIANTS))
-    for variant in filters.VARIANTS:
+    config = small_config(algorithms=list(VARIANTS))
+    for variant in VARIANTS:
         result = run_trial_rows(config, 0, [(variant, 10.0)])
         assert result.squared_error.shape == (config.max_iterations, 1)
         assert np.all(result.squared_error >= 0.0)
@@ -206,8 +205,8 @@ def test_monte_carlo_emits_one_curve_per_pair():
 @pytest.mark.parametrize(
     "n_r, algorithms",
     [
-        (4, filters.VARIANTS),
-        (9, filters.VARIANTS),
+        (4, VARIANTS),
+        (9, VARIANTS),
         (4, ["iss_nlms", "vss_nlms"]),
         (4, ["iss_nlms", "iss_za_nlms", "iss_rza_nlms"]),
     ],
@@ -265,11 +264,11 @@ def test_round_kernel_matches_per_sample_reference(n_r, max_iterations, trial, s
     # (+inf dB) row.
     config = small_config(
         n_r=n_r,
-        algorithms=list(filters.VARIANTS),
+        algorithms=list(VARIANTS),
         max_iterations=max_iterations,
         **{"snr_db": [10.0, 20.0], **shape},
     )
-    for variant in filters.VARIANTS:
+    for variant in VARIANTS:
         for snr in config.snr_db:
             result = run_trial_rows(config, trial, [(variant, snr)])
             errors, steps, estimate = per_sample_trial(config, trial, variant, snr)
@@ -298,7 +297,7 @@ def test_one_update_call_per_antenna_round(n_r, max_iterations, monkeypatch):
 
 def test_incremental_metric_matches_channel_error():
     config = small_config(
-        snr_db=[10.0, 20.0], algorithms=list(filters.VARIANTS), max_iterations=777
+        snr_db=[10.0, 20.0], algorithms=list(VARIANTS), max_iterations=777
     )
     pairs = [(a, snr) for a in config.algorithms for snr in config.snr_db]
     trial = run_trial_rows(config, 3, pairs)
@@ -514,6 +513,15 @@ def test_config_validation_errors():
         config.n_t = 0
 
 
+def test_list_fields_cannot_be_changed_in_place():
+    # Stored as tuples, so nothing gets past the check by mutation either.
+    config = ExperimentConfig(snr_db=[10.0], qam_orders=[16], algorithms=["iss_nlms"])
+    for name in ("snr_db", "esn0_range_db", "qam_orders", "algorithms"):
+        assert isinstance(getattr(config, name), tuple)
+    with pytest.raises(AttributeError):
+        config.algorithms.append("lms")
+
+
 @pytest.mark.parametrize(
     "overrides, name",
     [
@@ -562,9 +570,9 @@ def test_config_from_dict_accepts_scalars_for_lists():
     scalars = {"snr_db": 20, "qam_orders": 16, "algorithms": "vss_nlms"}
     # Direct construction and JSON follow the same rules.
     for config in (ExperimentConfig.from_dict(scalars), ExperimentConfig(**scalars)):
-        assert config.snr_db == [20.0]
-        assert config.qam_orders == [16]
-        assert config.algorithms == ["vss_nlms"]
+        assert config.snr_db == (20.0,)
+        assert config.qam_orders == (16,)
+        assert config.algorithms == ("vss_nlms",)
 
 
 @pytest.mark.parametrize(

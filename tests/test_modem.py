@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from per_frame_ber import nearest_level_codes_reference
+from sparsenlms.config import QAM_ORDERS
 from sparsenlms.harness import _zero_forcing_tables
 from sparsenlms.modem import (
-    QAM_ORDERS,
     _nearest_level_codes,
     code_bit_errors,
     qam_constellation,

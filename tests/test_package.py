@@ -2,8 +2,13 @@
 
 import ast
 import dataclasses
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import sparsenlms
 from sparsenlms.harness import BerCurve, MseCurve, TrialResult
@@ -33,6 +38,58 @@ def test_root_exports_the_documented_names():
     exec("from sparsenlms import *", namespace)
     for name in names:
         assert namespace[name] is getattr(sparsenlms, name)
+
+
+def test_root_raises_attribute_error_for_unknown_names():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        sparsenlms.no_such_name
+
+
+# Run in a fresh interpreter: the test process has numpy loaded already.
+NUMPY_FREE = """
+import contextlib, io, sys
+
+def check(step):
+    assert "numpy" not in sys.modules, f"numpy loaded by {step}"
+
+import sparsenlms
+check("import sparsenlms")
+from sparsenlms import cli
+check("import sparsenlms.cli")
+for subcommand in cli._RUNNERS:
+    cli.build_config(cli.parse_invocation([subcommand]))
+    check(f"build_config for {subcommand}")
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    statuses = [
+        cli.parse_and_dispatch(["mse-convergence", "--dump-config"]),
+        cli.parse_and_dispatch(["--help"]),
+        cli.parse_and_dispatch(["mse-convergence", "--override", "mu=-1"]),
+    ]
+assert statuses == [0, 0, 2], statuses
+check("--dump-config, --help and a rejected override")
+"""
+
+
+def test_an_invocation_that_computes_nothing_loads_no_numpy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_FREE],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_config_module_imports_only_the_standard_library():
+    tree = ast.parse((SRC / "config.py").read_text())
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, "config imports no sibling module at module level"
+            imported.add(node.module.split(".")[0])
+    assert imported <= set(sys.stdlib_module_names) | {"__future__"}
 
 
 def test_readme_trial_snippet_runs_and_names_every_field(capsys):
