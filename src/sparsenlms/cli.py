@@ -185,7 +185,7 @@ def _write_csv(path, comment, columns):
 def _run_mse_convergence(config, out_dir, workers, subcommand="mse-convergence"):
     import numpy as np
 
-    from .harness import run_monte_carlo_mse
+    from .harness import run_monte_carlo_mse, steady_state_mean
 
     files = []
     for curve in run_monte_carlo_mse(config, workers):
@@ -201,7 +201,9 @@ def _run_mse_convergence(config, out_dir, workers, subcommand="mse-convergence")
              "mse_linear": curve.values, "mse_db": db},
         )
         files.append(name)
-        _summarize_mse(subcommand, curve, config.num_trials)
+        # Final-1% window mean, the quick convergence-quality readout.
+        tail = steady_state_mean(curve.values, fraction=0.01)
+        _summarize_mse(subcommand, curve, tail, config.num_trials)
     return files
 
 
@@ -271,11 +273,7 @@ def _run_ber_sweep(config, out_dir, workers):
     return files
 
 
-def _summarize_mse(subcommand, curve, num_trials):
-    from .harness import steady_state_mean
-
-    # Final-1% window mean, the quick convergence-quality readout.
-    tail = steady_state_mean(curve.values, fraction=0.01)
+def _summarize_mse(subcommand, curve, tail, num_trials):
     if tail == 0.0:
         db = float("-inf")
     elif math.isfinite(tail):

@@ -5,12 +5,10 @@
 their arguments.  The facts that the check needs are written here once:
 ``_LAWS``, the table of filter variants, and :data:`VARIANTS`, its names
 in default order; :data:`QAM_ORDERS`; :data:`TRUE_CHANNEL`, the genie
-detector's name; :data:`DEFAULT_RHO`, the default penalty weights.
+detector's name.
 
 No numpy is imported, so the command line can parse, check, dump or
 reject a configuration before numpy loads.
-:meth:`ExperimentConfig.row_params` imports :mod:`sparsenlms.filters`
-when it is called.
 """
 
 from __future__ import annotations
@@ -36,10 +34,6 @@ VARIANTS = tuple(_LAWS)
 QAM_ORDERS = (16, 64, 256)
 
 TRUE_CHANNEL = "true_channel"
-
-# Default (rho_za, rho_rza), weights per unit noise variance, keyed by
-# whether links are single-tap (sparsity 1); those get the stronger pull.
-DEFAULT_RHO = {True: (0.006, 0.0006), False: (0.002, 0.0002)}
 
 
 def _is_integer(value):
@@ -217,27 +211,6 @@ class ExperimentConfig:
     def noise_variance(self, snr_db):
         """Received signal power ``1 / filter_length()`` times ``10**(-snr_db / 10)``."""
         return (1.0 / self.filter_length()) * 10.0 ** (-snr_db / 10.0)
-
-    def row_params(self, pairs):
-        """The ``filters.RowParams`` of ``(algorithm, snr_db)`` pairs, one row each."""
-        from .filters import RowParams  # numpy loads with the first run
-
-        rho_za, rho_rza = DEFAULT_RHO[self.sparsity == 1]
-        rho_za = rho_za if self.rho_za is None else self.rho_za
-        rho_rza = rho_rza if self.rho_rza is None else self.rho_rza
-        variants, snrs = zip(*pairs)
-        variances = [self.noise_variance(snr) for snr in snrs]
-        c_by_snr = self.c_by_snr or {}
-        return RowParams(
-            variants=variants,
-            mu=self.mu,
-            mu_max=self.mu_max,
-            c_threshold=[c_by_snr.get(snr, self.c_threshold) for snr in snrs],
-            beta=self.beta,
-            gamma_za=[self.mu * rho_za * v for v in variances],
-            gamma_rza=[self.mu * rho_rza * self.epsilon_rza * v for v in variances],
-            epsilon_rza=self.epsilon_rza,
-        )
 
     def validate_ofdm(self):
         if self.cp_length < self.tap_length - 1:

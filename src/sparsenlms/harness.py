@@ -137,6 +137,10 @@ CHUNK_ITERATIONS = 100
 # memory.
 FRAME_BLOCK = 8
 
+# Default (rho_za, rho_rza), weights per unit noise variance, keyed by
+# whether links are single-tap (sparsity 1); those get the stronger pull.
+DEFAULT_RHO = {True: (0.006, 0.0006), False: (0.002, 0.0002)}
+
 
 # -- result containers ------------------------------------------------------
 
@@ -198,6 +202,26 @@ def steady_state_mean(values, fraction=0.1):
 # -- estimation experiments ---------------------------------------------------
 
 
+def row_params(config, pairs):
+    """The ``filters.RowParams`` of ``(algorithm, snr_db)`` pairs, one row each."""
+    rho_za, rho_rza = DEFAULT_RHO[config.sparsity == 1]
+    rho_za = rho_za if config.rho_za is None else config.rho_za
+    rho_rza = rho_rza if config.rho_rza is None else config.rho_rza
+    variants, snrs = zip(*pairs)
+    variances = [config.noise_variance(snr) for snr in snrs]
+    c_by_snr = config.c_by_snr or {}
+    return filters.RowParams(
+        variants=variants,
+        mu=config.mu,
+        mu_max=config.mu_max,
+        c_threshold=[c_by_snr.get(snr, config.c_threshold) for snr in snrs],
+        beta=config.beta,
+        gamma_za=[config.mu * rho_za * v for v in variances],
+        gamma_rza=[config.mu * rho_rza * config.epsilon_rza * v for v in variances],
+        epsilon_rza=config.epsilon_rza,
+    )
+
+
 def _observe(channel, antennas, x, noise, noise_scale):
     """Observations ``h_a . x + scale * noise``, shaped ``(count, B)``."""
     clean = filters.row_dot(channel[antennas], x)
@@ -222,7 +246,7 @@ def run_trial_rows(config, trial_index, pairs):
 
     n_r, length, total = config.n_r, config.filter_length(), config.max_iterations
     rows = len(pairs)
-    params = config.row_params(pairs)
+    params = row_params(config, pairs)
     noise_scale = np.sqrt([config.noise_variance(snr) / 2.0 for _, snr in pairs])
     # Whole rounds, so every chunk starts at antenna 0.
     chunk = n_r * max(1, CHUNK_ITERATIONS // n_r)

@@ -21,7 +21,12 @@ from sparsenlms.cli import (
     parse_and_dispatch,
     parse_invocation,
 )
-from sparsenlms.harness import MseCurve, run_ber_sweep, run_monte_carlo_mse
+from sparsenlms.harness import (
+    MseCurve,
+    run_ber_sweep,
+    run_monte_carlo_mse,
+    steady_state_mean,
+)
 
 
 def run_cli(*args):
@@ -436,7 +441,8 @@ def test_non_finite_tail_prints_nan_db(capsys):
     curve = MseCurve(
         values=np.array([1.0, np.inf]), algorithm="vss_nlms", snr_db=10.0, diverged=1
     )
-    _summarize_mse("single-run", curve, 1)
+    tail = steady_state_mean(curve.values, fraction=0.01)
+    _summarize_mse("single-run", curve, tail, 1)
     assert "(nan dB) diverged=1/1" in capsys.readouterr().out
 
 

@@ -19,6 +19,7 @@ from sparsenlms.channel import generate_sparse_channel
 from sparsenlms.config import TRUE_CHANNEL, VARIANTS, ExperimentConfig
 from sparsenlms.harness import (
     FRAME_BLOCK,
+    row_params,
     run_ber_sweep,
     run_monte_carlo_mse,
     run_trial_rows,
@@ -47,7 +48,7 @@ def per_sample_trial(config, trial_index, algorithm, snr_db):
     whole estimate with ``channel_error``.  Returns ``(squared_error,
     step_trace, estimate)``.
     """
-    algo = config.row_params([(algorithm, snr_db)])
+    algo = row_params(config, [(algorithm, snr_db)])
     chan = generate_sparse_channel(
         np.random.default_rng([config.rng_seed, trial_index, 0]),
         config.n_t, config.n_r, config.tap_length, config.sparsity,
@@ -459,7 +460,7 @@ def test_config_power_conventions():
 def penalties(config, snr_db):
     """``(gamma_za, gamma_rza, epsilon_rza)`` as ``row_params`` resolves them at one SNR."""
     pairs = [("vss_za_nlms", snr_db), ("vss_rza_nlms", snr_db)]
-    params = config.row_params(pairs)
+    params = row_params(config, pairs)
     return params.gamma[0, 0], params.gamma[1, 0], params.epsilon[1, 0]
 
 
@@ -490,7 +491,7 @@ def test_config_gamma_resolution():
 def test_config_c_by_snr_table():
     config = ExperimentConfig(c_by_snr={10.0: 1e-5})
     for snr, c_threshold in ((10.0, 1e-5), (10, 1e-5), (20.0, config.c_threshold)):
-        params = config.row_params([("vss_nlms", snr)])
+        params = row_params(config, [("vss_nlms", snr)])
         assert params.c_threshold[0] == c_threshold
 
 
