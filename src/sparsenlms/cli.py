@@ -11,11 +11,13 @@ The effective configuration is built in three layers: built-in
 defaults, then an optional JSON config file (``--config``), then
 ``--override key=value`` pairs in command-line order.  The dedicated
 ``--seed`` and ``--trials`` flags are applied last.  Unknown keys are
-rejected by name.  Every run writes one CSV per curve, all through
-:func:`_write_csv` with a header line built from the config, plus a
-``manifest.json`` recording the effective configuration, the seed and
-a sha256 checksum per artifact; rerunning the same invocation
-reproduces every file byte for byte.
+rejected by name.  The runners only compute: each yields one
+``(file name, comment line, columns)`` per curve.
+:func:`parse_and_dispatch` writes every file into ``--out``: each
+curve's CSV through :func:`_write_csv`, with the comment as its header
+line, then a ``manifest.json`` recording the effective configuration,
+the seed and a sha256 checksum per artifact.  Rerunning the same
+invocation reproduces every file byte for byte.
 
 Multi-trial MSE runs and BER sweeps use one process per CPU in this
 process's affinity mask (``taskset -c 0`` makes a run serial); the
@@ -166,53 +168,46 @@ def _reject_shared_files(subcommand, config):
 _ROWS_PER_WRITE = 1024
 
 
-def _write_csv(path, comment, columns):
-    """Write ``# comment``, the column names, then one row of ``repr`` values per index.
+def _write_csv(out_dir, name, comment, columns):
+    """Write file ``name`` in ``out_dir`` and return ``name``.
 
-    ``columns`` maps each name to a 1-D array.  The repr of an int or a
-    float never needs csv quoting, so the rows equal those of
-    ``csv.writer`` with ``lineterminator="\\n"``.
+    The file holds ``# comment``, the column names, then one row of
+    ``repr`` values per index; ``columns`` maps each name to a 1-D
+    array.  The repr of an int or a float never needs csv quoting, so
+    the rows equal those of ``csv.writer`` with ``lineterminator="\\n"``.
     """
-    with open(path, "w", newline="") as handle:
+    with open(os.path.join(out_dir, name), "w", newline="") as handle:
         handle.write(f"# {comment}\n" + ",".join(columns) + "\n")
         arrays = list(columns.values())
         for start in range(0, len(arrays[0]), _ROWS_PER_WRITE):
             stop = start + _ROWS_PER_WRITE
             texts = [map(repr, array[start:stop].tolist()) for array in arrays]
             handle.write("\n".join(map(",".join, zip(*texts))) + "\n")
+    return name
 
 
-def _run_mse_convergence(config, out_dir, workers, subcommand="mse-convergence"):
+def _run_mse_convergence(subcommand, config, workers):
     import numpy as np
 
     from .harness import run_monte_carlo_mse, steady_state_mean
 
-    files = []
     for curve in run_monte_carlo_mse(config, workers):
-        name = _artifact_name(subcommand, curve.algorithm, config, curve.snr_db)
         with np.errstate(divide="ignore"):
             db = 10.0 * np.log10(curve.values)
-        _write_csv(
-            os.path.join(out_dir, name),
+        yield (
+            _artifact_name(subcommand, curve.algorithm, config, curve.snr_db),
             f"mse-curve algorithm={curve.algorithm} snr_db={curve.snr_db:g} "
             f"sparsity={config.sparsity} num_trials={config.num_trials} "
             f"rng_seed={config.rng_seed}",
             {"iteration": np.arange(1, db.size + 1),
              "mse_linear": curve.values, "mse_db": db},
         )
-        files.append(name)
         # Final-1% window mean, the quick convergence-quality readout.
         tail = steady_state_mean(curve.values, fraction=0.01)
         _summarize_mse(subcommand, curve, tail, config.num_trials)
-    return files
 
 
-def _run_single_run(config, out_dir, workers):
-    # Averaging a single trial returns it exactly (0.0 + x, then x / 1).
-    return _run_mse_convergence(config, out_dir, workers, "single-run")
-
-
-def _run_trace_stepsize(config, out_dir, workers):
+def _run_trace_stepsize(subcommand, config, workers):
     import numpy as np
 
     from .harness import run_trial_rows, steady_state_mean
@@ -220,57 +215,48 @@ def _run_trace_stepsize(config, out_dir, workers):
     # One trial, so there is nothing to share between workers.
     pairs = [(a, snr) for a in config.algorithms for snr in config.snr_db]
     traces = run_trial_rows(config, 0, pairs).step_trace.T
-    files = []
     for (algorithm, snr), trace in zip(pairs, traces):
-        name = _artifact_name("trace-stepsize", algorithm, config, snr)
-        _write_csv(
-            os.path.join(out_dir, name),
+        yield (
+            _artifact_name(subcommand, algorithm, config, snr),
             f"stepsize-trace algorithm={algorithm} snr_db={snr:g} "
             f"sparsity={config.sparsity} rng_seed={config.rng_seed}",
             {"iteration": np.arange(1, trace.size + 1), "step_size": trace},
         )
-        files.append(name)
         head = max(1, trace.size // 10)
         print(
-            f"trace-stepsize algorithm={algorithm} snr_db={snr:g} "
+            f"{subcommand} algorithm={algorithm} snr_db={snr:g} "
             f"first10%={float(trace[:head].mean()):.6g} "
             f"last10%={steady_state_mean(trace):.6g}"
         )
-    return files
 
 
-def _run_ber_sweep(config, out_dir, workers):
+def _run_ber_sweep(subcommand, config, workers):
     import numpy as np
 
     from .harness import run_ber_sweep
 
-    files = []
     snr = config.ber_training_snr_db
     esn0_db = np.array(config.esn0_range_db)
     for curve in run_ber_sweep(config, workers):
-        name = _artifact_name("ber-sweep", curve.algorithm, config, snr, curve.qam_order)
         ber = curve.bit_errors / curve.bits_total
-        _write_csv(
-            os.path.join(out_dir, name),
+        yield (
+            _artifact_name(subcommand, curve.algorithm, config, snr, curve.qam_order),
             f"ber-curve algorithm={curve.algorithm} qam_order={curve.qam_order} "
             f"training_snr_db={snr:g} sparsity={config.sparsity} "
             f"rng_seed={config.rng_seed}",
             {"esn0_db": esn0_db, "ber": ber,
              "bit_errors": curve.bit_errors, "bits_total": curve.bits_total},
         )
-        files.append(name)
+        label = f"{subcommand} algorithm={curve.algorithm} qam={curve.qam_order}"
         points = " ".join(f"{e:g}dB:{b:.3e}" for e, b in zip(esn0_db, ber))
-        print(
-            f"ber-sweep algorithm={curve.algorithm} qam={curve.qam_order} {points}"
-        )
+        print(f"{label} {points}")
         if curve.diverged:
             print(
-                f"warning: ber-sweep algorithm={curve.algorithm} qam={curve.qam_order}: "
+                f"warning: {label}: "
                 f"{curve.diverged}/{config.ber_num_channels} training channels diverged "
                 "(final estimate not finite) and are erased on every subcarrier",
                 file=sys.stderr,
             )
-    return files
 
 
 def _summarize_mse(subcommand, curve, tail, num_trials):
@@ -295,10 +281,13 @@ def _summarize_mse(subcommand, curve, tail, num_trials):
         )
 
 
+# Each runner yields ``(file name, comment line, columns)`` per curve and
+# prints that curve's summary once it is written.
 _RUNNERS = {
     "mse-convergence": _run_mse_convergence,
     "ber-sweep": _run_ber_sweep,
-    "single-run": _run_single_run,
+    # Averaging a single trial returns it exactly (0.0 + x, then x / 1).
+    "single-run": _run_mse_convergence,
     "trace-stepsize": _run_trace_stepsize,
 }
 
@@ -343,9 +332,12 @@ def parse_and_dispatch(argv):
             os.makedirs(invocation.output_dir, exist_ok=True)
         except OSError as exc:
             raise CliError(f"cannot create output directory: {exc}") from exc
-        files = _RUNNERS[invocation.subcommand](
-            config, invocation.output_dir, _worker_count()
+        curves = _RUNNERS[invocation.subcommand](
+            invocation.subcommand, config, _worker_count()
         )
+        # A comprehension, so that no curve's arrays outlive its write:
+        # the manifest reads every file back whole.
+        files = [_write_csv(invocation.output_dir, *curve) for curve in curves]
         _write_manifest(invocation.output_dir, invocation, config, files)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -359,6 +351,3 @@ def parse_and_dispatch(argv):
 def entry_point():
     raise SystemExit(parse_and_dispatch(sys.argv[1:]))
 
-
-if __name__ == "__main__":
-    entry_point()

@@ -46,6 +46,29 @@ def _is_real(value):
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+class _ReadOnlyTable(Mapping):
+    """A dict's lookups without its setters.
+
+    Unlike ``types.MappingProxyType`` it can be pickled, as the fork pool
+    does with the config of every task.
+    """
+
+    def __init__(self, table):
+        self._table = dict(table)
+
+    def __getitem__(self, key):
+        return self._table[key]
+
+    def __iter__(self):
+        return iter(self._table)
+
+    def __len__(self):
+        return len(self._table)
+
+    def __repr__(self):
+        return repr(self._table)
+
+
 def _is_snr_key(key):
     """A number or numeric string (JSON keys), not a bool, NaN or -inf."""
     try:
@@ -70,8 +93,8 @@ class ExperimentConfig:
     against ``mu_max``, where the normalized update barely contracts.
 
     The list fields take a list, a tuple or one value and are stored as
-    tuples, so no element can change past the check.  ``c_by_snr`` stays
-    a dict: ``dataclasses.asdict`` cannot copy a read-only mapping.
+    tuples, and ``c_by_snr`` as a read-only mapping, so no element can
+    change past the check.
     """
 
     n_t: int = 4
@@ -83,7 +106,7 @@ class ExperimentConfig:
     mu: float = 0.2
     mu_max: float = 2.0
     c_threshold: float = 1e-4
-    c_by_snr: dict | None = None
+    c_by_snr: Mapping | None = None
     beta: float = 0.99
     rho_za: float | None = None
     rho_rza: float | None = None
@@ -146,7 +169,7 @@ class ExperimentConfig:
                 raise ValueError(
                     f"c_by_snr must name each SNR once, got {self.c_by_snr!r}"
                 )
-            object.__setattr__(self, "c_by_snr", table)
+            object.__setattr__(self, "c_by_snr", _ReadOnlyTable(table))
         # +inf dB is the noiseless case; NaN and -inf have no noise level,
         # and below about -3083 dB the noise level overflows.
         for name, values in (

@@ -93,16 +93,15 @@ def test_entry_point_exits_with_dispatch_status(argv, status, monkeypatch, capsy
     assert exc.value.code == status
 
 
-@pytest.mark.parametrize("module", ["sparsenlms", "sparsenlms.cli"])
-def test_module_invocation_runs_the_cli(module):
-    # ``python -m`` runs the same entry point as the script.
+def test_module_invocation_runs_the_cli():
+    # ``python -m sparsenlms`` runs the same entry point as the script.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
 
     def run(*argv):
         return subprocess.run(
-            [sys.executable, "-m", module, *argv],
+            [sys.executable, "-m", "sparsenlms", *argv],
             capture_output=True, text=True, env=env, timeout=60,
         )
 
@@ -456,9 +455,14 @@ def test_non_finite_tail_prints_nan_db(capsys):
             "mse-convergence", "--trials", "3",
             "--override", "mu=1.9", "--override", "max_iterations=1000",
         ],
+        # Each worker reads the per-SNR c_threshold from its pickled config.
+        [
+            "mse-convergence", "--trials", "3",
+            "--override", 'c_by_snr={"20": 1e-5}', "--override", "max_iterations=500",
+        ],
         SMALL_BER_SWEEP,
     ],
-    ids=["mse", "mse-diverging", "ber"],
+    ids=["mse", "mse-diverging", "mse-c_by_snr", "ber"],
 )
 def test_worker_count_does_not_change_outputs(argv, tmp_path, capsys, monkeypatch):
     # Whatever this machine's CPU count, one run is serial and the other
@@ -625,15 +629,15 @@ def test_csv_writers_match_csv_module_bytes(tmp_path):
     bit_errors = np.concatenate([[0, 1, 2, 2**40], counts])
     bits_total = np.concatenate([[1, 7, 1024, 2**50], counts + 999])
     cli._write_csv(
-        tmp_path / "mse.csv", "mse-curve algorithm=iss_nlms",
+        tmp_path, "mse.csv", "mse-curve algorithm=iss_nlms",
         {"iteration": iterations, "mse_linear": values, "mse_db": db},
     )
     cli._write_csv(
-        tmp_path / "step.csv", "stepsize-trace algorithm=iss_nlms",
+        tmp_path, "step.csv", "stepsize-trace algorithm=iss_nlms",
         {"iteration": iterations, "step_size": values},
     )
     cli._write_csv(
-        tmp_path / "ber.csv", "ber-curve algorithm=iss_nlms",
+        tmp_path, "ber.csv", "ber-curve algorithm=iss_nlms",
         {"esn0_db": esn0_db, "ber": values,
          "bit_errors": bit_errors, "bits_total": bits_total},
     )

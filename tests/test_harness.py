@@ -204,34 +204,42 @@ def test_monte_carlo_emits_one_curve_per_pair():
 
 
 @pytest.mark.parametrize(
-    "n_r, algorithms",
+    "n_r, algorithms, mu, iterations",
     [
-        (4, VARIANTS),
-        (9, VARIANTS),
-        (4, ["iss_nlms", "vss_nlms"]),
-        (4, ["iss_nlms", "iss_za_nlms", "iss_rza_nlms"]),
+        (4, VARIANTS, 0.2, 1000),
+        (9, VARIANTS, 0.2, 1000),
+        (4, ["iss_nlms", "vss_nlms"], 0.2, 1000),
+        (4, ["iss_nlms", "iss_za_nlms", "iss_rza_nlms"], 0.2, 1000),
+        (4, ["iss_nlms", "iss_za_nlms"], 50.0, 3000),
     ],
-    ids=["n_r4", "n_r9", "unpenalized", "fixed-step"],
+    ids=["n_r4", "n_r9", "unpenalized", "fixed-step", "diverging"],
 )
-def test_batch_rows_equal_batch_of_one(n_r, algorithms):
+def test_batch_rows_equal_batch_of_one(n_r, algorithms, mu, iterations):
     # From n_r = 8 on, numpy would sum a contiguous (n_r, 1) column
     # pairwise, so summing antennas in one call would make a row of
     # the batch differ from its batch of one.  The unpenalized and
     # fixed-step batches skip the penalty and the vss law, with more
-    # than one row.
+    # than one row.  At mu = 50 every row's taps overflow to NaN:
+    # iss_nlms alone skips the penalty, but beside iss_za_nlms it takes
+    # the penalized path with a zero strength, and must still match.
     config = small_config(
         n_r=n_r,
         snr_db=[10.0, 20.0],
         algorithms=list(algorithms),
-        max_iterations=1000,
+        max_iterations=iterations,
+        mu=mu,
     )
     pairs = [(a, snr) for a in config.algorithms for snr in config.snr_db]
     batch = run_trial_rows(config, 0, pairs)
+    if mu > 2.0:  # past the NLMS stability bound
+        assert np.isnan(batch.final_estimate).all()
     for row, (algorithm, snr) in enumerate(pairs):
         alone = run_trial_rows(config, 0, [(algorithm, snr)])
-        assert np.array_equal(batch.squared_error[:, row], alone.squared_error[:, 0])
-        assert np.array_equal(batch.step_trace[:, row], alone.step_trace[:, 0])
-        assert np.array_equal(batch.final_estimate[row], alone.final_estimate[0])
+        # Bytes, so that NaN equals NaN and -0.0 differs from 0.0.
+        for name in ("squared_error", "step_trace"):
+            column = getattr(batch, name)[:, row]
+            assert column.tobytes() == getattr(alone, name)[:, 0].tobytes()
+        assert batch.final_estimate[row].tobytes() == alone.final_estimate[0].tobytes()
 
 
 @pytest.mark.parametrize(
@@ -444,6 +452,36 @@ def test_iss_nlms_learning_curve_matches_exact_recursion():
         assert np.max(np.abs(z)) < 4.0, (curve.snr_db, int(np.argmax(np.abs(z))))
 
 
+def test_zero_attraction_bias_matches_its_fixed_point():
+    # For isotropic regressors E[x* x^T / ||x||^2] = I / L, so a fixed-step
+    # ZA row's mean follows E w <- E w + (mu / L)(h - E w) - gamma csign(w).
+    # On a tap part far from zero csign(w) is the sign of h, and the fixed
+    # point is biased toward zero by gamma L / mu = rho_za sigma^2 L on each
+    # real and imaginary part: 0.05 here.  Paired with iss_nlms on the same
+    # data, the noise cancels from the difference of the final estimates.
+    config = ExperimentConfig(
+        n_t=2, n_r=2, tap_length=8, snr_db=[10.0], rho_za=0.5,
+        algorithms=["iss_nlms", "iss_za_nlms"], max_iterations=3000, rng_seed=0,
+    )
+    pairs = [(algorithm, 10.0) for algorithm in config.algorithms]
+    shifts = []
+    for trial in range(25):
+        result = run_trial_rows(config, trial, pairs)
+        diff = result.final_estimate[1] - result.final_estimate[0]
+        parts = np.concatenate([result.channel.real, result.channel.imag], axis=None)
+        moved = np.concatenate([diff.real, diff.imag], axis=None)
+        big = np.abs(parts) > 0.2
+        shifts.append(np.mean(-moved[big] * np.sign(parts[big])))
+    predicted = config.rho_za * config.noise_variance(10.0) * config.filter_length()
+    assert predicted == pytest.approx(0.05)
+    z = (np.mean(shifts) - predicted) / (np.std(shifts, ddof=1) / math.sqrt(25))
+    # Seeds 0-9 gave |z| <= 2.8 (2.8 at this seed).  A strength 10% off
+    # either way gave |z| > 5.1, the complex sign w / |w| in place of the
+    # componentwise one > 12, and a gamma_za without its mu factor
+    # (bias 0.25) > 53.
+    assert abs(z) < 4.0, (np.mean(shifts), z)
+
+
 # -- configuration ------------------------------------------------------------
 
 
@@ -521,6 +559,14 @@ def test_list_fields_cannot_be_changed_in_place():
         assert isinstance(getattr(config, name), tuple)
     with pytest.raises(AttributeError):
         config.algorithms.append("lms")
+
+
+def test_c_by_snr_cannot_be_changed_in_place():
+    # A read-only mapping; the pooled runs in test_cli pickle it.
+    config = ExperimentConfig(c_by_snr={"20": 1e-4})
+    with pytest.raises(TypeError):
+        config.c_by_snr[20.0] = -1.0
+    assert config.c_by_snr == {20.0: 1e-4}
 
 
 @pytest.mark.parametrize(
