@@ -14,6 +14,7 @@ import pytest
 from naive_oracle import channel_error
 from per_frame_ber import per_frame_ber_sweep
 from single_filter import update_one
+from theory import gray_qam_ber, nlms_curve, nlms_steady_state, q, rza_bias, za_bias
 from sparsenlms import filters, harness
 from sparsenlms.channel import generate_sparse_channel
 from sparsenlms.config import TRUE_CHANNEL, VARIANTS, ExperimentConfig
@@ -387,34 +388,26 @@ def test_a_dead_worker_fails_the_run():
 
 
 def test_iss_nlms_steady_state_matches_theory():
-    # NLMS steady-state misalignment (Sayed): per antenna
-    # mu / (2 - mu) * noise_var * L / E||x||^2, with E||x||^2 = 1 here.
-    # E[1 / ||x||^2] = L / (L - 1) puts the simulation about 1.6% above.
+    # The exact limit, E[1 / ||x||^2] = L / (L - 1) included.  At -20 dB
+    # it is 45.1, far above the all-zero estimator's n_r = 4, so the
+    # curve's diverged count takes every trial for divergence although
+    # the filter is stable.  Seeds 0-9 put the -20 dB ratio within
+    # 0.978-1.016; noise of twice the variance puts it near 2.
     config = ExperimentConfig(
         algorithms=["iss_nlms"],
-        snr_db=[10.0, 20.0],
+        snr_db=[-20.0, 10.0, 20.0],
         num_trials=4,
         max_iterations=20_000,
         rng_seed=12345,
     )
+    assert nlms_steady_state(config, -20.0) == pytest.approx(45.1, abs=0.05)
     for curve in run_monte_carlo_mse(config):
-        theory = (
-            config.n_r
-            * config.mu
-            / (2.0 - config.mu)
-            * config.noise_variance(curve.snr_db)
-            * config.filter_length()
-        )
+        theory = nlms_steady_state(config, curve.snr_db)
         simulated = curve.values[10_000:].mean()
         assert simulated / theory == pytest.approx(1.0, abs=0.05)
 
 
 def test_iss_nlms_learning_curve_matches_exact_recursion():
-    # Antenna a's misalignment after k updates has the exact expectation
-    #     D(k + 1) = (1 - mu (2 - mu) / L) D(k) + mu^2 noise_var L / (L - 1),
-    # D(0) = ||h_a||^2 = 1, because x / ||x|| is isotropic and independent
-    # of ||x||^2 ~ Gamma(L, 1 / L), whose E[1 / ||x||^2] is L / (L - 1).
-    # After n iterations antenna a has had ceil((n - a) / n_r) updates.
     # The curve comes from a two-process pool; the serial per-trial
     # curves give its exact trial-order sum and the standard errors.
     config = ExperimentConfig(
@@ -430,20 +423,12 @@ def test_iss_nlms_learning_curve_matches_exact_recursion():
         run_trial_rows(config, trial, pairs).squared_error.T
         for trial in range(config.num_trials)
     ])
-    mu, length, n_r = config.mu, config.filter_length(), config.n_r
-    n = np.arange(1, config.max_iterations + 1)
-    updates = [-(-(n - a) // n_r) for a in range(n_r)]
     for row, curve in enumerate(curves):
         total = np.zeros(config.max_iterations)
         for trial in trials[:, row]:
             total += trial
         assert np.array_equal(curve.values, total / config.num_trials)
-        floor = mu**2 * config.noise_variance(curve.snr_db) * length / (length - 1)
-        d = np.empty(config.max_iterations + 1)
-        d[0] = 1.0
-        for k in range(config.max_iterations):
-            d[k + 1] = (1.0 - mu * (2.0 - mu) / length) * d[k] + floor
-        expected = sum(d[k] for k in updates)
+        expected = nlms_curve(config, curve.snr_db)
         stderr = trials[:, row].std(axis=0, ddof=1) / math.sqrt(config.num_trials)
         z = (curve.values - expected) / stderr
         # The largest |z| over 2000 correlated iterations is about 1.4 on
@@ -452,13 +437,32 @@ def test_iss_nlms_learning_curve_matches_exact_recursion():
         assert np.max(np.abs(z)) < 4.0, (curve.snr_db, int(np.argmax(np.abs(z))))
 
 
+def test_iss_nlms_above_mu_2_grows_as_the_exact_recursion():
+    # Past the stability boundary mu = 2 each update multiplies an
+    # antenna's error by 1 + mu (mu - 2) / L, 1.0195 here, so the mean
+    # curve grows about 16,000-fold in 2000 iterations and still follows
+    # nlms_curve.  Seeds 0-9 kept every iteration within 5.7% of it
+    # (1.9% at this seed); a step normalized by ||x||^2 + 0.01 in place of
+    # ||x||^2 ends 44% below it.
+    config = ExperimentConfig(
+        algorithms=["iss_nlms"],
+        snr_db=[20.0],
+        mu=2.5,
+        num_trials=50,
+        max_iterations=2000,
+        rng_seed=7,
+    )
+    (curve,) = run_monte_carlo_mse(config)
+    expected = nlms_curve(config, 20.0)
+    assert expected[-1] / expected[0] > 10_000
+    relative = np.abs(curve.values / expected - 1.0)
+    assert np.max(relative) < 0.1, int(np.argmax(relative))
+
+
 def test_zero_attraction_bias_matches_its_fixed_point():
-    # For isotropic regressors E[x* x^T / ||x||^2] = I / L, so a fixed-step
-    # ZA row's mean follows E w <- E w + (mu / L)(h - E w) - gamma csign(w).
-    # On a tap part far from zero csign(w) is the sign of h, and the fixed
-    # point is biased toward zero by gamma L / mu = rho_za sigma^2 L on each
-    # real and imaginary part: 0.05 here.  Paired with iss_nlms on the same
-    # data, the noise cancels from the difference of the final estimates.
+    # On each tap part far from zero the ZA row's mean lies za_bias = 0.05
+    # closer to zero.  Paired with iss_nlms on the same data, the noise
+    # cancels from the difference of the final estimates.
     config = ExperimentConfig(
         n_t=2, n_r=2, tap_length=8, snr_db=[10.0], rho_za=0.5,
         algorithms=["iss_nlms", "iss_za_nlms"], max_iterations=3000, rng_seed=0,
@@ -472,7 +476,7 @@ def test_zero_attraction_bias_matches_its_fixed_point():
         moved = np.concatenate([diff.real, diff.imag], axis=None)
         big = np.abs(parts) > 0.2
         shifts.append(np.mean(-moved[big] * np.sign(parts[big])))
-    predicted = config.rho_za * config.noise_variance(10.0) * config.filter_length()
+    predicted = za_bias(config, 10.0)
     assert predicted == pytest.approx(0.05)
     z = (np.mean(shifts) - predicted) / (np.std(shifts, ddof=1) / math.sqrt(25))
     # Seeds 0-9 gave |z| <= 2.8 (2.8 at this seed).  A strength 10% off
@@ -480,6 +484,37 @@ def test_zero_attraction_bias_matches_its_fixed_point():
     # componentwise one > 12, and a gamma_za without its mu factor
     # (bias 0.25) > 53.
     assert abs(z) < 4.0, (np.mean(shifts), z)
+
+
+def test_reweighted_zero_attraction_bias_matches_its_fixed_point():
+    # The RZA row's mean on a tap part far from zero lies rza_bias closer
+    # to zero, about 0.0028 here: the ZA pull rho_rza epsilon_rza
+    # noise_var L = 0.04 divided by 1 + epsilon_rza |h - b csign(h)|.
+    # Every part used is above 0.2, five times that pull, so no tap sits
+    # in the trap near zero.  Paired with iss_nlms on the same data; each
+    # trial's measured shift is compared with its own channel's
+    # prediction.
+    config = ExperimentConfig(
+        n_t=2, n_r=2, tap_length=8, snr_db=[20.0], rho_rza=0.2,
+        algorithms=["iss_nlms", "iss_rza_nlms"], max_iterations=3000, rng_seed=0,
+    )
+    pairs = [(algorithm, 20.0) for algorithm in config.algorithms]
+    residuals = []
+    for trial in range(25):
+        result = run_trial_rows(config, trial, pairs)
+        diff = result.final_estimate[1] - result.final_estimate[0]
+        bias = rza_bias(config, 20.0, result.channel)
+        parts = np.concatenate([result.channel.real, result.channel.imag], axis=None)
+        moved = np.concatenate([diff.real, diff.imag], axis=None)
+        predicted = np.concatenate([bias, bias], axis=None)
+        big = np.abs(parts) > 0.2
+        shift = np.mean(-moved[big] * np.sign(parts[big]))
+        residuals.append(shift - np.mean(predicted[big]))
+    z = np.mean(residuals) / (np.std(residuals, ddof=1) / math.sqrt(25))
+    # Seeds 0-9 gave |z| <= 1.6 (1.4 at this seed).  A gamma_rza without
+    # its epsilon_rza factor gave |z| 49, and a pull reweighted by each
+    # part's own magnitude in place of the tap's complex one 5.3.
+    assert abs(z) < 4.0, (np.mean(residuals), z)
 
 
 # -- configuration ------------------------------------------------------------
@@ -812,28 +847,6 @@ def test_block_loop_simulates_no_frame_past_min_bits(monkeypatch):
         assert symbols * int(math.log2(order)) == curve.bits_total.sum()
 
 
-def gray_qam_ber(order, gamma):
-    """Exact bit error rate of Gray-coded square QAM at symbol SNR ``gamma``.
-
-    Cho and Yoon, "On the general BER expression of one- and
-    two-dimensional amplitude modulations", IEEE Trans. Commun. 2002:
-    the average over the ``log2(sqrt(order))`` bit positions of an axis.
-    """
-    m = math.isqrt(order)
-    bits_per_axis = m.bit_length() - 1
-    erfc = np.vectorize(math.erfc)
-    total = np.zeros_like(gamma)
-    for k in range(1, bits_per_axis + 1):
-        for i in range(round((1 - 2.0**-k) * m)):
-            w = i * 2 ** (k - 1) / m
-            total += (
-                (-1) ** math.floor(w)
-                * (2 ** (k - 1) - math.floor(w + 0.5))
-                * erfc((2 * i + 1) * np.sqrt(3.0 * gamma / (2.0 * (order - 1))))
-            )
-    return total / (m * bits_per_axis)
-
-
 def test_genie_ber_matches_closed_form():
     # After zero forcing, stream j on subcarrier k carries unit-energy
     # symbols in circular Gaussian noise of variance N0 [G_k]_jj, with
@@ -848,7 +861,7 @@ def test_genie_ber_matches_closed_form():
     # |z| >= 8.9 at every point, a DFT without 1 / sqrt(K) and a
     # non-Gray level map give more than 16.
     gamma = np.array([0.5, 3.0, 30.0])
-    qpsk = [0.5 * math.erfc(math.sqrt(g / 2.0)) for g in gamma]
+    qpsk = [q(math.sqrt(g)) for g in gamma]
     np.testing.assert_allclose(gray_qam_ber(4, gamma), qpsk, rtol=1e-14)
     config = ExperimentConfig(
         algorithms=["iss_nlms"],

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from per_frame_ber import nearest_level_codes_reference
+from theory import q
 from sparsenlms.config import QAM_ORDERS
 from sparsenlms.harness import _zero_forcing_tables
 from sparsenlms.modem import (
@@ -15,10 +16,6 @@ from sparsenlms.modem import (
     qam_demodulate,
     qam_modulate,
 )
-
-
-def q_function(x):
-    return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
 def test_bits_per_symbol():
@@ -96,7 +93,7 @@ def test_awgn_ber_matches_analytic_approximation():
     )
     rx_codes = qam_demodulate(tx + noise, order)
     measured = code_bit_errors(codes, rx_codes).sum() / bits.size
-    analytic = 0.75 * q_function(math.sqrt(gamma / 5.0))
+    analytic = 0.75 * q(math.sqrt(gamma / 5.0))
     assert measured == pytest.approx(analytic, rel=0.10)
 
 

@@ -80,16 +80,32 @@ def test_an_invocation_that_computes_nothing_loads_no_numpy():
     assert done.returncode == 0, done.stderr
 
 
-def test_config_module_imports_only_the_standard_library():
-    tree = ast.parse((SRC / "config.py").read_text())
+def imported_modules(path):
+    """Top-level names of the modules ``path`` imports anywhere; ``"."`` for a sibling."""
     imported = set()
-    for node in tree.body:
+    for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
             imported.update(alias.name.split(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
-            assert node.level == 0, "config imports no sibling module at module level"
-            imported.add(node.module.split(".")[0])
-    assert imported <= set(sys.stdlib_module_names) | {"__future__"}
+            imported.add("." if node.level else node.module.split(".")[0])
+    return imported
+
+
+def test_config_module_imports_only_the_standard_library():
+    assert imported_modules(SRC / "config.py") <= set(sys.stdlib_module_names) | {"__future__"}
+
+
+def test_theory_imports_only_math_and_numpy():
+    # A closed form must not lean on the code it checks.
+    assert imported_modules(ROOT / "tests" / "theory.py") == {"math", "numpy"}
+
+
+def test_benchmark_imports_nothing_from_tests():
+    # The benchmark runs from a checkout that holds only its own files, so
+    # perfbench/checks.py keeps its own copy of the NLMS learning curve.
+    test_modules = {"tests"} | {path.stem for path in (ROOT / "tests").glob("*.py")}
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        assert not imported_modules(path) & test_modules, path.name
 
 
 def test_readme_trial_snippet_runs_and_names_every_field(capsys):
