@@ -266,19 +266,23 @@ def _summarize_mse(subcommand, curve, tail, num_trials):
         db = 10.0 * math.log10(tail)
     else:
         db = float("nan")
+    label = f"{subcommand} algorithm={curve.algorithm} snr_db={curve.snr_db:g}"
     print(
-        f"{subcommand} algorithm={curve.algorithm} snr_db={curve.snr_db:g} "
-        f"final-1% MSE={tail:.6e} ({db:.2f} dB) "
-        f"diverged={curve.diverged}/{num_trials}"
+        f"{label} final-1% MSE={tail:.6e} ({db:.2f} dB) "
+        f"diverged={curve.diverged}/{num_trials} "
+        f"worse_than_zero={curve.worse_than_zero}/{num_trials}"
     )
-    if curve.diverged:
-        print(
-            f"warning: {subcommand} algorithm={curve.algorithm} "
-            f"snr_db={curve.snr_db:g}: {curve.diverged}/{num_trials} "
-            "trials diverged (final squared error not finite or above n_r, "
-            "the all-zero estimator's) and are averaged into the curve",
-            file=sys.stderr,
-        )
+    for count, rule in (
+        (curve.diverged, "diverged (final squared error not finite)"),
+        (curve.worse_than_zero, "ended worse than the all-zero estimator "
+         "(final squared error finite but above n_r)"),
+    ):
+        if count:
+            print(
+                f"warning: {label}: {count}/{num_trials} trials {rule} "
+                "and are averaged into the curve",
+                file=sys.stderr,
+            )
 
 
 # Each runner yields ``(file name, comment line, columns)`` per curve and
@@ -304,8 +308,12 @@ def _worker_count():
 def _write_manifest(out_dir, invocation, config, files):
     checksums = {}
     for name in sorted(files):
+        digest = hashlib.sha256()
+        # In 64 KiB blocks, so no artifact is read into memory whole.
         with open(os.path.join(out_dir, name), "rb") as handle:
-            checksums[name] = hashlib.sha256(handle.read()).hexdigest()
+            while block := handle.read(1 << 16):
+                digest.update(block)
+        checksums[name] = digest.hexdigest()
     manifest = {
         "command": invocation.subcommand,
         "seed": config.rng_seed,
@@ -336,7 +344,7 @@ def parse_and_dispatch(argv):
             invocation.subcommand, config, _worker_count()
         )
         # A comprehension, so that no curve's arrays outlive its write:
-        # the manifest reads every file back whole.
+        # the manifest then reads every file back.
         files = [_write_csv(invocation.output_dir, *curve) for curve in curves]
         _write_manifest(invocation.output_dir, invocation, config, files)
     except CliError as exc:

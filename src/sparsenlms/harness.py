@@ -48,8 +48,8 @@ random streams match a time-domain simulation of the same frames.
 The detector tables are built once per sweep as stacked arrays: each
 channel's true impulse responses and every algorithm's frozen estimate
 form one ``(channel, detector)`` stack, which one FFT turns into
-per-subcarrier responses and one SVD and one pseudo-inverse call turn
-into zero-forcing matrices and erasure masks.  Zero forcing is then one
+per-subcarrier responses and one SVD turns into zero-forcing matrices
+and erasure masks, by one rank rule.  Zero forcing is then one
 einsum per frame block over the pseudo-inverses gathered by each
 frame's channel.
 
@@ -92,8 +92,9 @@ chunk end one index rule reads each iteration's error: at chunk
 iteration ``i`` antenna ``a`` holds its error after round ``(i - a) //
 n_r + 1`` (round 0 being the chunk's start), and the antennas are summed
 one by one.  Every trial runs all ``max_iterations`` updates.  A trial
-whose final error is not finite or exceeds the all-zero estimator's
-``n_r`` counts as diverged.
+whose final error is not finite counts as diverged, and one whose final
+error is finite but exceeds the all-zero estimator's ``n_r`` as worse
+than zero: a stable filter at low SNR can settle there.
 
 Reproducibility: every random stream is derived from ``rng_seed``
 together with the trial (or frame) index through seed sequences, and
@@ -106,8 +107,8 @@ Independent work runs on up to ``workers`` processes (default 1, which
 opens no pool): one ordered ``Executor.map`` over module-level tasks on
 a ``fork`` process pool.  Both experiments map :func:`run_trial_rows`
 over the trials: the MSE run adds each trial's error block in trial
-order exactly as a serial run does and counts divergence from its last
-row, and the BER sweep keeps the channels and frozen estimates.  Each
+order exactly as a serial run does and classifies its last row's
+errors, and the BER sweep keeps the channels and frozen estimates.  Each
 (QAM order, E_s/N_0) point is then one task, running its block loop and
 stop rule on the stacked tables and returning its error counts and bits
 sent.  Outputs are byte-identical for every worker count.
@@ -165,14 +166,16 @@ class TrialResult:
 class MseCurve:
     """Trial-averaged squared identification error per iteration.
 
-    ``diverged`` counts the trials whose final error was not finite or
-    exceeded the all-zero estimator's level ``n_r``.
+    ``diverged`` counts the trials whose final error was not finite, and
+    ``worse_than_zero`` those whose final error was finite but above the
+    all-zero estimator's level ``n_r``.
     """
 
     values: np.ndarray
     algorithm: str
     snr_db: float
     diverged: int = 0
+    worse_than_zero: int = 0
 
 
 @dataclass
@@ -338,12 +341,15 @@ def run_monte_carlo_mse(config, workers=1):
     # One contiguous curve per row.
     totals = np.zeros((len(pairs), config.max_iterations))
     diverged = np.zeros(len(pairs), dtype=int)
+    worse_than_zero = np.zeros(len(pairs), dtype=int)
     task = functools.partial(run_trial_rows, config, pairs=pairs)
     with _ordered_map(workers, config.num_trials) as ordered_map:
         for trial in ordered_map(task, range(config.num_trials)):
             errors = trial.squared_error
             totals += errors.T
-            diverged += ~(errors[-1] <= config.n_r)
+            finite = np.isfinite(errors[-1])
+            diverged += ~finite
+            worse_than_zero += finite & (errors[-1] > config.n_r)
     totals /= config.num_trials
     return [
         MseCurve(
@@ -351,6 +357,7 @@ def run_monte_carlo_mse(config, workers=1):
             algorithm=algorithm,
             snr_db=snr,
             diverged=int(diverged[row]),
+            worse_than_zero=int(worse_than_zero[row]),
         )
         for row, (algorithm, snr) in enumerate(pairs)
     ]
@@ -370,18 +377,20 @@ def _frequency_responses(cir_matrix, n_t, n_r, tap_length, k):
 
 
 def _zero_forcing_tables(freq_resp):
-    """Pseudo-inverses plus a mask of rank-deficient matrices.
+    """Pseudo-inverses plus a mask of rank-deficient matrices, from one SVD.
 
-    ``freq_resp`` is a stack of matrices, ``(..., n_r, n_t)``; the mask
-    has the stack's leading shape.
+    ``freq_resp`` is a ``(..., n_r, n_t)`` stack; the mask has its leading
+    shape.  Masked matrices get zero, the rest ``np.linalg.pinv``'s bytes.
     """
     # The SVD of a diverged (non-finite) estimate would not converge; as
     # zeros it is rank deficient, so all its bits count as errors.
     finite = np.isfinite(freq_resp).all(axis=(-2, -1))
     freq_resp = np.where(finite[..., None, None], freq_resp, 0.0)
-    singular = np.linalg.svd(freq_resp, compute_uv=False)
-    failed = singular[..., -1] <= singular[..., 0] * 1e-12
-    return np.linalg.pinv(freq_resp), failed
+    u, s, vh = np.linalg.svd(freq_resp.conj(), full_matrices=False)
+    failed = s[..., -1] <= s[..., 0] * 1e-12
+    inverse = np.divide(1.0, s, where=~failed[..., None], out=np.zeros_like(s))
+    pinvs = np.swapaxes(vh, -1, -2) @ (inverse[..., None] * np.swapaxes(u, -1, -2))
+    return pinvs, failed
 
 
 def _simulate_frames(config, order, point_index, n0, first, count, tables):

@@ -407,20 +407,34 @@ def test_manifest_records_checksums(tmp_path, capsys):
         assert hashlib.sha256(payload).hexdigest() == digest
 
 
+def test_manifest_hashes_an_artifact_of_several_blocks(tmp_path, capsys):
+    # The manifest hashes in 64 KiB blocks; this CSV spans two of them.
+    assert run_cli(
+        "single-run", "--out", str(tmp_path), "--override", "algorithms=vss_nlms",
+        "--override", "snr_db=10", "--override", "max_iterations=2000",
+    ) == 0
+    capsys.readouterr()
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    ((name, digest),) = manifest["artifacts"].items()
+    payload = (tmp_path / name).read_bytes()
+    assert 1 << 16 < len(payload) < 1 << 17
+    assert hashlib.sha256(payload).hexdigest() == digest
+
+
 def test_summary_lines_are_printed(tmp_path, capsys):
     assert run_cli("mse-convergence", "--out", str(tmp_path),
                    *small_overrides()) == 0
     captured = capsys.readouterr()
     assert "mse-convergence algorithm=iss_nlms snr_db=10" in captured.out
     assert "final-1% MSE=" in captured.out
-    assert "diverged=0/2" in captured.out
+    assert "diverged=0/2 worse_than_zero=0/2" in captured.out
     assert "warning" not in captured.err
 
 
 def test_divergence_is_reported(tmp_path, capsys):
-    # An adaptive step pinned near 2 at -20 dB: the error ends far above
-    # the all-zero estimator's n_r = 4.  The run still succeeds and
-    # writes its usual files.
+    # An adaptive step pinned near 2 at -20 dB: the error ends finite but
+    # far above the all-zero estimator's n_r = 4.  The run still succeeds
+    # and writes its usual files.
     code = run_cli(
         "single-run", "--out", str(tmp_path),
         "--override", "snr_db=-20", "--override", "c_threshold=1e-9",
@@ -429,11 +443,28 @@ def test_divergence_is_reported(tmp_path, capsys):
     )
     captured = capsys.readouterr()
     assert code == 0
-    assert "diverged=1/1" in captured.out
-    assert captured.err.startswith("warning: single-run algorithm=vss_nlms")
+    assert "diverged=0/1 worse_than_zero=1/1" in captured.out
+    assert captured.err == (
+        "warning: single-run algorithm=vss_nlms snr_db=-20: 1/1 trials ended "
+        "worse than the all-zero estimator (final squared error finite but "
+        "above n_r) and are averaged into the curve\n"
+    )
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "manifest.json", "single-run_vss_nlms_T1_SNR-20.csv",
     ]
+    # mu = 50 overflows to NaN: diverged, under its own rule.
+    code = run_cli(
+        "single-run", "--out", str(tmp_path / "overflow"),
+        "--override", "mu=50", "--override", "algorithms=iss_nlms",
+        "--override", "snr_db=10", "--override", "max_iterations=1000",
+    )
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "diverged=1/1 worse_than_zero=0/1" in captured.out
+    assert captured.err == (
+        "warning: single-run algorithm=iss_nlms snr_db=10: 1/1 trials diverged "
+        "(final squared error not finite) and are averaged into the curve\n"
+    )
 
 
 def test_non_finite_tail_prints_nan_db(capsys):
@@ -449,8 +480,9 @@ def test_non_finite_tail_prints_nan_db(capsys):
     "argv",
     [
         ["mse-convergence", "--trials", "3"],
-        # iss variants diverge at 10 dB: the diverged counts and the stderr
-        # warnings come back from the workers.
+        # mu = 1.9 is stable, but the iss variants end worse than zero at
+        # 10 dB: those counts and the stderr warnings come back from the
+        # workers.
         [
             "mse-convergence", "--trials", "3",
             "--override", "mu=1.9", "--override", "max_iterations=1000",
@@ -487,8 +519,9 @@ def test_worker_count_does_not_change_outputs(argv, tmp_path, capsys, monkeypatc
     assert runs[0][0] == 0
     assert runs[0] == runs[1]
     if "mu=1.9" in argv:
-        assert "diverged=3/3" in runs[0][1]
-        assert "warning: " in runs[0][2]
+        assert "diverged=0/3 worse_than_zero=3/3" in runs[0][1]
+        assert "diverged=3/3" not in runs[0][1]
+        assert "trials ended worse than the all-zero estimator" in runs[0][2]
     if argv[0] == "ber-sweep":
         # No training channel diverged, so there is no warning.
         assert runs[0][2] == ""
@@ -515,6 +548,33 @@ PINNED = (
 )
 
 
+def pooled_and_serial(argv, tmp_path, *flags):
+    """``(status, stdout, stderr, files)`` of a pooled and a one-CPU run.
+
+    Each runs in its own interpreter, started with ``flags``.
+    """
+    cpus = sorted(getattr(os, "sched_getaffinity", lambda pid: ())(0))
+    if len(cpus) < 2 or not hasattr(os, "fork"):
+        pytest.skip("needs a fork pool of 2 or more CPUs")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    runs = []
+    for name, prefix in (
+        ("pooled", ["-m", "sparsenlms"]),
+        ("serial", ["-c", PINNED, str(cpus[0])]),
+    ):
+        out = tmp_path / name
+        done = subprocess.run(
+            [sys.executable, *flags, *prefix, *argv, "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        runs.append((done.returncode, done.stdout, done.stderr, files))
+    assert runs[0][0] == 0, runs[0][2]
+    return runs
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -538,31 +598,22 @@ PINNED = (
 def test_diverging_run_is_the_same_pooled_and_on_one_cpu(argv, tmp_path):
     # Each pool worker is its own process, so numpy warnings printed once
     # per process would repeat per worker.
-    cpus = sorted(getattr(os, "sched_getaffinity", lambda pid: ())(0))
-    if len(cpus) < 2 or not hasattr(os, "fork"):
-        pytest.skip("needs a fork pool of 2 or more CPUs")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    runs = []
-    for name, prefix in (
-        ("pooled", [sys.executable, "-m", "sparsenlms"]),
-        ("serial", [sys.executable, "-c", PINNED, str(cpus[0])]),
-    ):
-        out = tmp_path / name
-        done = subprocess.run(
-            [*prefix, *argv, "--out", str(out)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-        runs.append((done.returncode, done.stdout, done.stderr, files))
-    assert runs[0][0] == 0, runs[0][2]
-    assert runs[0] == runs[1]
+    pooled, serial = pooled_and_serial(argv, tmp_path)
+    assert pooled == serial
     if argv[0] == "ber-sweep":
-        assert runs[0][2] == (
+        assert pooled[2] == (
             "warning: ber-sweep algorithm=iss_nlms qam=16: 2/2 training channels "
             "diverged (final estimate not finite) and are erased on every subcarrier\n"
         )
+
+
+def test_pooled_run_warns_as_a_serial_one_under_default_filters(tmp_path):
+    # -W default shows the DeprecationWarning that Python 3.12+ raises
+    # when a process with threads forks; numpy's BLAS pool is threads.
+    # The README promises the same standard error pooled and serial.
+    argv = ["mse-convergence", "--trials", "3", "--override", "max_iterations=200"]
+    pooled, serial = pooled_and_serial(argv, tmp_path, "-W", "default")
+    assert pooled == serial
 
 
 # -- CSV output ---------------------------------------------------------------

@@ -14,7 +14,9 @@ import pytest
 from naive_oracle import channel_error
 from per_frame_ber import per_frame_ber_sweep
 from single_filter import update_one
-from theory import gray_qam_ber, nlms_curve, nlms_steady_state, q, rza_bias, za_bias
+from theory import (
+    gray_qam_ber, nlms_curve, nlms_envelope, nlms_steady_state, q, rza_bias, za_bias,
+)
 from sparsenlms import filters, harness
 from sparsenlms.channel import generate_sparse_channel
 from sparsenlms.config import TRUE_CHANNEL, VARIANTS, ExperimentConfig
@@ -318,15 +320,22 @@ def test_incremental_metric_matches_channel_error():
 
 
 def test_divergence_is_counted():
-    # An adaptive step pinned near 2 at -20 dB drives the error far
-    # above the all-zero estimator's n_r = 4.
-    diverging = small_config(
+    # An adaptive step pinned near 2 at -20 dB ends far above the
+    # all-zero estimator's n_r = 4, but finite: the filter is stable and
+    # worse than zero, not diverged.
+    noisy = small_config(
         snr_db=[-20.0], c_threshold=1e-9, mu_max=1.99, max_iterations=100
     )
-    curve = run_monte_carlo_mse(diverging)[0]
-    assert curve.diverged == 2
-    assert curve.values[-1] > 4.0
-    assert run_monte_carlo_mse(small_config())[0].diverged == 0
+    curve = run_monte_carlo_mse(noisy)[0]
+    assert (curve.diverged, curve.worse_than_zero) == (0, 2)
+    assert 4.0 < curve.values[-1] < np.inf
+    # mu = 50 overflows to NaN: diverged, and not also worse than zero.
+    overflowing = small_config(mu=50.0, algorithms=["iss_nlms"], max_iterations=1000)
+    curve = run_monte_carlo_mse(overflowing)[0]
+    assert (curve.diverged, curve.worse_than_zero) == (2, 0)
+    assert np.isnan(curve.values[-1])
+    curve = run_monte_carlo_mse(small_config())[0]
+    assert (curve.diverged, curve.worse_than_zero) == (0, 0)
 
 
 def rows_failing_at_trial_1(config, trial_index, pairs):
@@ -389,10 +398,10 @@ def test_a_dead_worker_fails_the_run():
 
 def test_iss_nlms_steady_state_matches_theory():
     # The exact limit, E[1 / ||x||^2] = L / (L - 1) included.  At -20 dB
-    # it is 45.1, far above the all-zero estimator's n_r = 4, so the
-    # curve's diverged count takes every trial for divergence although
-    # the filter is stable.  Seeds 0-9 put the -20 dB ratio within
-    # 0.978-1.016; noise of twice the variance puts it near 2.
+    # it is 45.1, far above the all-zero estimator's n_r = 4: every trial
+    # is worse than zero, and none diverged, because the filter is
+    # stable.  Seeds 0-9 put the -20 dB ratio within 0.978-1.016; noise
+    # of twice the variance puts it near 2.
     config = ExperimentConfig(
         algorithms=["iss_nlms"],
         snr_db=[-20.0, 10.0, 20.0],
@@ -405,6 +414,8 @@ def test_iss_nlms_steady_state_matches_theory():
         theory = nlms_steady_state(config, curve.snr_db)
         simulated = curve.values[10_000:].mean()
         assert simulated / theory == pytest.approx(1.0, abs=0.05)
+        assert curve.diverged == 0
+        assert curve.worse_than_zero == (4 if curve.snr_db == -20.0 else 0)
 
 
 def test_iss_nlms_learning_curve_matches_exact_recursion():
@@ -435,6 +446,25 @@ def test_iss_nlms_learning_curve_matches_exact_recursion():
         # every curve.  A schedule one iteration late reaches 8, and a
         # contraction 2% too fast reaches 5.6.
         assert np.max(np.abs(z)) < 4.0, (curve.snr_db, int(np.argmax(np.abs(z))))
+
+
+def test_vss_nlms_tracks_the_iss_envelope_closer_than_any_fixed_step():
+    # The abstract's step-size claim, independent of one mu: E(n) is the
+    # best any fixed-step iss_nlms can do at iteration n, and a fixed step
+    # falls behind it somewhere.  Over iterations 100-5000 at 10 dB the
+    # best single step (mu 0.335) trails E by 2.47 dB at worst, mu = 0.2
+    # by 5.08 dB.  Seeds 0-9 put vss_nlms's worst gap at 0.63-0.75 dB, so
+    # at least 1.71 dB below the best fixed step's.
+    config = ExperimentConfig(algorithms=["vss_nlms"], snr_db=[10.0], num_trials=40)
+    mus = np.linspace(0.005, 1.995, 399)
+    envelope = nlms_envelope(config, 10.0, mus)
+    window = slice(99, config.max_iterations)
+    fixed = nlms_curve(config, 10.0, mus)[window] / envelope[window, None]
+    best_fixed = 10.0 * np.log10(fixed.max(axis=0).min())
+    assert best_fixed == pytest.approx(2.47, abs=0.01)
+    (curve,) = run_monte_carlo_mse(config, workers=2)
+    gap = 10.0 * np.log10(np.max(curve.values[window] / envelope[window]))
+    assert gap < best_fixed - 1.0
 
 
 def test_iss_nlms_above_mu_2_grows_as_the_exact_recursion():
@@ -778,6 +808,24 @@ def test_ber_sweep_erases_a_diverged_estimator():
     assert estimator.diverged == 2
     assert curves[TRUE_CHANNEL].bit_errors.tolist() == [0]
     assert curves[TRUE_CHANNEL].diverged == 0
+
+
+def test_ber_sweep_factorizes_each_stack_once(monkeypatch):
+    # The erasure mask and the pseudo-inverses come from one batched SVD.
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return svd(*args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("pinv runs an SVD of its own")
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    monkeypatch.setattr(np.linalg, "pinv", refused)
+    run_ber_sweep(ber_config())
+    assert calls == [{"full_matrices": False}]
 
 
 def bits_per_frame(config, order):

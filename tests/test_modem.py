@@ -152,3 +152,26 @@ def test_zero_forcing_rejects_rank_deficiency():
         pinv, single = _zero_forcing_tables(stack[index])
         assert single == failed[index]
         assert pinv.tobytes() == pinvs[index].tobytes()
+
+
+def test_zero_forcing_tables_are_pinv_under_one_rank_rule():
+    # One SVD gives both tables.  The matrices it keeps get the bytes
+    # np.linalg.pinv gives the finite-zeroed stack, and it erases exactly
+    # those that are not finite or whose singular values span 1e12 or
+    # more, with a zero inverse.  n_r = 3 and n_t = 2, so a transposed
+    # table would not even have the right shape.
+    stack = complex_normal(np.random.default_rng(306), (2, 4, 3, 2))
+    stack[0, 1] = np.outer([1.0, 2.0, 3.0], [1.0, -1j])  # rank one
+    stack[0, 3] = [[1.0, 0.0], [0.0, 1e-13], [0.0, 0.0]]  # pinv inverts it
+    stack[1, 0, 1, 1] = np.inf
+    stack[1, 2, 0, 0] = np.nan
+    pinvs, failed = _zero_forcing_tables(stack)
+    assert pinvs.shape == (2, 4, 2, 3)
+    finite = np.isfinite(stack).all(axis=(-2, -1))
+    zeroed = np.where(finite[..., None, None], stack, 0.0)
+    singular = np.linalg.svd(zeroed, compute_uv=False)
+    expected = ~finite | (singular[..., -1] <= 1e-12 * singular[..., 0])
+    assert np.array_equal(failed, expected)
+    assert np.argwhere(failed).tolist() == [[0, 1], [0, 3], [1, 0], [1, 2]]
+    assert pinvs[~failed].tobytes() == np.linalg.pinv(zeroed)[~failed].tobytes()
+    assert not pinvs[failed].any()

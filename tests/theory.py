@@ -42,7 +42,7 @@ def gray_qam_ber(order, gamma):
     return total / (m * bits_per_axis)
 
 
-def nlms_curve(config, snr_db):
+def nlms_curve(config, snr_db, mu=None):
     """Exact expected ``iss_nlms`` error after each of ``config.max_iterations``.
 
     Antenna ``a``'s misalignment after ``k`` updates follows
@@ -52,16 +52,29 @@ def nlms_curve(config, snr_db):
     is ``L / (L - 1)``.  After ``n`` iterations of the round-robin schedule
     antenna ``a`` has had ``ceil((n - a) / n_r)`` updates.  It holds for
     any ``mu``: above 2 each update multiplies the error by
-    ``1 + mu (mu - 2) / L``.
+    ``1 + mu (mu - 2) / L``.  ``mu`` defaults to ``config.mu``; an array
+    of step sizes gives one curve per step, shaped ``(iterations,
+    *mu.shape)``.
     """
-    mu, length, n_r = config.mu, config.filter_length(), config.n_r
+    mu = np.asarray(config.mu if mu is None else mu, dtype=float)
+    length, n_r = config.filter_length(), config.n_r
     floor = mu**2 * config.noise_variance(snr_db) * length / (length - 1)
-    d = np.empty(config.max_iterations + 1)
+    d = np.empty((config.max_iterations + 1, *mu.shape))
     d[0] = 1.0
     for k in range(config.max_iterations):
         d[k + 1] = (1.0 - mu * (2.0 - mu) / length) * d[k] + floor
     n = np.arange(1, config.max_iterations + 1)
     return sum(d[-(-(n - a) // n_r)] for a in range(n_r))
+
+
+def nlms_envelope(config, snr_db, mus):
+    """The lowest :func:`nlms_curve` over the step sizes ``mus`` at each iteration.
+
+    With ``mus`` a fine grid of (0, 2), ``E(n)`` is what a fixed-step
+    ``iss_nlms`` tuned for iteration ``n`` alone can reach; no single
+    step reaches it at every ``n``.
+    """
+    return nlms_curve(config, snr_db, mus).min(axis=1)
 
 
 def nlms_steady_state(config, snr_db):
