@@ -11,10 +11,11 @@ codes (:func:`code_bit_errors`).
 :func:`qam_modulate` maps codes to symbols and :func:`qam_demodulate`
 maps symbols back to codes; both keep the array's shape.
 
-Hard decisions take the nearest constellation point per axis.  A
-received value exactly between two levels resolves to the level whose
-Gray codeword is numerically smaller, which keeps demodulation fully
-deterministic.
+Hard decisions round each axis's computed level position to the
+nearest level.  A position exactly halfway between two levels takes the
+level whose Gray codeword is numerically smaller, so demodulation is
+fully deterministic.  The harness discards the decisions of an erased
+subcarrier (exact zeros): all of its bits count as errors.
 """
 
 from __future__ import annotations
@@ -83,29 +84,6 @@ def code_bit_errors(sent, decided):
     return _POPCOUNT[np.bitwise_xor(sent, decided)]
 
 
-# Within this distance of a half-integer level position, a value is
-# decided by comparing its distances to the two levels, as the tie rule
-# is stated.  Everywhere else rounding the position gives the same
-# level: inside the lattice the computed position is off by about 1e-14
-# at most, and outside it both pick the edge level.
-_TIE_MARGIN = 1e-9
-
-
-def _tie_rule_codes(values, table):
-    """Gray codewords by exact distance comparison, lower code on ties."""
-    m = table.levels_per_axis
-    position = (values / table.scale + (m - 1)) / 2.0
-    lower = np.clip(np.floor(position), 0, m - 1).astype(np.int64)
-    upper = np.clip(lower + 1, 0, m - 1)
-    d_lower = np.abs(values - table.amplitudes[lower])
-    d_upper = np.abs(values - table.amplitudes[upper])
-    codes_lower = table.level_codes[lower]
-    codes_upper = table.level_codes[upper]
-    tie = d_lower == d_upper
-    nearest = np.where(d_lower < d_upper, codes_lower, codes_upper)
-    return np.where(tie, np.minimum(codes_lower, codes_upper), nearest)
-
-
 def _nearest_level_codes(values, table):
     """Gray codewords of the nearest amplitude levels, lower code on ties."""
     m = table.levels_per_axis
@@ -113,12 +91,15 @@ def _nearest_level_codes(values, table):
     position = values * (0.5 / table.scale)
     position += 0.5 * (m - 1)
     nearest = np.rint(position)
-    position -= nearest
-    near_tie = np.abs(position, out=position) > 0.5 - _TIE_MARGIN
+    position -= nearest  # exact, so a tie is an offset of exactly +-0.5
+    tie = (position == 0.5) | (position == -0.5)
+    lower = nearest[tie] + position[tie] - 0.5  # floor of each tied position
     np.clip(nearest, 0, m - 1, out=nearest)
     codes = _gray_encode(nearest.astype(table.level_codes.dtype))
-    if near_tie.any():
-        codes[near_tie] = _tie_rule_codes(values[near_tie], table)
+    codes[tie] = np.minimum(
+        _gray_encode(np.clip(lower, 0, m - 1).astype(codes.dtype)),
+        _gray_encode(np.clip(lower + 1, 0, m - 1).astype(codes.dtype)),
+    )
     return codes
 
 

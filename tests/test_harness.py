@@ -15,7 +15,8 @@ from naive_oracle import channel_error
 from per_frame_ber import per_frame_ber_sweep
 from single_filter import update_one
 from theory import (
-    gray_qam_ber, nlms_curve, nlms_envelope, nlms_steady_state, q, rza_bias, za_bias,
+    gray_axis_errors, nlms_curve, nlms_envelope, nlms_steady_state, q, qam_levels,
+    rza_bias, za_bias,
 )
 from sparsenlms import filters, harness
 from sparsenlms.channel import generate_sparse_channel
@@ -898,8 +899,9 @@ def test_block_loop_simulates_no_frame_past_min_bits(monkeypatch):
 def test_genie_ber_matches_closed_form():
     # After zero forcing, stream j on subcarrier k carries unit-energy
     # symbols in circular Gaussian noise of variance N0 [G_k]_jj, with
-    # G_k = (H_k^H H_k)^-1, so each of its bits errs with the exact
-    # Gray-QAM probability p at gamma = 1 / (N0 [G_k]_jj).  Summed over
+    # G_k = (H_k^H H_k)^-1, so each axis carries a level in Gaussian noise
+    # of variance N0 [G_k]_jj / 2, and its bits err with probability p,
+    # the per-axis Gray expectation averaged over levels.  Summed over
     # the frames each channel served, that gives the expected count and,
     # for independent bits, its variance sum p (1 - p).  The bits of a
     # symbol share one noise sample and zero forcing correlates the
@@ -910,7 +912,9 @@ def test_genie_ber_matches_closed_form():
     # non-Gray level map give more than 16.
     gamma = np.array([0.5, 3.0, 30.0])
     qpsk = [q(math.sqrt(g)) for g in gamma]
-    np.testing.assert_allclose(gray_qam_ber(4, gamma), qpsk, rtol=1e-14)
+    levels = qam_levels(4)
+    axis = [gray_axis_errors(4, i, a, np.sqrt(0.5 / gamma)) for i, a in enumerate(levels)]
+    np.testing.assert_allclose(np.mean(axis, axis=0), qpsk, rtol=1e-14)
     config = ExperimentConfig(
         algorithms=["iss_nlms"],
         max_iterations=10,
@@ -940,11 +944,96 @@ def test_genie_ber_matches_closed_form():
         bits_per_symbol = int(math.log2(curve.qam_order))
         assert curve.bits_total.tolist() == [300 * k * n_t * bits_per_symbol] * 4
         bits = frames[:, None, None] * bits_per_symbol
+        levels = qam_levels(curve.qam_order)
         for esn0, errors in zip(config.esn0_range_db, curve.bit_errors, strict=True):
-            n0 = 10.0 ** (-esn0 / 10.0)
-            p = gray_qam_ber(curve.qam_order, 1.0 / (n0 * np.array(g_diagonals)))
+            sd = np.sqrt(10.0 ** (-esn0 / 10.0) * np.array(g_diagonals) / 2.0)
+            axis = [gray_axis_errors(curve.qam_order, i, a, sd) for i, a in enumerate(levels)]
+            p = np.mean(axis, axis=0) / (bits_per_symbol // 2)
             expected = np.sum(bits * p)
             z.append((errors - expected) / math.sqrt(np.sum(bits * p * (1 - p))))
     assert len(z) == 8
     assert max(map(abs, z)) <= 5.0
 
+
+def zero_forcing_expectation(config, channel, estimate, n0):
+    """Expected bit errors of one frame, and their variance, with ``estimate``.
+
+    Written apart from the harness: on subcarrier k, zero forcing with
+    P = pinv(Ĥ_k) gives stream i the value sum_j [P H_k]_ij s_j plus
+    circular noise of variance N0 ||P_i||^2, so each axis sees its mean
+    in Gaussian noise of variance N0 ||P_i||^2 / 2.  The expectation
+    averages the per-axis Gray errors over all order^n_t symbol vectors;
+    an erased subcarrier (rank rule of the README) counts every bit.
+    The variance treats the bits as independent.
+    """
+    k, n_t, n_r = config.subcarrier_count, config.n_t, config.n_r
+    (order,) = config.qam_orders
+    levels = qam_levels(order)
+    bits_per_axis = int(math.log2(order)) // 2
+
+    def response(cir):  # (k, n_r, n_t)
+        cirs = cir.reshape(n_r, n_t, config.tap_length)
+        return np.moveaxis(np.fft.fft(cirs, n=k, axis=2), 2, 0)
+
+    h, h_hat = response(channel), response(estimate)
+    singular = np.linalg.svd(h_hat, compute_uv=False)
+    erased = singular[:, -1] <= 1e-12 * singular[:, 0]
+    p = np.linalg.pinv(h_hat)
+    # Every symbol vector: its (in-phase, quadrature) level per stream.
+    sent = np.indices((levels.size,) * (2 * n_t)).reshape(n_t, 2, -1)
+    symbols = levels[sent[:, 0]] + 1j * levels[sent[:, 1]]
+    mean = (p @ h) @ symbols
+    sd = np.sqrt(n0 * np.sum(np.abs(p) ** 2, axis=2) / 2.0)[..., None]
+    errors = np.stack([
+        gray_axis_errors(order, sent[:, 0], mean.real, sd),
+        gray_axis_errors(order, sent[:, 1], mean.imag, sd),
+    ]).mean(axis=-1)
+    bit_p = errors / bits_per_axis
+    variance = np.sum(bits_per_axis * bit_p * (1.0 - bit_p), axis=(0, 2))
+    errors = errors.sum(axis=(0, 2))
+    errors[erased] = 2 * n_t * bits_per_axis
+    variance[erased] = 0.0
+    return errors.sum(), variance.sum()
+
+
+@pytest.mark.parametrize("iterations", [30, 300])
+def test_trained_ber_matches_its_exact_expectation(iterations):
+    # Every detector's bit errors, estimators trained poorly (30
+    # iterations) or well (300), against the expectation built from each
+    # training channel's true channel and frozen estimate by the test's
+    # own FFT and pseudo-inverse.  Seeds 0-9 gave a largest |z| of 2.40
+    # over 120 points, with a standard deviation of 1.13; the bound of 5
+    # is twice that largest value.  Transposing the harness's
+    # pseudo-inverses gives |z| >= 70 at every point, and detecting each
+    # estimator with the other's estimate |z| >= 12 at every estimator
+    # point.  Noise 5% too strong reaches only |z| 3.1, so this test does
+    # not catch it; the genie test does.
+    config = ber_config(
+        algorithms=["iss_nlms", "vss_rza_nlms"],
+        esn0_range_db=[15.0, 25.0],
+        ber_num_channels=3,
+        ber_min_bits=10**9,
+        ber_max_frames=400,
+        max_iterations=iterations,
+        rng_seed=0,
+    )
+    pairs = [(a, config.ber_training_snr_db) for a in config.algorithms]
+    frames = np.bincount(np.arange(400) % config.ber_num_channels)
+    expected = {}
+    for trial, count in enumerate(frames):
+        result = run_trial_rows(config, trial, pairs)
+        estimates = [result.channel, *result.final_estimate]
+        for detector, estimate in zip([TRUE_CHANNEL, *config.algorithms], estimates):
+            for esn0 in config.esn0_range_db:
+                mean, variance = zero_forcing_expectation(
+                    config, result.channel, estimate, 10.0 ** (-esn0 / 10.0)
+                )
+                total = expected.get((detector, esn0), 0.0)
+                expected[detector, esn0] = total + count * np.array([mean, variance])
+    z = []
+    for curve in run_ber_sweep(config):
+        for esn0, errors in zip(config.esn0_range_db, curve.bit_errors, strict=True):
+            mean, variance = expected[curve.algorithm, esn0]
+            z.append((errors - mean) / math.sqrt(variance))
+    assert len(z) == 6
+    assert max(map(abs, z)) <= 5.0

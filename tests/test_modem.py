@@ -57,8 +57,12 @@ def test_tie_breaks_toward_lower_gray_codeword():
 @pytest.mark.parametrize("order", QAM_ORDERS)
 def test_rounded_decision_equals_distance_comparison(order):
     # Rounding the level position must decide exactly as comparing the
-    # distances to both neighbouring levels does, ties included.
+    # distances to both neighbouring levels does, except where the
+    # computed position is exactly half-integer.  There the decision is a
+    # tie by definition and takes the smaller codeword of its two levels,
+    # even where the float distances to them differ by an ulp.
     table = qam_constellation(order)
+    m = table.levels_per_axis
     amplitudes = table.amplitudes
     midpoints = np.concatenate([
         (amplitudes[:-1] + amplitudes[1:]) / 2.0,
@@ -75,6 +79,11 @@ def test_rounded_decision_equals_distance_comparison(order):
     rng = np.random.default_rng(305)
     values = np.concatenate([values, rng.uniform(-1.5, 1.5, size=10_000)])
     expected = nearest_level_codes_reference(values, table)
+    position = values * (0.5 / table.scale) + 0.5 * (m - 1)
+    tie = position - np.floor(position) == 0.5
+    assert tie.sum() >= m - 1
+    lower = np.clip(np.floor(position[tie]), 0, m - 2).astype(np.int64)
+    expected[tie] = np.minimum(table.level_codes[lower], table.level_codes[lower + 1])
     assert np.array_equal(_nearest_level_codes(values, table), expected)
 
 

@@ -1,14 +1,16 @@
 """Closed forms the tests check simulations against, each written once.
 
-Every function reads its sizes and strengths from an ``ExperimentConfig``
-and its noise level from ``snr_db``.  The module imports only ``math``
-and numpy, so a theory value never depends on the code it checks.
+The adaptive-filter forms read their sizes and strengths from an
+``ExperimentConfig`` and their noise level from ``snr_db``; the QAM forms
+take the order and the noise level directly.  The module imports only
+``math`` and numpy, so a theory value never depends on the code it
+checks.
 
 References: Sayed, *Fundamentals of Adaptive Filtering* (2003), for the
 NLMS learning curve; Chen, Gu and Hero, "Sparse LMS for system
-identification" (ICASSP 2009), for the bias of zero attraction; Cho and
-Yoon, "On the general BER expression of one- and two-dimensional
-amplitude modulations" (IEEE Trans. Commun. 2002), for Gray QAM.
+identification" (ICASSP 2009), for the bias of zero attraction;
+Proakis, *Digital Communications*, for the decision regions of Gray
+square QAM.
 """
 
 import math
@@ -21,25 +23,38 @@ def q(x):
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
-def gray_qam_ber(order, gamma):
-    """Exact bit error rate of Gray-coded square QAM at symbol SNR ``gamma``.
-
-    Cho and Yoon: the average over the ``log2(sqrt(order))`` bit
-    positions of an axis.
-    """
+def qam_levels(order):
+    """The ascending amplitudes of one axis of unit-energy square QAM."""
     m = math.isqrt(order)
-    bits_per_axis = m.bit_length() - 1
-    erfc = np.vectorize(math.erfc)
-    total = np.zeros_like(gamma)
-    for k in range(1, bits_per_axis + 1):
-        for i in range(round((1 - 2.0**-k) * m)):
-            w = i * 2 ** (k - 1) / m
-            total += (
-                (-1) ** math.floor(w)
-                * (2 ** (k - 1) - math.floor(w + 0.5))
-                * erfc((2 * i + 1) * np.sqrt(3.0 * gamma / (2.0 * (order - 1))))
-            )
-    return total / (m * bits_per_axis)
+    return (2 * np.arange(m) - (m - 1)) * math.sqrt(1.5 / (order - 1))
+
+
+def gray_axis_errors(order, sent, mean, sd):
+    """Expected bit errors of one axis of a Gray square QAM hard decision.
+
+    The axis sends level ``sent`` (an index into :func:`qam_levels`) and
+    receives a Gaussian value of mean ``mean`` and standard deviation
+    ``sd``; the arrays broadcast.  The decision thresholds lie midway
+    between levels (Proakis).  Summing the error bits of each decision
+    region times the probability of landing in it, by parts, gives a sum
+    over thresholds: the probability that the value lies beyond
+    threshold ``t``, seen from the sent level, times the change in error
+    bits across ``t``.  Each of those probabilities is one Gaussian tail,
+    so small ones keep their relative precision.
+    """
+    levels = qam_levels(order)
+    index = np.arange(levels.size)
+    gray = index ^ (index >> 1)
+    ones = np.array([bin(code).count("1") for code in index])
+    sent, mean, sd = (a[..., None] for a in np.broadcast_arrays(sent, mean, sd))
+    wrong = ones[gray ^ gray[sent]]  # error bits of deciding each level
+    # Threshold j lies between levels j - 1 and j; +1 where it lies above
+    # the sent level, -1 where below.
+    outward = np.where(index[1:] > sent, 1.0, -1.0)
+    thresholds = (levels[:-1] + levels[1:]) / 2.0
+    erfc = np.vectorize(math.erfc, otypes=[float])
+    beyond = 0.5 * erfc(outward * (thresholds - mean) / (sd * math.sqrt(2.0)))
+    return (outward * np.diff(wrong, axis=-1) * beyond).sum(axis=-1)
 
 
 def nlms_curve(config, snr_db, mu=None):
