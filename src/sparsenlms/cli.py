@@ -16,8 +16,8 @@ rejected by name.  The runners only compute: each yields one
 :func:`parse_and_dispatch` writes every file into ``--out``: each
 curve's CSV through :func:`_write_csv`, with the comment as its header
 line, then a ``manifest.json`` recording the effective configuration,
-the seed and a sha256 checksum per artifact.  Rerunning the same
-invocation reproduces every file byte for byte.
+the seed and the sha256 of each CSV's bytes as written.  Rerunning the
+same invocation reproduces every file byte for byte.
 
 Multi-trial MSE runs and BER sweeps use one process per CPU in this
 process's affinity mask (``taskset -c 0`` makes a run serial); the
@@ -169,21 +169,29 @@ _ROWS_PER_WRITE = 1024
 
 
 def _write_csv(out_dir, name, comment, columns):
-    """Write file ``name`` in ``out_dir`` and return ``name``.
+    """Write file ``name`` in ``out_dir``; return ``(name, sha256 hex digest)``.
 
     The file holds ``# comment``, the column names, then one row of
     ``repr`` values per index; ``columns`` maps each name to a 1-D
     array.  The repr of an int or a float never needs csv quoting, so
     the rows equal those of ``csv.writer`` with ``lineterminator="\\n"``.
+    The digest is of the bytes written, so the file is never read back.
     """
-    with open(os.path.join(out_dir, name), "w", newline="") as handle:
-        handle.write(f"# {comment}\n" + ",".join(columns) + "\n")
+    digest = hashlib.sha256()
+    with open(os.path.join(out_dir, name), "wb") as handle:
+
+        def write(text):
+            data = text.encode()
+            digest.update(data)
+            handle.write(data)
+
+        write(f"# {comment}\n" + ",".join(columns) + "\n")
         arrays = list(columns.values())
         for start in range(0, len(arrays[0]), _ROWS_PER_WRITE):
             stop = start + _ROWS_PER_WRITE
             texts = [map(repr, array[start:stop].tolist()) for array in arrays]
-            handle.write("\n".join(map(",".join, zip(*texts))) + "\n")
-    return name
+            write("\n".join(map(",".join, zip(*texts))) + "\n")
+    return name, digest.hexdigest()
 
 
 def _run_mse_convergence(subcommand, config, workers):
@@ -305,15 +313,7 @@ def _worker_count():
     return os.cpu_count() or 1
 
 
-def _write_manifest(out_dir, invocation, config, files):
-    checksums = {}
-    for name in sorted(files):
-        digest = hashlib.sha256()
-        # In 64 KiB blocks, so no artifact is read into memory whole.
-        with open(os.path.join(out_dir, name), "rb") as handle:
-            while block := handle.read(1 << 16):
-                digest.update(block)
-        checksums[name] = digest.hexdigest()
+def _write_manifest(out_dir, invocation, config, checksums):
     manifest = {
         "command": invocation.subcommand,
         "seed": config.rng_seed,
@@ -343,10 +343,9 @@ def parse_and_dispatch(argv):
         curves = _RUNNERS[invocation.subcommand](
             invocation.subcommand, config, _worker_count()
         )
-        # A comprehension, so that no curve's arrays outlive its write:
-        # the manifest then reads every file back.
-        files = [_write_csv(invocation.output_dir, *curve) for curve in curves]
-        _write_manifest(invocation.output_dir, invocation, config, files)
+        # A generator expression, so that no curve's arrays outlive its write.
+        checksums = dict(_write_csv(invocation.output_dir, *c) for c in curves)
+        _write_manifest(invocation.output_dir, invocation, config, checksums)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

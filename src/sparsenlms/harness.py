@@ -239,8 +239,6 @@ def run_trial_rows(config, trial_index, pairs):
     only the noise scale and the update rule differ per row.  Each row's
     results, error curve included, equal those of a batch of one.
     """
-    if trial_index < 0:
-        raise ValueError("trial_index must be nonnegative")
     rng_channel = np.random.default_rng([config.rng_seed, trial_index, 0])
     channel = generate_sparse_channel(
         rng_channel, config.n_t, config.n_r, config.tap_length, config.sparsity

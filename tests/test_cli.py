@@ -388,27 +388,44 @@ def test_single_run_and_trace_match_batch_of_one(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_manifest_records_checksums(tmp_path, capsys):
-    assert run_cli("trace-stepsize", "--out", str(tmp_path),
-                   *small_overrides()) == 0
+def test_manifest_records_checksums(tmp_path, capsys, monkeypatch):
+    # Two workers, so the three-trial mse-convergence and the ber-sweep
+    # run pooled.
+    monkeypatch.setattr(cli, "_worker_count", lambda: 2)
+    runs = {
+        "trace-stepsize": ["trace-stepsize", *small_overrides()],
+        "single-run": ["single-run", *small_overrides()],
+        "mse-convergence": [
+            "mse-convergence", *small_overrides(), "--trials", "3",
+            "--override", "snr_db=[10, 20]",
+        ],
+        "ber-sweep": SMALL_BER_SWEEP,
+    }
+    manifests = {}
+    for command, argv in runs.items():
+        out = tmp_path / command
+        assert run_cli(*argv, "--out", str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == command
+        assert sorted(manifest["artifacts"]) == sorted(p.name for p in out.glob("*.csv"))
+        for name, digest in manifest["artifacts"].items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+        manifests[command] = manifest
     capsys.readouterr()
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest["command"] == "trace-stepsize"
+    assert len(manifests["mse-convergence"]["artifacts"]) == 2
+    assert len(manifests["ber-sweep"]["artifacts"]) == 4
     # The trace runs trial 0 alone, whatever --trials says.
-    assert manifest["config"]["num_trials"] == 1
-    assert sorted(manifest["artifacts"]) == sorted(p.name for p in tmp_path.glob("*.csv"))
-    lines = (tmp_path / "trace-stepsize_iss_nlms_T1_SNR10.csv").read_text().splitlines()
-    assert lines[:2] == [
+    assert manifests["trace-stepsize"]["config"]["num_trials"] == 1
+    path = tmp_path / "trace-stepsize" / "trace-stepsize_iss_nlms_T1_SNR10.csv"
+    assert path.read_text().splitlines()[:2] == [
         "# stepsize-trace algorithm=iss_nlms snr_db=10 sparsity=1 rng_seed=12345",
         "iteration,step_size",
     ]
-    for name, digest in manifest["artifacts"].items():
-        payload = (tmp_path / name).read_bytes()
-        assert hashlib.sha256(payload).hexdigest() == digest
 
 
 def test_manifest_hashes_an_artifact_of_several_blocks(tmp_path, capsys):
-    # The manifest hashes in 64 KiB blocks; this CSV spans two of them.
+    # The writer hashes each block of rows as it writes it; this
+    # 2,000-row CSV spans two write blocks.
     assert run_cli(
         "single-run", "--out", str(tmp_path), "--override", "algorithms=vss_nlms",
         "--override", "snr_db=10", "--override", "max_iterations=2000",
@@ -679,19 +696,27 @@ def test_csv_writers_match_csv_module_bytes(tmp_path):
     esn0_db = np.linspace(12.0, 30.0, rows)
     bit_errors = np.concatenate([[0, 1, 2, 2**40], counts])
     bits_total = np.concatenate([[1, 7, 1024, 2**50], counts + 999])
-    cli._write_csv(
-        tmp_path, "mse.csv", "mse-curve algorithm=iss_nlms",
-        {"iteration": iterations, "mse_linear": values, "mse_db": db},
-    )
-    cli._write_csv(
-        tmp_path, "step.csv", "stepsize-trace algorithm=iss_nlms",
-        {"iteration": iterations, "step_size": values},
-    )
-    cli._write_csv(
-        tmp_path, "ber.csv", "ber-curve algorithm=iss_nlms",
-        {"esn0_db": esn0_db, "ber": values,
-         "bit_errors": bit_errors, "bits_total": bits_total},
-    )
+    returned = [
+        cli._write_csv(
+            tmp_path, "mse.csv", "mse-curve algorithm=iss_nlms",
+            {"iteration": iterations, "mse_linear": values, "mse_db": db},
+        ),
+        cli._write_csv(
+            tmp_path, "step.csv", "stepsize-trace algorithm=iss_nlms",
+            {"iteration": iterations, "step_size": values},
+        ),
+        cli._write_csv(
+            tmp_path, "ber.csv", "ber-curve algorithm=iss_nlms",
+            {"esn0_db": esn0_db, "ber": values,
+             "bit_errors": bit_errors, "bits_total": bits_total},
+        ),
+    ]
+    # Each digest, taken block by block as the file is written, is the
+    # sha256 of the whole file.
+    assert returned == [
+        (name, hashlib.sha256((tmp_path / name).read_bytes()).hexdigest())
+        for name in ("mse.csv", "step.csv", "ber.csv")
+    ]
 
     expected_mse, expected_step = io.StringIO(), io.StringIO()
     expected_ber = io.StringIO()
