@@ -105,7 +105,7 @@ def build_config(invocation):
                 loaded = json.load(handle, object_pairs_hook=_unique_keys)
         except OSError as exc:
             raise CliError(f"cannot read config file: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
             raise CliError(
                 f"config file {invocation.config_path!r} is not valid JSON: {exc}"
             ) from exc

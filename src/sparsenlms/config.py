@@ -1,8 +1,11 @@
 """Experiment configuration and its input checks, on the standard library alone.
 
 :class:`ExperimentConfig` describes one experiment, and its
-``__post_init__`` is the only input check: the other modules trust
-their arguments.  The facts that the check needs are written here once:
+``__post_init__`` checks every field.  ``validate_ofdm`` adds the OFDM
+size checks, which ``cli.build_config`` runs for ``ber-sweep`` and
+``harness.run_ber_sweep`` runs itself; the command line also rejects a
+config under which two curves share a file.  The other modules trust
+their arguments.  The facts that the checks need are written here once:
 ``_LAWS``, the table of filter variants, and :data:`VARIANTS`, its names
 in default order; :data:`QAM_ORDERS`; :data:`TRUE_CHANNEL`, the genie
 detector's name.
@@ -46,29 +49,6 @@ def _is_real(value):
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-class _ReadOnlyTable(Mapping):
-    """A dict's lookups without its setters.
-
-    Unlike ``types.MappingProxyType`` it can be pickled, as the fork pool
-    does with the config of every task.
-    """
-
-    def __init__(self, table):
-        self._table = dict(table)
-
-    def __getitem__(self, key):
-        return self._table[key]
-
-    def __iter__(self):
-        return iter(self._table)
-
-    def __len__(self):
-        return len(self._table)
-
-    def __repr__(self):
-        return repr(self._table)
-
-
 def _is_snr_key(key):
     """A number or numeric string (JSON keys), not a bool, NaN or -inf."""
     try:
@@ -87,14 +67,16 @@ class ExperimentConfig:
     (0.006/0.0006 for single-tap links, 0.002/0.0002 otherwise).
 
     ``c_by_snr`` optionally maps an SNR in dB to its own ``c_threshold``,
-    used only at an exactly matching SNR.
+    used only at an exactly matching SNR.  It takes a mapping and is
+    stored as a tuple of ``(snr_db, c_threshold)`` float pairs in SNR
+    order.
     It is unset by default: a flat 1e-4 keeps the adaptive step in its
     productive range during the transient, while 1e-5 pins the step
     against ``mu_max``, where the normalized update barely contracts.
 
     The list fields take a list, a tuple or one value and are stored as
-    tuples, and ``c_by_snr`` as a read-only mapping, so no element can
-    change past the check.
+    tuples too.  So no element can change past the check, and a config
+    holds only builtin immutable values: it hashes, pickles and copies.
     """
 
     n_t: int = 4
@@ -106,7 +88,7 @@ class ExperimentConfig:
     mu: float = 0.2
     mu_max: float = 2.0
     c_threshold: float = 1e-4
-    c_by_snr: Mapping | None = None
+    c_by_snr: tuple | None = None
     beta: float = 0.99
     rho_za: float | None = None
     rho_rza: float | None = None
@@ -156,20 +138,27 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must hold {noun}, got {values!r}")
             object.__setattr__(self, name, tuple(kind(v) for v in values))
         if self.c_by_snr is not None:
-            if not isinstance(self.c_by_snr, Mapping) or not all(
+            # A mapping, or the stored pairs that dataclasses.replace passes back.
+            given = None
+            if isinstance(self.c_by_snr, (Mapping, tuple)):
+                try:
+                    given = dict(self.c_by_snr)
+                except (TypeError, ValueError):
+                    pass
+            if given is None or not all(
                 _is_snr_key(k) and _is_real(v) and 0.0 < v < math.inf
-                for k, v in self.c_by_snr.items()
+                for k, v in given.items()
             ):
                 raise ValueError(
                     "c_by_snr must map SNR in dB to a positive finite c_threshold, "
                     f"got {self.c_by_snr!r}"
                 )
-            table = {float(k): float(v) for k, v in self.c_by_snr.items()}
+            table = {float(k): float(v) for k, v in given.items()}
             if len(table) < len(self.c_by_snr):
                 raise ValueError(
                     f"c_by_snr must name each SNR once, got {self.c_by_snr!r}"
                 )
-            object.__setattr__(self, "c_by_snr", _ReadOnlyTable(table))
+            object.__setattr__(self, "c_by_snr", tuple(sorted(table.items())))
         # +inf dB is the noiseless case; NaN and -inf have no noise level,
         # and below about -3083 dB the noise level overflows.
         for name, values in (
@@ -250,7 +239,7 @@ class ExperimentConfig:
         out = asdict(self)
         if self.c_by_snr is not None:
             # JSON keys are strings; sorted dumps order them as text.
-            out["c_by_snr"] = {str(k): v for k, v in self.c_by_snr.items()}
+            out["c_by_snr"] = {str(k): v for k, v in self.c_by_snr}
         return out
 
     @classmethod

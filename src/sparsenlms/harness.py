@@ -7,11 +7,12 @@ fresh unit-power training regressor and a noisy observation through the
 true channel.  Identification quality is tracked per iteration as the
 squared Frobenius distance between the true and estimated matrices, and
 averaged across trials elementwise.  Every function takes a
-:class:`sparsenlms.config.ExperimentConfig`, whose ``__post_init__`` is
-the only input check: the harness, ``channel``, ``signals`` and
-``modem`` trust their arguments.  The config lives in its own module,
-which imports no numpy; this one loads numpy, so the command line
-imports it only when a run starts.
+:class:`sparsenlms.config.ExperimentConfig`, checked by its
+``__post_init__`` and, for the OFDM sizes, by ``validate_ofdm``, which
+``run_ber_sweep`` calls.  Past those checks the harness, ``channel``,
+``signals`` and ``modem`` trust their arguments.  The config lives in
+its own module, which imports no numpy; this one loads numpy, so the
+command line imports it only when a run starts.
 
 Noise levels derive from the received SNR: with unit-norm receive rows
 and unit-total-power regressors the received signal power is ``1 /
@@ -212,7 +213,7 @@ def row_params(config, pairs):
     rho_rza = rho_rza if config.rho_rza is None else config.rho_rza
     variants, snrs = zip(*pairs)
     variances = [config.noise_variance(snr) for snr in snrs]
-    c_by_snr = config.c_by_snr or {}
+    c_by_snr = dict(config.c_by_snr or ())
     return filters.RowParams(
         variants=variants,
         mu=config.mu,

@@ -52,14 +52,14 @@ def desk_scale_tail_means(sparsity, algorithms):
         num_trials=DESK_TRIALS,
         rng_seed=12345,
     )
-    out = {}
-    for algorithm in algorithms:
-        tails = np.empty(DESK_TRIALS)
-        for trial in range(DESK_TRIALS):
-            result = run_trial_rows(config, trial, [(algorithm, 10.0)])
-            tails[trial] = tail_mean(result.squared_error[:, 0])
-        out[algorithm] = tails
-    return out
+    # One batch per trial; each row equals its batch of one.
+    pairs = [(algorithm, 10.0) for algorithm in algorithms]
+    tails = np.empty((DESK_TRIALS, len(pairs)))
+    for trial in range(DESK_TRIALS):
+        squared_error = run_trial_rows(config, trial, pairs).squared_error
+        for row in range(len(pairs)):
+            tails[trial, row] = tail_mean(squared_error[:, row])
+    return dict(zip(algorithms, tails.T))
 
 
 @pytest.fixture(scope="module")

@@ -34,6 +34,7 @@ def run_cli(*args):
 
 
 REPEATED_KEY_CONFIG = "repeated-key.json"
+NON_UTF8_CONFIG = "non-utf8.json"
 
 # Two QAM orders at two E_s/N_0 points, small enough to run in a second.
 SMALL_BER_SWEEP = [
@@ -209,6 +210,8 @@ def test_invalid_value_is_rejected(tmp_path, capsys):
         # last value: in an override and in a config file.
         ["single-run", "--override", 'c_by_snr={"10": 1e-5, "10": 2e-5}'],
         ["single-run", "--config", REPEATED_KEY_CONFIG],
+        # A config file that is not UTF-8.
+        ["single-run", "--dump-config", "--config", NON_UTF8_CONFIG],
         # The smallest channel is one transmit antenna and one tap.
         ["single-run", "--override", "n_t=0"],
         ["single-run", "--override", "tap_length=0"],
@@ -218,6 +221,7 @@ def test_invalid_config_is_rejected_before_running(argv, tmp_path, capsys, monke
     # Config files named by a case are read from the working directory.
     monkeypatch.chdir(tmp_path)
     (tmp_path / REPEATED_KEY_CONFIG).write_text('{"mu": 0.1, "mu": 0.3}')
+    (tmp_path / NON_UTF8_CONFIG).write_bytes(b'\xff{"mu": 0.1}')
     code = run_cli(*argv, "--out", str(tmp_path / "out"))
     captured = capsys.readouterr()
     assert code == 2

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -550,6 +551,39 @@ def test_reweighted_zero_attraction_bias_matches_its_fixed_point():
     assert abs(z) < 4.0, (np.mean(residuals), z)
 
 
+def test_sparse_gain_shrinks_as_the_channel_gets_denser():
+    # Chen, Gu and Hero (ICASSP 2009): zero attraction pays on a sparse
+    # channel and costs accuracy on a dense one, where the reweighted
+    # pull loses less than the plain one.  rho is fixed, so only the
+    # density changes from T = 1 to T = tap_length = 16.  Paired
+    # per-trial differences from iss_nlms of the final-50 tails in dB,
+    # at 20 dB: seeds 0-9 gave ZA -0.016 and RZA -0.035 at T = 1 (|z| >=
+    # 39 and 56), ZA +0.017 and RZA +0.011 at T = 16 (|z| >= 35 and 27),
+    # and RZA - ZA -0.0065 at T = 16 (|z| >= 36).
+    algorithms = ["iss_nlms", "iss_za_nlms", "iss_rza_nlms"]
+    pairs = [(algorithm, 20.0) for algorithm in algorithms]
+    z = {}
+    for sparsity in (1, 16):
+        config = ExperimentConfig(
+            sparsity=sparsity, snr_db=[20.0], algorithms=algorithms,
+            rho_za=0.002, rho_rza=0.0002, num_trials=20, rng_seed=0,
+        )
+        tails = np.array([
+            10.0 * np.log10(
+                run_trial_rows(config, trial, pairs).squared_error[-50:].mean(axis=0)
+            )
+            for trial in range(config.num_trials)
+        ])
+        za, rza = tails[:, 1] - tails[:, 0], tails[:, 2] - tails[:, 0]
+        z[sparsity] = [
+            diff.mean() / (diff.std(ddof=1) / math.sqrt(diff.size))
+            for diff in (za, rza, rza - za)
+        ]
+    # Both gain at T = 1, RZA more; both lose at T = 16, RZA less.
+    assert max(z[1]) < -8.0, z
+    assert min(z[16][:2]) > 8.0 and z[16][2] < -8.0, z
+
+
 # -- configuration ------------------------------------------------------------
 
 
@@ -630,11 +664,23 @@ def test_list_fields_cannot_be_changed_in_place():
 
 
 def test_c_by_snr_cannot_be_changed_in_place():
-    # A read-only mapping; the pooled runs in test_cli pickle it.
+    # Stored as a tuple of (snr_db, c_threshold) pairs in SNR order.
     config = ExperimentConfig(c_by_snr={"20": 1e-4})
     with pytest.raises(TypeError):
         config.c_by_snr[20.0] = -1.0
-    assert config.c_by_snr == {20.0: 1e-4}
+    assert config.c_by_snr == ((20.0, 1e-4),)
+
+
+def test_c_by_snr_config_hashes_and_copies():
+    # Key order and key spelling do not matter; the pooled runs in
+    # test_cli pickle the config, and single-run replaces num_trials.
+    config = ExperimentConfig(c_by_snr={"20": 1e-5, 10: 1e-4})
+    same = ExperimentConfig(c_by_snr={10.0: 1e-4, 20: 1e-5})
+    assert config == same
+    assert hash(config) == hash(same)
+    assert config.c_by_snr == ((10.0, 1e-4), (20.0, 1e-5))
+    assert dataclasses.replace(config, num_trials=1).c_by_snr == config.c_by_snr
+    assert pickle.loads(pickle.dumps(config)) == config
 
 
 @pytest.mark.parametrize(
@@ -711,6 +757,9 @@ def test_config_from_dict_accepts_scalars_for_lists():
         ("esn0_range_db", []),
         ("algorithms", []),
         ("c_by_snr", {10.0: math.inf}),
+        # Only a mapping or the stored tuple of pairs.
+        ("c_by_snr", [[10.0, 1e-5]]),
+        ("c_by_snr", ((10.0, 1e-5, 1),)),
     ],
 )
 def test_config_rejects_bad_list_elements_by_name(field, value):
