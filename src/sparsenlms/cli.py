@@ -93,6 +93,8 @@ def _parse_override(token):
         value = json.loads(raw, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError:
         value = raw
+    except RecursionError as exc:  # named by key: the value may be huge
+        raise CliError(f"override {key!r} is not valid JSON: {exc}") from exc
     return key, value
 
 
@@ -105,7 +107,7 @@ def build_config(invocation):
                 loaded = json.load(handle, object_pairs_hook=_unique_keys)
         except OSError as exc:
             raise CliError(f"cannot read config file: {exc}") from exc
-        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or too deep
             raise CliError(
                 f"config file {invocation.config_path!r} is not valid JSON: {exc}"
             ) from exc
@@ -305,9 +307,7 @@ _RUNNERS = {
 
 
 def _worker_count():
-    """One process per CPU in this process's affinity mask; 1 without ``fork``."""
-    if not hasattr(os, "fork"):
-        return 1
+    """One process per CPU in this process's affinity mask."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1

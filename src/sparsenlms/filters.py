@@ -116,16 +116,16 @@ def _attraction(weights, gamma, epsilon):
 
 
 class RowParams:
-    """Update laws of ``B`` filters updated together, one entry per row.
+    """Update laws of ``B`` filters updated together.
 
-    ``variants`` names each row's rule (one of ``config.VARIANTS``); every
-    other argument is one value per row or one for all rows, and a row
-    reads only those of its own variant.  Nothing is validated.
+    ``variants`` names each row's rule (one of ``config.VARIANTS``).
+    ``mu_max`` and ``beta`` are one value for the batch; every other
+    argument is one value per row or one for all rows, and a row reads
+    only those of its own variant.  Nothing is validated.
 
     ``vss`` marks the rows whose step follows the vss law (the others
-    use ``mu``), ``keep`` and ``smooth`` are the gradient smoothing
-    weights ``beta`` and ``1 - beta``, and every row subtracts the
-    penalty of :func:`_attraction` with its ``gamma`` and ``epsilon``:
+    use ``mu``), and every row subtracts the penalty of
+    :func:`_attraction` with its ``gamma`` and ``epsilon``:
     ``(gamma_za, 0)`` for zero attraction, ``(0, 0)`` for none.
     ``adaptive`` (some row adapts its step) and ``penalized`` (some
     strength is nonzero) are derived from these; :func:`update_rows`
@@ -141,14 +141,10 @@ class RowParams:
         za = np.array([p == "za" for p in penalty])
         rza = np.array([p == "rza" for p in penalty])
         self.vss = np.array(adaptive)
-        # beta = 1 keeps a fixed-step row's smoothed gradient at zero, so
-        # a diverging fixed-step row cannot overflow it.
-        beta = np.where(self.vss, beta, 1.0)
         self.mu = np.full(rows, mu, dtype=float)
-        self.mu_max = np.full(rows, mu_max, dtype=float)
+        self.mu_max = mu_max
         self.c_threshold = np.full(rows, c_threshold, dtype=float)
-        self.keep = beta[:, None]
-        self.smooth = 1.0 - beta
+        self.beta = beta
         gamma = np.where(za, gamma_za, np.where(rza, gamma_rza, 0.0))
         self.gamma = gamma[:, None]
         self.epsilon = np.where(rza, epsilon_rza, 0.0)[:, None]
@@ -165,6 +161,7 @@ def update_rows(weights, grad_avg, x, x_conj, energy, y, params):
     row takes its error from the current taps, then its step size, then
     the correction, then subtracts the penalty of its pre-update taps.
     Returns the prediction errors and the step sizes, both ``(B,)``.
+    A fixed-step row in an adaptive batch smooths a gradient nothing reads.
 
     An optional leading antenna axis updates ``A`` independent sets of
     rows at once, each with its own regressor: ``weights`` and
@@ -177,8 +174,8 @@ def update_rows(weights, grad_avg, x, x_conj, energy, y, params):
     e = y - row_dot(weights, x)
     mu = params.mu
     if params.adaptive:
-        grad_avg *= params.keep
-        grad_avg += (params.smooth * (e / energy))[..., None] * x_conj
+        grad_avg *= params.beta
+        grad_avg += ((1.0 - params.beta) * (e / energy))[..., None] * x_conj
         steps = vss_steps(grad_avg, params.mu_max, params.c_threshold)
         mu = np.where(params.vss, steps, mu)
     # The penalty reads the pre-update taps.

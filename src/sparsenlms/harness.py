@@ -119,6 +119,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -309,14 +310,14 @@ def _ordered_map(workers, tasks):
     """Yield a ``map(task, items)`` that returns results in item order.
 
     With ``workers > 1`` and ``tasks > 1`` (the most items any one map
-    call gets) it is ``Executor.map`` on a ``fork`` process pool of
-    ``min(workers, tasks)`` workers, otherwise the builtin ``map``.  A
-    task that raises raises here too: the map's pending tasks are
-    cancelled and its running ones finish.  A worker that dies raises
-    ``BrokenProcessPool``.  No worker outlives the block.
+    call gets) and a platform with ``fork``, it is ``Executor.map`` on a
+    ``fork`` process pool of ``min(workers, tasks)`` workers, otherwise
+    the builtin ``map``.  A task that raises raises here too: the map's
+    pending tasks are cancelled and its running ones finish.  A worker
+    that dies raises ``BrokenProcessPool``.  No worker outlives the block.
     """
     processes = min(workers, tasks)
-    if processes <= 1:
+    if processes <= 1 or not hasattr(os, "fork"):
         yield map
         return
     # Imported only where a pool is opened, so serial runs never load them.

@@ -35,6 +35,9 @@ def run_cli(*args):
 
 REPEATED_KEY_CONFIG = "repeated-key.json"
 NON_UTF8_CONFIG = "non-utf8.json"
+# JSON nested past the parser's recursion limit.
+DEEP_JSON = "[" * 100_000
+DEEP_CONFIG = "deep.json"
 
 # Two QAM orders at two E_s/N_0 points, small enough to run in a second.
 SMALL_BER_SWEEP = [
@@ -215,6 +218,9 @@ def test_invalid_value_is_rejected(tmp_path, capsys):
         # The smallest channel is one transmit antenna and one tap.
         ["single-run", "--override", "n_t=0"],
         ["single-run", "--override", "tap_length=0"],
+        # JSON too deep for the parser, in a config file and an override.
+        ["single-run", "--config", DEEP_CONFIG],
+        ["single-run", "--override", "mu=" + DEEP_JSON],
     ],
 )
 def test_invalid_config_is_rejected_before_running(argv, tmp_path, capsys, monkeypatch):
@@ -222,6 +228,7 @@ def test_invalid_config_is_rejected_before_running(argv, tmp_path, capsys, monke
     monkeypatch.chdir(tmp_path)
     (tmp_path / REPEATED_KEY_CONFIG).write_text('{"mu": 0.1, "mu": 0.3}')
     (tmp_path / NON_UTF8_CONFIG).write_bytes(b'\xff{"mu": 0.1}')
+    (tmp_path / DEEP_CONFIG).write_text(DEEP_JSON)
     code = run_cli(*argv, "--out", str(tmp_path / "out"))
     captured = capsys.readouterr()
     assert code == 2
@@ -334,6 +341,22 @@ def test_repeated_json_key_is_named(argv, key, tmp_path, capsys, monkeypatch):
     (tmp_path / REPEATED_KEY_CONFIG).write_text('{"mu": 0.1, "mu": 0.3}')
     assert run_cli("single-run", "--dump-config", *argv) == 2
     assert f"repeats key {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["--config", DEEP_CONFIG], repr(DEEP_CONFIG)),
+        (["--override", "mu=" + DEEP_JSON], "'mu'"),
+    ],
+)
+def test_too_deep_json_is_named_not_echoed(argv, name, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / DEEP_CONFIG).write_text(DEEP_JSON)
+    assert run_cli("single-run", "--dump-config", *argv) == 2
+    err = capsys.readouterr().err
+    assert name in err and "recursion" in err
+    assert "[[" not in err
 
 
 def test_output_file_naming(tmp_path, capsys):
@@ -550,15 +573,10 @@ def test_worker_count_does_not_change_outputs(argv, tmp_path, capsys, monkeypatc
 
 
 def test_worker_count_follows_the_affinity_mask(monkeypatch):
-    if not hasattr(os, "fork"):
-        assert cli._worker_count() == 1
-        return
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
     assert cli._worker_count() == 3
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert cli._worker_count() == 1
-    monkeypatch.delattr(os, "fork")
     assert cli._worker_count() == 1
 
 

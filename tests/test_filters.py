@@ -247,6 +247,29 @@ def test_iss_config_ignores_vss_fields():
     assert all(np.array_equal(a, b) for a, b in zip(*results))
 
 
+def test_fixed_row_ignores_vss_fields_beside_an_adaptive_row():
+    # Beside a vss row the batch smooths its gradient and runs the vss
+    # law, so the fixed row's taps and step must still not depend on them.
+    rng = np.random.default_rng(31)
+    xs = [complex_normal(rng, 4) for _ in range(3)]
+    ys = [complex_normal(rng, 2) for _ in range(3)]
+    runs = []
+    for vss_fields in ({}, dict(mu_max=1.5, beta=0.5, c_threshold=1e-2)):
+        params = filters.RowParams(
+            ["iss_za_nlms", "vss_nlms"],
+            **{**ORACLE_DEFAULTS, "gamma_za": 0.01, **vss_fields},
+        )
+        weights, grad_avg = np.zeros((2, 2, 4), complex)
+        for x, y in zip(xs, ys):
+            _, steps = filters.update_rows(
+                weights, grad_avg, x, x.conj(), filters.row_energy(x), y, params
+            )
+            assert steps[0] == 0.2
+        runs.append((weights[0].tobytes(), steps[1]))
+    assert runs[0][0] == runs[1][0]
+    assert runs[0][1] != runs[1][1]
+
+
 # -- reduction identities -----------------------------------------------------
 
 

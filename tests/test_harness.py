@@ -400,6 +400,21 @@ def test_a_dead_worker_fails_the_run():
     assert "BrokenProcessPool" in done.stderr, done.stderr
 
 
+def test_a_platform_without_fork_runs_serially(monkeypatch):
+    # As on Windows, where a fork pool cannot be opened at all.
+    monkeypatch.delattr(os, "fork", raising=False)
+    with harness._ordered_map(2, 4) as ordered_map:
+        assert ordered_map is map
+    config = small_config(algorithms=["iss_nlms", "vss_rza_nlms"], num_trials=4)
+    pooled = run_monte_carlo_mse(config, workers=2)
+    serial = run_monte_carlo_mse(config, workers=1)
+    for got, want in zip(pooled, serial, strict=True):
+        assert np.array_equal(got.values, want.values)
+        assert dataclasses.replace(got, values=None) == dataclasses.replace(
+            want, values=None
+        )
+
+
 def test_iss_nlms_steady_state_matches_theory():
     # The exact limit, E[1 / ||x||^2] = L / (L - 1) included.  At -20 dB
     # it is 45.1, far above the all-zero estimator's n_r = 4: every trial
