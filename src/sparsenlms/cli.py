@@ -39,7 +39,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .config import TRUE_CHANNEL, ExperimentConfig
+from .config import TRUE_CHANNEL, ExperimentConfig, _shown
 
 
 class CliError(Exception):
@@ -78,7 +78,7 @@ def _unique_keys(pairs):
     seen = set()
     for key, _ in pairs:
         if key in seen:
-            raise CliError(f"a JSON object repeats key {key!r}")
+            raise CliError(f"a JSON object repeats key {_shown(key)}")
         seen.add(key)
     return dict(pairs)
 
@@ -86,14 +86,15 @@ def _unique_keys(pairs):
 def _parse_override(token):
     key, sep, raw = token.partition("=")
     if not sep or not key:
-        raise CliError(f"invalid override {token!r} (expected key=value)")
+        raise CliError(f"invalid override {_shown(token)} (expected key=value)")
     try:
         # JSON covers numbers, lists, booleans and null; bare algorithm
         # names and similar unquoted strings fall through as-is.
         value = json.loads(raw, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError:
         value = raw
-    except RecursionError as exc:  # named by key: the value may be huge
+    except (ValueError, RecursionError) as exc:  # too deep, or too many digits
+        # Named by key: the value may be huge.
         raise CliError(f"override {key!r} is not valid JSON: {exc}") from exc
     return key, value
 
@@ -260,13 +261,19 @@ def _run_ber_sweep(subcommand, config, workers):
         label = f"{subcommand} algorithm={curve.algorithm} qam={curve.qam_order}"
         points = " ".join(f"{e:g}dB:{b:.3e}" for e, b in zip(esn0_db, ber))
         print(f"{label} {points}")
-        if curve.diverged:
-            print(
-                f"warning: {label}: "
-                f"{curve.diverged}/{config.ber_num_channels} training channels diverged "
-                "(final estimate not finite) and are erased on every subcarrier",
-                file=sys.stderr,
-            )
+        for count, rule in (
+            (curve.diverged, "diverged (final estimate not finite) "
+             "and are erased on every subcarrier"),
+            (curve.worse_than_zero, "ended worse than the all-zero estimator "
+             "(final estimate finite, final squared error not at most n_r) "
+             "and are detected with that estimate"),
+        ):
+            if count:
+                print(
+                    f"warning: {label}: "
+                    f"{count}/{config.ber_num_channels} training channels {rule}",
+                    file=sys.stderr,
+                )
 
 
 def _summarize_mse(subcommand, curve, tail, num_trials):

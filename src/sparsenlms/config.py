@@ -45,8 +45,20 @@ def _is_integer(value):
 
 
 def _is_real(value):
-    """A real number that is not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """A real number that is not a bool and converts to a float."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        float(value)  # an integer past about 1.8e308 overflows
+    except OverflowError:
+        return False
+    return True
+
+
+def _shown(value):
+    """``repr(value)`` for an error message, cut to 60 characters ending in ``...``."""
+    text = repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."
 
 
 def _is_snr_key(key):
@@ -111,14 +123,17 @@ class ExperimentConfig:
         for entry in fields(self):
             value = getattr(self, entry.name)
             if entry.type == "int" and not _is_integer(value):
-                raise ValueError(f"{entry.name} must be an integer, got {value!r}")
+                raise ValueError(
+                    f"{entry.name} must be an integer, got {_shown(value)}"
+                )
             if entry.type == "float" and not _is_real(value):
-                raise ValueError(f"{entry.name} must be a number, got {value!r}")
+                raise ValueError(f"{entry.name} must be a number, got {_shown(value)}")
             if entry.type == "float | None" and not (
                 value is None or (_is_real(value) and 0.0 <= value < math.inf)
             ):
                 raise ValueError(
-                    f"{entry.name} must be null or a finite number >= 0, got {value!r}"
+                    f"{entry.name} must be null or a finite number >= 0, "
+                    f"got {_shown(value)}"
                 )
         # Scalars are accepted where lists are expected (a single SNR, a
         # single QAM order, one algorithm name), and elements are checked
@@ -135,7 +150,7 @@ class ExperimentConfig:
             if not values:
                 raise ValueError(f"{name} must not be empty")
             if not all(valid(v) for v in values):
-                raise ValueError(f"{name} must hold {noun}, got {values!r}")
+                raise ValueError(f"{name} must hold {noun}, got {_shown(values)}")
             object.__setattr__(self, name, tuple(kind(v) for v in values))
         if self.c_by_snr is not None:
             # A mapping, or the stored pairs that dataclasses.replace passes back.
@@ -151,12 +166,12 @@ class ExperimentConfig:
             ):
                 raise ValueError(
                     "c_by_snr must map SNR in dB to a positive finite c_threshold, "
-                    f"got {self.c_by_snr!r}"
+                    f"got {_shown(self.c_by_snr)}"
                 )
             table = {float(k): float(v) for k, v in given.items()}
             if len(table) < len(self.c_by_snr):
                 raise ValueError(
-                    f"c_by_snr must name each SNR once, got {self.c_by_snr!r}"
+                    f"c_by_snr must name each SNR once, got {_shown(self.c_by_snr)}"
                 )
             object.__setattr__(self, "c_by_snr", tuple(sorted(table.items())))
         # +inf dB is the noiseless case; NaN and -inf have no noise level,
@@ -184,7 +199,7 @@ class ExperimentConfig:
         for name in self.algorithms:
             if name not in VARIANTS:
                 raise ValueError(
-                    f"unknown algorithm {name!r}; expected one of {VARIANTS}"
+                    f"unknown algorithm {_shown(name)}; expected one of {VARIANTS}"
                 )
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
@@ -207,7 +222,9 @@ class ExperimentConfig:
             raise ValueError("rng_seed must be nonnegative")
         for order in self.qam_orders:
             if order not in QAM_ORDERS:
-                raise ValueError(f"qam order must be one of {QAM_ORDERS}, got {order}")
+                raise ValueError(
+                    f"qam order must be one of {QAM_ORDERS}, got {_shown(order)}"
+                )
         if self.ber_num_channels < 1:
             raise ValueError("ber_num_channels must be at least 1")
         if self.ber_min_errors < 0 or self.ber_min_bits < 0:
@@ -227,8 +244,8 @@ class ExperimentConfig:
     def validate_ofdm(self):
         if self.cp_length < self.tap_length - 1:
             raise ValueError(
-                f"cp_length {self.cp_length} shorter than channel memory "
-                f"{self.tap_length - 1}"
+                f"cp_length {_shown(self.cp_length)} shorter than channel memory "
+                f"{_shown(self.tap_length - 1)}"
             )
         if self.subcarrier_count < self.tap_length:
             raise ValueError("subcarrier_count must be at least tap_length")

@@ -65,16 +65,6 @@ import numpy as np
 from .config import _LAWS
 
 
-def componentwise_sign(values):
-    """Signum applied separately to real and imaginary parts.
-
-    Zero maps to zero on each axis, so ``sign(0) = 0`` and e.g.
-    ``sign(0.5 - 0.3j) = 1 - 1j``.  The result is complex.
-    """
-    values = np.ascontiguousarray(values, dtype=np.complex128)
-    return np.sign(values.view(np.float64)).view(np.complex128)
-
-
 def row_dot(rows, x):
     """Plain-transpose products ``rows[..., :] @ x[..., :]`` over the last axis.
 
@@ -107,12 +97,13 @@ def _attraction(weights, gamma, epsilon):
     """Penalty ``gamma / (1 + epsilon |w|)`` times the componentwise sign of ``w``.
 
     At ``epsilon = 0`` the factor is exactly 1, which is plain zero
-    attraction.  Array parameters broadcast against ``weights``.
+    attraction.  ``weights`` is C-contiguous complex (the sign is taken
+    on its float view); array parameters broadcast against it.
     """
     # Times the reciprocal: the rounding numpy applies when a complex
     # value is divided by a real one.
     pull = gamma * (1.0 / (1.0 + epsilon * np.abs(weights)))
-    return pull * componentwise_sign(weights)
+    return pull * np.sign(weights.view(np.float64)).view(np.complex128)
 
 
 class RowParams:

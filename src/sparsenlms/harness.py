@@ -9,8 +9,8 @@ squared Frobenius distance between the true and estimated matrices, and
 averaged across trials elementwise.  Every function takes a
 :class:`sparsenlms.config.ExperimentConfig`, checked by its
 ``__post_init__`` and, for the OFDM sizes, by ``validate_ofdm``, which
-``run_ber_sweep`` calls.  Past those checks the harness, ``channel``,
-``signals`` and ``modem`` trust their arguments.  The config lives in
+``run_ber_sweep`` calls.  Past those checks the harness, ``channel``
+and ``modem`` trust their arguments.  The config lives in
 its own module, which imports no numpy; this one loads numpy, so the
 command line imports it only when a run starts.
 
@@ -33,8 +33,10 @@ frames of ``K`` subcarriers through the true channel, detecting per
 subcarrier by zero forcing with either the frozen estimates or the true
 channel ("genie" baseline, reported as algorithm ``true_channel``).  A
 diverged (non-finite) estimate is erased on every subcarrier and counted
-in the curve's ``diverged``.  All detectors see identical frames, bits
-and noise, so BER differences reflect only channel-estimate quality.
+in the curve's ``diverged``; a finite one whose final training error is
+not at most ``n_r`` is detected as it is and counted in
+``worse_than_zero``.  All detectors see identical frames, bits and
+noise, so BER differences reflect only channel-estimate quality.
 
 Frames are synthesized directly in the frequency domain.  Because the
 cyclic prefix is at least as long as the channel memory (``cp_length
@@ -128,7 +130,6 @@ from . import filters
 from .channel import generate_sparse_channel
 from .config import TRUE_CHANNEL
 from .modem import code_bit_errors, qam_constellation, qam_demodulate, qam_modulate
-from .signals import training_chunk
 
 # Iterations whose training data are drawn and post-processed at once,
 # rounded down to whole antenna rounds (at least one).  Larger chunks cut
@@ -184,7 +185,11 @@ class MseCurve:
 class BerCurve:
     """Bit errors and bits sent per ``config.esn0_range_db`` point; BER is their ratio.
 
-    ``diverged`` counts the training channels whose estimate is not finite.
+    ``diverged`` counts the training channels whose estimate is not
+    finite, and ``worse_than_zero`` those whose estimate is finite but
+    whose final squared error is not at most ``n_r``, the all-zero
+    estimator's (a NaN or infinite error counts).  Both are 0 for
+    ``true_channel``.
     """
 
     bit_errors: np.ndarray
@@ -192,6 +197,7 @@ class BerCurve:
     algorithm: str
     qam_order: int
     diverged: int
+    worse_than_zero: int
 
 
 # -- metrics -------------------------------------------------------------------
@@ -225,6 +231,31 @@ def row_params(config, pairs):
         gamma_rza=[config.mu * rho_rza * config.epsilon_rza * v for v in variances],
         epsilon_rza=config.epsilon_rza,
     )
+
+
+def training_chunk(rng, count, n_t, tap_length):
+    """Regressors and unit noise for ``count`` consecutive iterations.
+
+    Returns ``(x, noise)``: ``x`` is ``(count, n_t * tap_length)`` with
+    unit expected row energy, and ``noise[i] = a + 1j b`` with ``a, b``
+    standard normal, to be scaled by ``sqrt(variance / 2)``.  One
+    ``(count, 2 L + 2)`` block of normals is drawn; per iteration it
+    holds the real parts, the imaginary parts, then the noise pair,
+    which is the order in which drawing one regressor's real and
+    imaginary vectors and then the noise pair, iteration by iteration,
+    consumes the stream.  Splitting a run into chunks of any size
+    therefore leaves every value unchanged.
+    """
+    length = n_t * tap_length
+    draws = rng.standard_normal((count, 2 * length + 2))
+    scale = np.sqrt(0.5 / length)
+    x = np.empty((count, length), dtype=np.complex128)
+    x.real = scale * draws[:, :length]
+    x.imag = scale * draws[:, length : 2 * length]
+    noise = np.empty(count, dtype=np.complex128)
+    noise.real = draws[:, 2 * length]
+    noise.imag = draws[:, 2 * length + 1]
+    return x, noise
 
 
 def _observe(channel, antennas, x, noise, noise_scale):
@@ -492,9 +523,14 @@ def run_ber_sweep(config, workers=1):
     most = max(config.ber_num_channels, len(points))
     with _ordered_map(workers, most) as ordered_map:
         task = functools.partial(run_trial_rows, config, pairs=pairs)
-        trials = ordered_map(task, range(config.ber_num_channels))
-        cirs = np.array([[trial.channel, *trial.final_estimate] for trial in trials])
-        diverged = (~np.isfinite(cirs).all(axis=(2, 3))).sum(axis=0)
+        cirs, final_errors = [], []
+        for trial in ordered_map(task, range(config.ber_num_channels)):
+            cirs.append([trial.channel, *trial.final_estimate])
+            final_errors.append([0.0, *trial.squared_error[-1]])  # true channel: 0
+        cirs = np.array(cirs)
+        finite = np.isfinite(cirs).all(axis=(2, 3))
+        diverged = (~finite).sum(axis=0)
+        worse_than_zero = (finite & ~(np.array(final_errors) <= n_r)).sum(axis=0)
         # Shaped (channel, detector, k, n_r, n_t), detectors in output order.
         responses = _frequency_responses(cirs, n_t, n_r, config.tap_length, k)
         pinvs, failed = _zero_forcing_tables(responses)
@@ -518,6 +554,7 @@ def run_ber_sweep(config, workers=1):
             algorithm=detector,
             qam_order=order,
             diverged=int(diverged[d]),
+            worse_than_zero=int(worse_than_zero[d]),
         )
         for o, order in enumerate(config.qam_orders)
         for d, detector in enumerate(detectors)

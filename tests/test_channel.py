@@ -6,8 +6,7 @@ import pytest
 from sparsenlms.channel import generate_sparse_channel
 from sparsenlms.filters import row_dot
 from sparsenlms.config import ExperimentConfig
-from sparsenlms.harness import _observe
-from sparsenlms.signals import training_chunk
+from sparsenlms.harness import _observe, training_chunk
 
 
 def test_noise_model_from_snr():

@@ -37,6 +37,7 @@ REPEATED_KEY_CONFIG = "repeated-key.json"
 NON_UTF8_CONFIG = "non-utf8.json"
 # JSON nested past the parser's recursion limit.
 DEEP_JSON = "[" * 100_000
+LONG_VALUE = "x" * 100_000
 DEEP_CONFIG = "deep.json"
 
 # Two QAM orders at two E_s/N_0 points, small enough to run in a second.
@@ -221,6 +222,15 @@ def test_invalid_value_is_rejected(tmp_path, capsys):
         # JSON too deep for the parser, in a config file and an override.
         ["single-run", "--config", DEEP_CONFIG],
         ["single-run", "--override", "mu=" + DEEP_JSON],
+        # Long values are cut, never echoed whole.
+        ["single-run", "--override", "mu=" + LONG_VALUE],
+        ["single-run", "--override", "algorithms=" + LONG_VALUE],
+        ["single-run", "--override", f'snr_db=[10, "{LONG_VALUE}"]'],
+        ["single-run", "--override", LONG_VALUE],
+        # Integers too long for int() or too large for a float.
+        ["single-run", "--override", "max_iterations=" + "1" * 100_000],
+        ["single-run", "--override", "mu=1" + "0" * 400],
+        ["single-run", "--override", "snr_db=[-1" + "0" * 400 + "]"],
     ],
 )
 def test_invalid_config_is_rejected_before_running(argv, tmp_path, capsys, monkeypatch):
@@ -234,6 +244,8 @@ def test_invalid_config_is_rejected_before_running(argv, tmp_path, capsys, monke
     assert code == 2
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+    # However long the input, the line stays short.
+    assert len(captured.err) < 200
     assert "Traceback" not in captured.err
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
@@ -614,36 +626,56 @@ def pooled_and_serial(argv, tmp_path, *flags):
     return runs
 
 
+BER_WARNING = "warning: ber-sweep algorithm=iss_nlms qam=16: 2/2 training channels "
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, stderr",
     [
         # iss_nlms at mu = 50 overflows to NaN in every trial.
-        [
-            "mse-convergence", "--trials", "4", "--override", "mu=50",
-            "--override", "algorithms=iss_nlms", "--override", "snr_db=10",
-            "--override", "max_iterations=3000",
-        ],
+        (
+            [
+                "mse-convergence", "--trials", "4", "--override", "mu=50",
+                "--override", "algorithms=iss_nlms", "--override", "snr_db=10",
+                "--override", "max_iterations=3000",
+            ],
+            None,
+        ),
         # The same estimator, trained on two channels, then frozen; one
         # warning names the curve and both diverged channels.
-        [
-            "ber-sweep", "--override", "mu=50", "--override", "algorithms=iss_nlms",
-            "--override", "qam_orders=[16]", "--override", "esn0_range_db=[20]",
-            "--override", "ber_num_channels=2", "--override", "max_iterations=3000",
-            "--override", "ber_max_frames=4",
-        ],
+        (
+            [
+                "ber-sweep", "--override", "mu=50", "--override", "algorithms=iss_nlms",
+                "--override", "qam_orders=[16]", "--override", "esn0_range_db=[20]",
+                "--override", "ber_num_channels=2", "--override", "max_iterations=3000",
+                "--override", "ber_max_frames=4",
+            ],
+            BER_WARNING + "diverged (final estimate not finite) and are erased "
+            "on every subcarrier\n",
+        ),
+        # Shorter training leaves both estimates finite but worse than
+        # zero: they are detected as they are, and one warning says so.
+        (
+            [
+                "ber-sweep", "--override", "mu=50", "--override", "algorithms=iss_nlms",
+                "--override", "qam_orders=[16]", "--override", "esn0_range_db=[20]",
+                "--override", "ber_num_channels=2", "--override", "max_iterations=300",
+                "--override", "ber_max_frames=4",
+            ],
+            BER_WARNING + "ended worse than the all-zero estimator (final estimate "
+            "finite, final squared error not at most n_r) and are detected with "
+            "that estimate\n",
+        ),
     ],
-    ids=["mse", "ber"],
+    ids=["mse", "ber", "ber-finite"],
 )
-def test_diverging_run_is_the_same_pooled_and_on_one_cpu(argv, tmp_path):
+def test_diverging_run_is_the_same_pooled_and_on_one_cpu(argv, stderr, tmp_path):
     # Each pool worker is its own process, so numpy warnings printed once
     # per process would repeat per worker.
     pooled, serial = pooled_and_serial(argv, tmp_path)
     assert pooled == serial
-    if argv[0] == "ber-sweep":
-        assert pooled[2] == (
-            "warning: ber-sweep algorithm=iss_nlms qam=16: 2/2 training channels "
-            "diverged (final estimate not finite) and are erased on every subcarrier\n"
-        )
+    if stderr is not None:
+        assert pooled[2] == stderr
 
 
 def test_pooled_run_warns_as_a_serial_one_under_default_filters(tmp_path):

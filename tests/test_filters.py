@@ -64,19 +64,20 @@ def test_error_hand_example():
 
 
 # -- componentwise sign -------------------------------------------------------
+# Taken through the penalty at a pull of exactly 1, which equals the sign.
 
 
 def test_sign_real_values():
-    out = filters.componentwise_sign(np.array([-2.0, 0.0, 3.0]))
+    out = filters._attraction(np.array([-2.0, 0.0, 3.0], dtype=complex), 1.0, 0.0)
     assert np.array_equal(out, np.array([-1.0, 0.0, 1.0], dtype=complex))
 
 
 def test_sign_zero_is_zero():
-    assert filters.componentwise_sign(np.array([0j]))[0] == 0j
+    assert filters._attraction(np.array([0j]), 1.0, 0.0)[0] == 0j
 
 
 def test_sign_complex_componentwise():
-    out = filters.componentwise_sign(np.array([0.5 - 0.3j]))
+    out = filters._attraction(np.array([0.5 - 0.3j]), 1.0, 0.0)
     assert out[0] == 1.0 - 1.0j
 
 

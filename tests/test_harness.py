@@ -855,6 +855,7 @@ def test_ber_sweep_erases_rank_deficient_subcarriers():
     assert (estimator.bit_errors / estimator.bits_total).tolist() == [1.0]
     # Erased, but finite: not counted as diverged.
     assert estimator.diverged == 0
+    assert estimator.worse_than_zero == 0
     assert curves[TRUE_CHANNEL].bit_errors.tolist() == [0]
 
 
@@ -873,8 +874,28 @@ def test_ber_sweep_erases_a_diverged_estimator():
     assert estimator.bit_errors.tolist() == [2048]
     assert (estimator.bit_errors / estimator.bits_total).tolist() == [1.0]
     assert estimator.diverged == 2
+    assert estimator.worse_than_zero == 0
     assert curves[TRUE_CHANNEL].bit_errors.tolist() == [0]
     assert curves[TRUE_CHANNEL].diverged == 0
+
+
+@pytest.mark.parametrize("iterations", [120, 400])
+def test_ber_sweep_counts_a_finite_estimate_worse_than_zero(iterations):
+    # Shorter mu = 50 training leaves the estimate finite but huge; its
+    # final squared error is finite and above n_r at 120 iterations and
+    # NaN (an overflowed sum) at 400.  Either way it is not diverged.
+    config = ber_config(
+        mu=50.0, algorithms=["iss_nlms"], max_iterations=iterations,
+        esn0_range_db=[30.0],
+    )
+    trial = run_trial_rows(config, 0, [("iss_nlms", config.ber_training_snr_db)])
+    assert np.isfinite(trial.final_estimate).all()
+    final = trial.squared_error[-1, 0]
+    assert final > config.n_r if iterations == 120 else np.isnan(final)
+    counts = {
+        c.algorithm: (c.diverged, c.worse_than_zero) for c in run_ber_sweep(config)
+    }
+    assert counts == {TRUE_CHANNEL: (0, 0), "iss_nlms": (0, 2)}
 
 
 def test_ber_sweep_factorizes_each_stack_once(monkeypatch):

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from sparsenlms.harness import _frequency_responses
-from sparsenlms.signals import training_chunk
+from sparsenlms.harness import _frequency_responses, training_chunk
 
 
 def test_regressor_length():
