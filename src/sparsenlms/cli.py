@@ -19,8 +19,9 @@ line, then a ``manifest.json`` recording the effective configuration,
 the seed and the sha256 of each CSV's bytes as written.  Rerunning the
 same invocation reproduces every file byte for byte.
 
-Multi-trial MSE runs and BER sweeps use one process per CPU in this
-process's affinity mask (``taskset -c 0`` makes a run serial); the
+The harness spreads multi-trial MSE runs and BER sweeps over one
+process per CPU in the affinity mask, as for any library caller
+(``taskset -c 0`` or ``os.sched_setaffinity`` makes a run serial); the
 output files, stdout and stderr do not depend on the count.
 
 At module level this imports only the standard library and
@@ -63,14 +64,22 @@ def parse_invocation(argv):
         help="configuration override; repeatable, applied after --config",
     )
     parser.add_argument("--out", dest="output_dir", default=".", metavar="DIR")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--trials", type=int, default=None)
+    parser.add_argument("--seed", type=_integer, default=None)
+    parser.add_argument("--trials", type=_integer, default=None)
     parser.add_argument(
         "--dump-config",
         action="store_true",
         help="print the effective configuration as JSON and exit",
     )
     return parser.parse_args(argv)
+
+
+def _integer(text):
+    """``int(text)``; argparse itself would echo a bad value whole."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text)}") from None
 
 
 def _unique_keys(pairs):
@@ -161,8 +170,8 @@ def _reject_shared_files(subcommand, config):
     if len(set(names)) < len(names):
         name = next(name for i, name in enumerate(names) if name in names[:i])
         raise CliError(
-            f"algorithms {list(config.algorithms)} and {other} "
-            f"{list(getattr(config, other))} give two curves the file {name}"
+            f"algorithms {_shown(list(config.algorithms))} and {other} "
+            f"{_shown(list(getattr(config, other)))} give two curves the file {name}"
         )
 
 
@@ -197,12 +206,12 @@ def _write_csv(out_dir, name, comment, columns):
     return name, digest.hexdigest()
 
 
-def _run_mse_convergence(subcommand, config, workers):
+def _run_mse_convergence(subcommand, config):
     import numpy as np
 
     from .harness import run_monte_carlo_mse, steady_state_mean
 
-    for curve in run_monte_carlo_mse(config, workers):
+    for curve in run_monte_carlo_mse(config):
         with np.errstate(divide="ignore"):
             db = 10.0 * np.log10(curve.values)
         yield (
@@ -218,12 +227,12 @@ def _run_mse_convergence(subcommand, config, workers):
         _summarize_mse(subcommand, curve, tail, config.num_trials)
 
 
-def _run_trace_stepsize(subcommand, config, workers):
+def _run_trace_stepsize(subcommand, config):
     import numpy as np
 
     from .harness import run_trial_rows, steady_state_mean
 
-    # One trial, so there is nothing to share between workers.
+    # One trial, so there is nothing to share between processes.
     pairs = [(a, snr) for a in config.algorithms for snr in config.snr_db]
     traces = run_trial_rows(config, 0, pairs).step_trace.T
     for (algorithm, snr), trace in zip(pairs, traces):
@@ -241,14 +250,14 @@ def _run_trace_stepsize(subcommand, config, workers):
         )
 
 
-def _run_ber_sweep(subcommand, config, workers):
+def _run_ber_sweep(subcommand, config):
     import numpy as np
 
     from .harness import run_ber_sweep
 
     snr = config.ber_training_snr_db
     esn0_db = np.array(config.esn0_range_db)
-    for curve in run_ber_sweep(config, workers):
+    for curve in run_ber_sweep(config):
         ber = curve.bit_errors / curve.bits_total
         yield (
             _artifact_name(subcommand, curve.algorithm, config, snr, curve.qam_order),
@@ -313,25 +322,6 @@ _RUNNERS = {
 }
 
 
-def _worker_count():
-    """One process per CPU in this process's affinity mask."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _write_manifest(out_dir, invocation, config, checksums):
-    manifest = {
-        "command": invocation.subcommand,
-        "seed": config.rng_seed,
-        "config": config.to_dict(),
-        "artifacts": checksums,
-    }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
 def parse_and_dispatch(argv):
     """Parse ``argv`` (no program name), run the request, return exit status."""
     try:
@@ -347,18 +337,21 @@ def parse_and_dispatch(argv):
             os.makedirs(invocation.output_dir, exist_ok=True)
         except OSError as exc:
             raise CliError(f"cannot create output directory: {exc}") from exc
-        curves = _RUNNERS[invocation.subcommand](
-            invocation.subcommand, config, _worker_count()
-        )
+        curves = _RUNNERS[invocation.subcommand](invocation.subcommand, config)
         # A generator expression, so that no curve's arrays outlive its write.
         checksums = dict(_write_csv(invocation.output_dir, *c) for c in curves)
-        _write_manifest(invocation.output_dir, invocation, config, checksums)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        manifest = {
+            "command": invocation.subcommand,
+            "seed": config.rng_seed,
+            "config": config.to_dict(),
+            "artifacts": checksums,
+        }
+        with open(os.path.join(invocation.output_dir, "manifest.json"), "w") as handle:
+            json.dump(manifest, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+    except (CliError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return 2 if isinstance(exc, CliError) else 1
     return 0
 
 

@@ -20,6 +20,7 @@ import math
 import numbers
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, fields
+from sys import maxsize
 
 # Per variant, in default order: whether the step adapts, and its
 # penalty (none, zero attraction or reweighted zero attraction).
@@ -122,9 +123,10 @@ class ExperimentConfig:
         # Annotations are strings here (postponed evaluation).
         for entry in fields(self):
             value = getattr(self, entry.name)
-            if entry.type == "int" and not _is_integer(value):
+            # numpy's sizes and counts stop at sys.maxsize.
+            if entry.type == "int" and not (_is_integer(value) and value <= maxsize):
                 raise ValueError(
-                    f"{entry.name} must be an integer, got {_shown(value)}"
+                    f"{entry.name} must be an integer <= {maxsize}, got {_shown(value)}"
                 )
             if entry.type == "float" and not _is_real(value):
                 raise ValueError(f"{entry.name} must be a number, got {_shown(value)}")
@@ -264,5 +266,5 @@ class ExperimentConfig:
         known = {entry.name for entry in fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:
-            raise ValueError(f"unknown configuration field(s): {', '.join(unknown)}")
+            raise ValueError(f"unknown configuration field(s): {_shown(unknown)}")
         return cls(**data)

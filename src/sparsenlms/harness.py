@@ -106,15 +106,15 @@ produce byte-identical outputs.  The harness does no I/O: it returns
 curves of counts and values measured, with no copy of the config (BER
 curves hold no E_s/N_0 axis or rates); :mod:`sparsenlms.cli` writes them.
 
-Independent work runs on up to ``workers`` processes (default 1, which
-opens no pool): one ordered ``Executor.map`` over module-level tasks on
-a ``fork`` process pool.  Both experiments map :func:`run_trial_rows`
-over the trials: the MSE run adds each trial's error block in trial
-order exactly as a serial run does and classifies its last row's
-errors, and the BER sweep keeps the channels and frozen estimates.  Each
-(QAM order, E_s/N_0) point is then one task, running its block loop and
-stop rule on the stacked tables and returning its error counts and bits
-sent.  Outputs are byte-identical for every worker count.
+Independent work runs, for every caller, on a ``fork`` pool of one
+process per CPU in the affinity mask (``taskset -c 0`` or
+``os.sched_setaffinity`` makes a run serial), as one ordered
+``Executor.map`` over module-level tasks.  Both experiments map
+:func:`run_trial_rows` over the trials: the MSE run adds each trial's
+error block in trial order exactly as a serial run does and classifies
+its last row's errors, and the BER sweep keeps the channels and frozen
+estimates.  Each (QAM order, E_s/N_0) point is then one task, returning
+its error counts and bits sent.  Outputs are byte-identical for any count.
 """
 
 from __future__ import annotations
@@ -336,18 +336,24 @@ def run_trial_rows(config, trial_index, pairs):
     )
 
 
+def _cpu_count():
+    """The CPUs in this process's affinity mask (all CPUs where there is none)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 @contextlib.contextmanager
-def _ordered_map(workers, tasks):
+def _ordered_map(tasks):
     """Yield a ``map(task, items)`` that returns results in item order.
 
-    With ``workers > 1`` and ``tasks > 1`` (the most items any one map
-    call gets) and a platform with ``fork``, it is ``Executor.map`` on a
-    ``fork`` process pool of ``min(workers, tasks)`` workers, otherwise
-    the builtin ``map``.  A task that raises raises here too: the map's
-    pending tasks are cancelled and its running ones finish.  A worker
-    that dies raises ``BrokenProcessPool``.  No worker outlives the block.
+    ``tasks`` is the most items any map call gets.  Where ``min(_cpu_count(),
+    tasks)`` is above 1 and ``fork`` exists, it is a ``fork`` pool's
+    ``Executor.map``, otherwise the builtin ``map``.  A task that raises
+    raises here too: pending tasks are cancelled and running ones finish.
+    A worker that dies raises ``BrokenProcessPool``.  No worker outlives the block.
     """
-    processes = min(workers, tasks)
+    processes = min(_cpu_count(), tasks)
     if processes <= 1 or not hasattr(os, "fork"):
         yield map
         return
@@ -360,13 +366,12 @@ def _ordered_map(workers, tasks):
         yield pool.map
 
 
-def run_monte_carlo_mse(config, workers=1):
+def run_monte_carlo_mse(config):
     """Average identification error curves for every (algorithm, SNR) pair.
 
-    Each trial runs all pairs as one batch, on up to ``workers``
-    processes.  Trials are aggregated in index order whatever the worker
-    count, so repeated runs of the same configuration produce identical
-    curves.
+    Each trial runs all pairs as one batch, on one process per CPU.
+    Trials are aggregated in index order whatever the process count, so
+    repeated runs of the same configuration produce identical curves.
     """
     pairs = [(a, snr) for a in config.algorithms for snr in config.snr_db]
     # One contiguous curve per row.
@@ -374,7 +379,7 @@ def run_monte_carlo_mse(config, workers=1):
     diverged = np.zeros(len(pairs), dtype=int)
     worse_than_zero = np.zeros(len(pairs), dtype=int)
     task = functools.partial(run_trial_rows, config, pairs=pairs)
-    with _ordered_map(workers, config.num_trials) as ordered_map:
+    with _ordered_map(config.num_trials) as ordered_map:
         for trial in ordered_map(task, range(config.num_trials)):
             errors = trial.squared_error
             totals += errors.T
@@ -498,7 +503,7 @@ def _ber_point(config, tables, point):
     return errors, frames * bits_per_frame
 
 
-def run_ber_sweep(config, workers=1):
+def run_ber_sweep(config):
     """Train, freeze, transmit, detect: BER curves per algorithm and order.
 
     Returns one :class:`BerCurve` per (algorithm, QAM order) pair plus
@@ -506,8 +511,8 @@ def run_ber_sweep(config, workers=1):
     E_s/N_0 point accumulate until the configured minimum bit and error
     counts are reached (or the frame cap), cycling through
     ``ber_num_channels`` independently trained channel realizations.
-    The channels, then the (order, E_s/N_0) points, run on up to
-    ``workers`` processes; the curves do not depend on the count.
+    The channels, then the (order, E_s/N_0) points, run on one process
+    per CPU; the curves do not depend on the count.
     """
     config.validate_ofdm()
     detectors = [TRUE_CHANNEL] + list(config.algorithms)
@@ -520,8 +525,7 @@ def run_ber_sweep(config, workers=1):
         for index, esn0 in enumerate(config.esn0_range_db)
     ]
     # One pool serves both phases.
-    most = max(config.ber_num_channels, len(points))
-    with _ordered_map(workers, most) as ordered_map:
+    with _ordered_map(max(config.ber_num_channels, len(points))) as ordered_map:
         task = functools.partial(run_trial_rows, config, pairs=pairs)
         cirs, final_errors = [], []
         for trial in ordered_map(task, range(config.ber_num_channels)):

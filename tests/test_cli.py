@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparsenlms import cli
+from sparsenlms import cli, harness
 from sparsenlms.cli import (
     _summarize_mse,
     build_config,
@@ -21,6 +21,7 @@ from sparsenlms.cli import (
     parse_and_dispatch,
     parse_invocation,
 )
+from sparsenlms.config import VARIANTS
 from sparsenlms.harness import (
     MseCurve,
     run_ber_sweep,
@@ -251,6 +252,62 @@ def test_invalid_config_is_rejected_before_running(argv, tmp_path, capsys, monke
     assert not (tmp_path / "out").exists()
 
 
+def test_integer_past_sys_maxsize_is_rejected_by_name(capsys):
+    # numpy takes no size above sys.maxsize: 10**30 iterations ended in a
+    # traceback from np.empty.
+    assert run_cli("single-run", "--override", "max_iterations=1" + "0" * 30) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: max_iterations must be an integer <= {sys.maxsize}, "
+        "got 1000000000000000000000000000000\n"
+    )
+    assert run_cli("single-run", "--dump-config", "--seed", str(sys.maxsize)) == 0
+    assert json.loads(capsys.readouterr().out)["rng_seed"] == sys.maxsize
+
+
+def test_unknown_key_is_cut(capsys):
+    assert run_cli("single-run", "--dump-config", "--override", "k" * 300 + "=1") == 2
+    err = capsys.readouterr().err
+    assert err == f"error: unknown configuration field(s): ['{'k' * 55}...\n"
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--trials"])
+def test_bad_integer_flag_is_cut(flag, capsys):
+    # argparse's own int check would echo all 300 characters.
+    assert run_cli("single-run", flag, "x" * 300) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        f"sparsenlms: error: argument {flag}: invalid int value: '{'x' * 56}...\n"
+    )
+    # The usage lines, then the error line.
+    assert max(map(len, captured.err.splitlines())) < 120
+    # A short value reads as argparse's int check put it.
+    assert run_cli("single-run", flag, "abc") == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"argument {flag}: invalid int value: 'abc'\n")
+
+
+@pytest.mark.parametrize(
+    "error, line",
+    [
+        (MemoryError("Unable to allocate 87.3 TiB"), "error: Unable to allocate 87.3 TiB\n"),
+        (MemoryError(), "error: MemoryError\n"),
+    ],
+    ids=["numpy", "bare"],
+)
+def test_out_of_memory_is_one_error_line(error, line, tmp_path, capsys, monkeypatch):
+    # A runner that raises: a real huge allocation can succeed where the
+    # kernel overcommits memory.
+    def exhausted(subcommand, config):
+        raise error
+
+    monkeypatch.setitem(cli._RUNNERS, "single-run", exhausted)
+    assert run_cli("single-run", "--out", str(tmp_path)) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", line)
+
+
 @pytest.mark.parametrize(
     "argv, field",
     [
@@ -338,6 +395,18 @@ def test_curves_sharing_a_file_are_rejected(argv, name, field, tmp_path, capsys)
     assert f"{field} [" in captured.err
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
+
+
+def test_curves_sharing_a_file_cut_long_lists(capsys):
+    # 100 SNRs named alike; the default algorithm list is 85 characters.
+    snrs = ",".join(["10"] * 100)
+    assert run_cli("single-run", "--dump-config", "--override", f"snr_db=[{snrs}]") == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: algorithms {str(list(VARIANTS))[:57]}... and snr_db "
+        f"{str([10.0] * 100)[:57]}... give two curves the file "
+        "single-run_iss_nlms_T1_SNR10.csv\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -428,9 +497,9 @@ def test_single_run_and_trace_match_batch_of_one(tmp_path, capsys):
 
 
 def test_manifest_records_checksums(tmp_path, capsys, monkeypatch):
-    # Two workers, so the three-trial mse-convergence and the ber-sweep
-    # run pooled.
-    monkeypatch.setattr(cli, "_worker_count", lambda: 2)
+    # Two CPUs, so the three-trial mse-convergence and the ber-sweep run
+    # pooled.
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
     runs = {
         "trace-stepsize": ["trace-stepsize", *small_overrides()],
         "single-run": ["single-run", *small_overrides()],
@@ -565,7 +634,7 @@ def test_worker_count_does_not_change_outputs(argv, tmp_path, capsys, monkeypatc
     monkeypatch.setattr(multiprocessing, "get_context", recording)
     runs = []
     for workers in (1, 2):
-        monkeypatch.setattr(cli, "_worker_count", lambda: workers)
+        monkeypatch.setattr(harness, "_cpu_count", lambda: workers)
         out = tmp_path / f"workers{workers}"
         status = run_cli(*argv, "--out", str(out))
         captured = capsys.readouterr()
@@ -586,10 +655,10 @@ def test_worker_count_does_not_change_outputs(argv, tmp_path, capsys, monkeypatc
 
 def test_worker_count_follows_the_affinity_mask(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
-    assert cli._worker_count() == 3
+    assert harness._cpu_count() == 3
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert cli._worker_count() == 1
+    assert harness._cpu_count() == 1
 
 
 # Run the CLI pinned to the CPU given as the first argument.

@@ -359,13 +359,14 @@ def test_pool_is_joined_when_a_task_raises(monkeypatch):
     def failing_frames(*args):
         raise RuntimeError("frames failed")
 
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
     monkeypatch.setattr(harness, "run_trial_rows", rows_failing_at_trial_1)
     with pytest.raises(RuntimeError, match="trial 1 failed"):
-        run_monte_carlo_mse(small_config(num_trials=4), workers=2)
+        run_monte_carlo_mse(small_config(num_trials=4))
     assert multiprocessing.active_children() == []
     monkeypatch.setattr(harness, "_simulate_frames", failing_frames)
     with pytest.raises(RuntimeError, match="frames failed"):
-        run_ber_sweep(ber_config(ber_num_channels=1), workers=2)
+        run_ber_sweep(ber_config(ber_num_channels=1))
     assert multiprocessing.active_children() == []
 
 
@@ -379,7 +380,8 @@ def task(item):
         os._exit(1)
     return item
 
-with harness._ordered_map(2, 6) as ordered_map:
+harness._cpu_count = lambda: 2
+with harness._ordered_map(6) as ordered_map:
     print(list(ordered_map(task, range(6))))
 """
 
@@ -403,11 +405,13 @@ def test_a_dead_worker_fails_the_run():
 def test_a_platform_without_fork_runs_serially(monkeypatch):
     # As on Windows, where a fork pool cannot be opened at all.
     monkeypatch.delattr(os, "fork", raising=False)
-    with harness._ordered_map(2, 4) as ordered_map:
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
+    with harness._ordered_map(4) as ordered_map:
         assert ordered_map is map
     config = small_config(algorithms=["iss_nlms", "vss_rza_nlms"], num_trials=4)
-    pooled = run_monte_carlo_mse(config, workers=2)
-    serial = run_monte_carlo_mse(config, workers=1)
+    pooled = run_monte_carlo_mse(config)
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 1)
+    serial = run_monte_carlo_mse(config)
     for got, want in zip(pooled, serial, strict=True):
         assert np.array_equal(got.values, want.values)
         assert dataclasses.replace(got, values=None) == dataclasses.replace(
@@ -437,7 +441,7 @@ def test_iss_nlms_steady_state_matches_theory():
         assert curve.worse_than_zero == (4 if curve.snr_db == -20.0 else 0)
 
 
-def test_iss_nlms_learning_curve_matches_exact_recursion():
+def test_iss_nlms_learning_curve_matches_exact_recursion(monkeypatch):
     # The curve comes from a two-process pool; the serial per-trial
     # curves give its exact trial-order sum and the standard errors.
     config = ExperimentConfig(
@@ -447,7 +451,8 @@ def test_iss_nlms_learning_curve_matches_exact_recursion():
         max_iterations=2000,
         rng_seed=2024,
     )
-    curves = run_monte_carlo_mse(config, workers=2)
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
+    curves = run_monte_carlo_mse(config)
     pairs = [("iss_nlms", snr) for snr in config.snr_db]
     trials = np.array([
         run_trial_rows(config, trial, pairs).squared_error.T
@@ -467,7 +472,7 @@ def test_iss_nlms_learning_curve_matches_exact_recursion():
         assert np.max(np.abs(z)) < 4.0, (curve.snr_db, int(np.argmax(np.abs(z))))
 
 
-def test_vss_nlms_tracks_the_iss_envelope_closer_than_any_fixed_step():
+def test_vss_nlms_tracks_the_iss_envelope_closer_than_any_fixed_step(monkeypatch):
     # The abstract's step-size claim, independent of one mu: E(n) is the
     # best any fixed-step iss_nlms can do at iteration n, and a fixed step
     # falls behind it somewhere.  Over iterations 100-5000 at 10 dB the
@@ -481,7 +486,8 @@ def test_vss_nlms_tracks_the_iss_envelope_closer_than_any_fixed_step():
     fixed = nlms_curve(config, 10.0, mus)[window] / envelope[window, None]
     best_fixed = 10.0 * np.log10(fixed.max(axis=0).min())
     assert best_fixed == pytest.approx(2.47, abs=0.01)
-    (curve,) = run_monte_carlo_mse(config, workers=2)
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
+    (curve,) = run_monte_carlo_mse(config)
     gap = 10.0 * np.log10(np.max(curve.values[window] / envelope[window]))
     assert gap < best_fixed - 1.0
 
@@ -974,6 +980,8 @@ def test_block_loop_simulates_no_frame_past_min_bits(monkeypatch):
         modulated.append((order, np.size(codes)))
         return qam_modulate(codes, order)
 
+    # Serial, so the counts are made in this process, not in pool workers.
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 1)
     monkeypatch.setattr(harness, "qam_modulate", counting)
     config = ber_config(ber_min_bits=1600, qam_orders=[16, 64])
     curves = run_ber_sweep(config)

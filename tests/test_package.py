@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import multiprocessing
 import os
 import re
 import subprocess
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import sparsenlms
+from sparsenlms import harness
 from sparsenlms.harness import BerCurve, MseCurve, TrialResult
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -124,6 +126,30 @@ def test_readme_trial_snippet_runs_and_names_every_field(capsys):
     after = section.split(snippet, 1)[1].split("\n\n", 2)[1]
     for entry in dataclasses.fields(TrialResult):
         assert f"`{entry.name}`" in after
+
+
+def test_readme_runner_snippet_prints_the_same_pooled_and_serial(capsys, monkeypatch):
+    # The library runners pool by default, on one process per CPU.
+    snippet = re.findall(r"```python\n(.*?)```", library_use_section(), re.DOTALL)[0]
+    assert "run_monte_carlo_mse(config)" in snippet
+    assert "run_ber_sweep(config)" in snippet
+    contexts = []
+    get_context = multiprocessing.get_context
+
+    def recording(method=None):
+        contexts.append(method)
+        return get_context(method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", recording)
+    outputs = []
+    for count in (2, 1):
+        monkeypatch.setattr(harness, "_cpu_count", lambda: count)
+        exec(snippet, {})
+        outputs.append(capsys.readouterr().out)
+    # One pool per runner at two CPUs, none at one.
+    assert contexts == ["fork", "fork"]
+    assert outputs[0]
+    assert outputs[0] == outputs[1]
 
 
 def test_readme_names_every_curve_field():
