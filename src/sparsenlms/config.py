@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Mapping
 from dataclasses import asdict, dataclass, fields
 from sys import maxsize
 
@@ -62,14 +61,6 @@ def _shown(value):
     return text if len(text) <= 60 else text[:57] + "..."
 
 
-def _is_snr_key(key):
-    """A number or numeric string (JSON keys), not a bool, NaN or -inf."""
-    try:
-        return not isinstance(key, bool) and float(key) > -math.inf
-    except (TypeError, ValueError):
-        return False
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of one experiment.
@@ -79,16 +70,15 @@ class ExperimentConfig:
     200 trials.  ``rho_za`` and ``rho_rza`` default per sparsity
     (0.006/0.0006 for single-tap links, 0.002/0.0002 otherwise).
 
-    ``c_by_snr`` optionally maps an SNR in dB to its own ``c_threshold``,
-    used only at an exactly matching SNR.  It takes a mapping and is
-    stored as a tuple of ``(snr_db, c_threshold)`` float pairs in SNR
-    order.
-    It is unset by default: a flat 1e-4 keeps the adaptive step in its
-    productive range during the transient, while 1e-5 pins the step
-    against ``mu_max``, where the normalized update barely contracts.
+    ``c_per_noise``, when set, gives the adaptive step's threshold in
+    noise units, as ``rho_za`` and ``rho_rza`` give the penalties: each
+    SNR's ``c_threshold`` is ``c_per_noise * noise_variance(snr)``.
+    Unset, every SNR uses ``c_threshold``: 1e-4 keeps the adaptive step
+    in its productive range during the transient, while 1e-5 pins the
+    step against ``mu_max``, where the normalized update barely contracts.
 
     The list fields take a list, a tuple or one value and are stored as
-    tuples too.  So no element can change past the check, and a config
+    tuples.  So no element can change past the check, and a config
     holds only builtin immutable values: it hashes, pickles and copies.
     """
 
@@ -101,7 +91,7 @@ class ExperimentConfig:
     mu: float = 0.2
     mu_max: float = 2.0
     c_threshold: float = 1e-4
-    c_by_snr: tuple | None = None
+    c_per_noise: float | None = None
     beta: float = 0.99
     rho_za: float | None = None
     rho_rza: float | None = None
@@ -154,28 +144,6 @@ class ExperimentConfig:
             if not all(valid(v) for v in values):
                 raise ValueError(f"{name} must hold {noun}, got {_shown(values)}")
             object.__setattr__(self, name, tuple(kind(v) for v in values))
-        if self.c_by_snr is not None:
-            # A mapping, or the stored pairs that dataclasses.replace passes back.
-            given = None
-            if isinstance(self.c_by_snr, (Mapping, tuple)):
-                try:
-                    given = dict(self.c_by_snr)
-                except (TypeError, ValueError):
-                    pass
-            if given is None or not all(
-                _is_snr_key(k) and _is_real(v) and 0.0 < v < math.inf
-                for k, v in given.items()
-            ):
-                raise ValueError(
-                    "c_by_snr must map SNR in dB to a positive finite c_threshold, "
-                    f"got {_shown(self.c_by_snr)}"
-                )
-            table = {float(k): float(v) for k, v in given.items()}
-            if len(table) < len(self.c_by_snr):
-                raise ValueError(
-                    f"c_by_snr must name each SNR once, got {_shown(self.c_by_snr)}"
-                )
-            object.__setattr__(self, "c_by_snr", tuple(sorted(table.items())))
         # +inf dB is the noiseless case; NaN and -inf have no noise level,
         # and below about -3083 dB the noise level overflows.
         for name, values in (
@@ -216,6 +184,15 @@ class ExperimentConfig:
             raise ValueError("mu_max must lie in (0, 2]")
         if not 0.0 < self.c_threshold < math.inf:
             raise ValueError("c_threshold must be positive and finite")
+        if self.c_per_noise is not None:
+            # At +inf dB c is 0: the step is 0/0 once the gradient vanishes.
+            for snr in (*self.snr_db, self.ber_training_snr_db):
+                c = self.c_per_noise * self.noise_variance(snr)
+                if not 0.0 < c < math.inf:
+                    raise ValueError(
+                        "c_per_noise must give every SNR a positive finite "
+                        f"c_threshold, got {c:g} at {snr:g} dB"
+                    )
         if not 0.0 <= self.beta < 1.0:
             raise ValueError("beta must lie in [0, 1)")
         if self.num_trials < 1:
@@ -255,11 +232,7 @@ class ExperimentConfig:
     # -- serialization ------------------------------------------------------
 
     def to_dict(self):
-        out = asdict(self)
-        if self.c_by_snr is not None:
-            # JSON keys are strings; sorted dumps order them as text.
-            out["c_by_snr"] = {str(k): v for k, v in self.c_by_snr}
-        return out
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data):

@@ -220,12 +220,14 @@ def row_params(config, pairs):
     rho_rza = rho_rza if config.rho_rza is None else config.rho_rza
     variants, snrs = zip(*pairs)
     variances = [config.noise_variance(snr) for snr in snrs]
-    c_by_snr = dict(config.c_by_snr or ())
+    c_threshold = config.c_threshold
+    if config.c_per_noise is not None:
+        c_threshold = [config.c_per_noise * v for v in variances]
     return filters.RowParams(
         variants=variants,
         mu=config.mu,
         mu_max=config.mu_max,
-        c_threshold=[c_by_snr.get(snr, config.c_threshold) for snr in snrs],
+        c_threshold=c_threshold,
         beta=config.beta,
         gamma_za=[config.mu * rho_za * v for v in variances],
         gamma_rza=[config.mu * rho_rza * config.epsilon_rza * v for v in variances],

@@ -69,10 +69,10 @@ def small_overrides():
 def test_dump_config_round_trips(tmp_path, capsys):
     cases = [
         (["sparsity=4"], {"sparsity": 4}),
-        # A scalar where a list is stored, a c_by_snr table and a rho weight.
+        # A scalar where a list is stored, a noise-relative c and a rho weight.
         (
-            ["snr_db=20", 'c_by_snr={"10": 1e-5}', "rho_za=0.6"],
-            {"snr_db": [20.0], "c_by_snr": {"10.0": 1e-5}, "rho_za": 0.6},
+            ["snr_db=20", "c_per_noise=0.03", "rho_za=0.6"],
+            {"snr_db": [20.0], "c_per_noise": 0.03, "rho_za": 0.6},
         ),
     ]
     for overrides, expected in cases:
@@ -154,6 +154,16 @@ def test_unknown_override_key_is_rejected_by_name(key, tmp_path, capsys):
     assert key in captured.err
 
 
+def test_config_file_naming_a_retired_field_is_rejected(tmp_path, capsys):
+    # c_per_noise replaced the per-SNR table c_by_snr.
+    config_path = tmp_path / "old.json"
+    config_path.write_text('{"c_by_snr": {"10": 1e-5}}')
+    assert run_cli("single-run", "--config", str(config_path), "--out", str(tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: unknown configuration field(s): ['c_by_snr']\n"
+    assert list(tmp_path.iterdir()) == [config_path]
+
+
 def test_malformed_override_is_rejected(tmp_path, capsys):
     code = run_cli("single-run", "--out", str(tmp_path), "--override", "justakey")
     captured = capsys.readouterr()
@@ -182,7 +192,8 @@ def test_invalid_value_is_rejected(tmp_path, capsys):
         ["single-run", "--override", "tap_length=1e400"],
         ["ber-sweep", "--override", "ber_max_frames=2.5"],
         ["single-run", "--override", "num_trials=true"],
-        ["single-run", "--override", "c_by_snr=5"],
+        # c_per_noise is one number, not a table per SNR.
+        ["single-run", "--override", 'c_per_noise={"10": 0.03}'],
         # +inf dB is the noiseless case; NaN and -inf have no noise level.
         ["single-run", "--override", "snr_db=NaN"],
         ["single-run", "--override", "snr_db=[10, -Infinity]"],
@@ -194,14 +205,13 @@ def test_invalid_value_is_rejected(tmp_path, capsys):
         ["single-run", "--override", "c_threshold=NaN"],
         # QAM orders are integers, never truncated.
         ["ber-sweep", "--override", "qam_orders=[16.7]"],
-        # Float fields, SNR lists and c_by_snr values take numbers, never a
-        # bool or a string.
+        # Float fields and SNR lists take numbers, never a bool or a string.
         ["single-run", "--override", "mu=true"],
         ["single-run", "--override", "rho_za=false"],
         ["single-run", "--override", "ber_training_snr_db=true"],
         ["single-run", "--override", "snr_db=[true]"],
         ["single-run", "--override", 'snr_db=["10"]'],
-        ["single-run", "--override", 'c_by_snr={"10": true}'],
+        ["single-run", "--override", 'c_per_noise="0.03"'],
         ["single-run", "--override", "algorithms=5"],
         ["ber-sweep", "--override", "qam_orders=[]"],
         ["single-run", "--override", "rho_za=-1"],
@@ -209,11 +219,11 @@ def test_invalid_value_is_rejected(tmp_path, capsys):
         # penalty strengths derived from them.
         ["single-run", "--override", "mu=-1", "--override", "algorithms=vss_za_nlms"],
         ["single-run", "--override", "epsilon_rza=-1"],
-        # Two keys that name one SNR.
-        ["single-run", "--override", 'c_by_snr={"10": 1e-5, "10.0": 2e-5}'],
+        # A noise-relative c at the noiseless SNR is 0.
+        ["single-run", "--override", "c_per_noise=0.03", "--override", "snr_db=Infinity"],
         # One key twice in a JSON object, which json would collapse to the
         # last value: in an override and in a config file.
-        ["single-run", "--override", 'c_by_snr={"10": 1e-5, "10": 2e-5}'],
+        ["single-run", "--override", 'snr_db={"10": 1, "10": 2}'],
         ["single-run", "--config", REPEATED_KEY_CONFIG],
         # A config file that is not UTF-8.
         ["single-run", "--dump-config", "--config", NON_UTF8_CONFIG],
@@ -335,9 +345,20 @@ def test_out_of_memory_is_one_error_line(error, line, tmp_path, capsys, monkeypa
         (["single-run", "--override", "c_threshold=Infinity",
           "--override", "algorithms=vss_nlms", "--override", "snr_db=20",
           "--override", "max_iterations=400"], "c_threshold"),
-        (["single-run", "--override", 'c_by_snr={"20": Infinity}',
-          "--override", "algorithms=vss_nlms", "--override", "snr_db=20",
-          "--override", "max_iterations=400"], "c_by_snr"),
+        # A noise-relative c that is 0, negative, NaN or infinite at some
+        # SNR, the BER training SNR included: 0 at +inf dB makes the step
+        # 0/0 once the gradient vanishes, and the taps NaN.
+        (["single-run", "--override", "c_per_noise=0.03",
+          "--override", "algorithms=vss_nlms", "--override", "snr_db=[20, Infinity]",
+          "--override", "max_iterations=400"], "c_per_noise"),
+        (["ber-sweep", "--override", "c_per_noise=0.03",
+          "--override", "ber_training_snr_db=Infinity"], "c_per_noise"),
+        (["single-run", "--override", "c_per_noise=0"], "c_per_noise"),
+        (["single-run", "--override", "c_per_noise=-0.03"], "c_per_noise"),
+        (["single-run", "--override", "c_per_noise=NaN"], "c_per_noise"),
+        (["single-run", "--override", "c_per_noise=Infinity"], "c_per_noise"),
+        (["single-run", "--override", "c_per_noise=1e308",
+          "--override", "snr_db=-100"], "c_per_noise"),
     ],
 )
 def test_invalid_filter_input_is_named(argv, field, tmp_path, capsys):
@@ -412,8 +433,9 @@ def test_curves_sharing_a_file_cut_long_lists(capsys):
 @pytest.mark.parametrize(
     "argv, key",
     [
-        (["--override", 'c_by_snr={"10": 1e-5, "10": 2e-5}'], "'10'"),
-        (["--override", 'c_by_snr={"20": 1e-5, "10": {"a": 1, "a": 2}}'], "'a'"),
+        (["--override", 'snr_db={"10": 1, "10": 2}'], "'10'"),
+        # The hook runs as the JSON parses, before any field is checked.
+        (["--override", 'snr_db=[10, {"a": 1, "a": 2}]'], "'a'"),
         (["--config", REPEATED_KEY_CONFIG], "'mu'"),
     ],
 )
@@ -612,14 +634,14 @@ def test_non_finite_tail_prints_nan_db(capsys):
             "mse-convergence", "--trials", "3",
             "--override", "mu=1.9", "--override", "max_iterations=1000",
         ],
-        # Each worker reads the per-SNR c_threshold from its pickled config.
+        # Each worker reads c_per_noise from its pickled config.
         [
             "mse-convergence", "--trials", "3",
-            "--override", 'c_by_snr={"20": 1e-5}', "--override", "max_iterations=500",
+            "--override", "c_per_noise=0.03", "--override", "max_iterations=500",
         ],
         SMALL_BER_SWEEP,
     ],
-    ids=["mse", "mse-diverging", "mse-c_by_snr", "ber"],
+    ids=["mse", "mse-diverging", "mse-c_per_noise", "ber"],
 )
 def test_worker_count_does_not_change_outputs(argv, tmp_path, capsys, monkeypatch):
     # Whatever this machine's CPU count, one run is serial and the other

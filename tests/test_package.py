@@ -13,6 +13,7 @@ import pytest
 
 import sparsenlms
 from sparsenlms import harness
+from sparsenlms.config import ExperimentConfig
 from sparsenlms.harness import BerCurve, MseCurve, TrialResult
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -193,3 +194,15 @@ def test_every_public_name_is_used_inside_the_package():
                 if not item.startswith("_") and item not in used
             ]
     assert unused == []
+
+
+def test_every_config_field_is_read_by_the_harness_or_the_cli():
+    # A field that no run reads is a dead knob; the checks in config.py
+    # do not count as reads.
+    read = set()
+    for name in ("harness.py", "cli.py"):
+        for node in ast.walk(ast.parse((SRC / name).read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = [e.name for e in dataclasses.fields(ExperimentConfig) if e.name not in read]
+    assert unread == []
