@@ -26,14 +26,13 @@ output files, stdout and stderr do not depend on the count.
 
 At module level this imports only the standard library and
 :mod:`sparsenlms.config`.  numpy and the harness load when a runner
-starts, so ``--help``, ``--dump-config`` and every rejected invocation
-answer without them.
+starts, and ``hashlib`` when the first file is written, so ``--help``,
+``--dump-config`` and every rejected invocation answer without them.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -189,6 +188,8 @@ def _write_csv(out_dir, name, comment, columns):
     the rows equal those of ``csv.writer`` with ``lineterminator="\\n"``.
     The digest is of the bytes written, so the file is never read back.
     """
+    import hashlib
+
     digest = hashlib.sha256()
     with open(os.path.join(out_dir, name), "wb") as handle:
 
@@ -230,7 +231,7 @@ def _run_mse_convergence(subcommand, config):
 def _run_trace_stepsize(subcommand, config):
     import numpy as np
 
-    from .harness import run_trial_rows, steady_state_mean
+    from .harness import run_trial_rows
 
     # One trial, so there is nothing to share between processes.
     pairs = [(a, snr) for a in config.algorithms for snr in config.snr_db]
@@ -242,11 +243,12 @@ def _run_trace_stepsize(subcommand, config):
             f"sparsity={config.sparsity} rng_seed={config.rng_seed}",
             {"iteration": np.arange(1, trace.size + 1), "step_size": trace},
         )
-        head = max(1, trace.size // 10)
+        # Both windows hold the rounded tenth of the trace (at least 1 entry).
+        count = max(1, round(0.1 * trace.size))
         print(
             f"{subcommand} algorithm={algorithm} snr_db={snr:g} "
-            f"first10%={float(trace[:head].mean()):.6g} "
-            f"last10%={steady_state_mean(trace):.6g}"
+            f"first10%={float(trace[:count].mean()):.6g} "
+            f"last10%={float(trace[-count:].mean()):.6g}"
         )
 
 

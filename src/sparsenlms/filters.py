@@ -53,9 +53,13 @@ filters (rows) that share a regressor but may differ in variant and
 parameters (:class:`RowParams`).  An optional leading antenna axis
 advances several independent sets of rows in one call, each set with
 its own regressor.  It is the only update kernel: a single filter is a
-batch of one.  Row reductions go through :func:`row_dot`, whose rounding
-does not depend on ``B`` or on the antenna axis, so a row's trajectory
-is bitwise the same in any batch.
+batch of one.  Row reductions go through ``np.vecdot``, which
+conjugates its first operand and reduces every stacked row with the
+BLAS dot product ``np.dot`` and ``np.vdot`` use for one pair of vectors.
+Its rounding therefore does not depend on ``B`` or on the antenna axis,
+so a row's trajectory is bitwise the same in any batch.  The conjugated
+operand is the shared regressor ``conj(x)`` (or the row itself for an
+energy), never the ``B`` taps, so no conjugate copy is made.
 """
 
 from __future__ import annotations
@@ -65,19 +69,9 @@ import numpy as np
 from .config import _LAWS
 
 
-def row_dot(rows, x):
-    """Plain-transpose products ``rows[..., :] @ x[..., :]`` over the last axis.
-
-    ``matmul`` reduces every stacked row with the BLAS dot product that
-    ``np.dot`` uses for one pair of vectors, so a row's result is the
-    same whatever the number of rows stacked with it.
-    """
-    return np.matmul(rows[..., None, :], x[..., :, None])[..., 0, 0]
-
-
 def row_energy(rows):
     """Hermitian energy ``||r||^2`` of each row, as ``np.vdot(r, r).real`` gives it."""
-    return row_dot(rows.conj(), rows).real
+    return np.vecdot(rows, rows).real
 
 
 def vss_steps(grad_avg, mu_max, c_threshold):
@@ -143,12 +137,13 @@ class RowParams:
         self.penalized = bool(self.gamma.any())
 
 
-def update_rows(weights, grad_avg, x, x_conj, energy, y, params):
+def update_rows(weights, grad_avg, x_conj, energy, y, params):
     """Advance ``B`` filters that share the regressor ``x`` by one update.
 
     ``weights`` and ``grad_avg`` are ``(B, L)`` complex arrays, updated
     in place; ``y`` holds the ``B`` observations, ``x_conj`` is
-    ``conj(x)`` and ``energy`` is :func:`row_energy` of ``x``.  Each
+    ``conj(x)`` (the only form of ``x`` the update reads) and
+    ``energy`` is :func:`row_energy` of ``x``.  Each
     row takes its error from the current taps, then its step size, then
     the correction, then subtracts the penalty of its pre-update taps.
     Returns the prediction errors and the step sizes, both ``(B,)``.
@@ -156,13 +151,13 @@ def update_rows(weights, grad_avg, x, x_conj, energy, y, params):
 
     An optional leading antenna axis updates ``A`` independent sets of
     rows at once, each with its own regressor: ``weights`` and
-    ``grad_avg`` are then ``(A, B, L)``, ``x`` and ``x_conj`` are
-    ``(A, 1, L)``, ``energy`` is ``(A, 1)``, ``y`` is ``(A, B)``, and
+    ``grad_avg`` are then ``(A, B, L)``, ``x_conj`` is ``(A, 1, L)``,
+    ``energy`` is ``(A, 1)``, ``y`` is ``(A, B)``, and
     the errors and step sizes are ``(A, B)`` (fixed-step batches return
     the ``(B,)`` step sizes).  Every element is rounded as in a separate
     call.  Inputs are not validated.
     """
-    e = y - row_dot(weights, x)
+    e = y - np.vecdot(x_conj, weights)
     mu = params.mu
     if params.adaptive:
         grad_avg *= params.beta

@@ -260,9 +260,9 @@ def training_chunk(rng, count, n_t, tap_length):
     return x, noise
 
 
-def _observe(channel, antennas, x, noise, noise_scale):
-    """Observations ``h_a . x + scale * noise``, shaped ``(count, B)``."""
-    clean = filters.row_dot(channel[antennas], x)
+def _observe(channel, antennas, x_conj, noise, noise_scale):
+    """Observations ``h_a . x + scale * noise``, ``(count, B)``, given ``conj(x)``."""
+    clean = np.vecdot(x_conj, channel[antennas])
     return clean[:, None] + noise[:, None] * noise_scale
 
 
@@ -304,17 +304,17 @@ def run_trial_rows(config, trial_index, pairs):
         for start in range(0, total, chunk):
             count = min(chunk, total - start)
             x, noise = training_chunk(rng_data, count, config.n_t, config.tap_length)
-            y = _observe(channel, antennas[:count], x, noise, noise_scale)
-            energy = filters.row_energy(x)[:, None]
-            x = x[:, None, :]
             x_conj = x.conj()
+            y = _observe(channel, antennas[:count], x_conj, noise, noise_scale)
+            energy = filters.row_energy(x)[:, None]
+            x_conj = x_conj[:, None, :]
             for r, i in enumerate(range(0, count, n_r)):
                 # One round: antenna a takes iteration start + i + a.
                 m = min(n_r, count - i)
                 w = weights[:m]
                 _, step_trace[start + i : start + i + m] = filters.update_rows(
-                    w, grad_avg[:m], x[i : i + m], x_conj[i : i + m],
-                    energy[i : i + m], y[i : i + m], params,
+                    w, grad_avg[:m], x_conj[i : i + m], energy[i : i + m],
+                    y[i : i + m], params,
                 )
                 # A partial final round leaves the later antennas' entries
                 # unset; no iteration of that round reads them.

@@ -13,7 +13,7 @@ def update_one(weights, grad_avg, x, y, params):
     """
     x = np.asarray(x, dtype=np.complex128)
     errors, steps = filters.update_rows(
-        weights[None], grad_avg[None], x, x.conj(), filters.row_energy(x),
+        weights[None], grad_avg[None], x.conj(), filters.row_energy(x),
         np.array([y], dtype=np.complex128), params,
     )
     return errors[0], float(steps[0])

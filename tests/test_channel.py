@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from sparsenlms.channel import generate_sparse_channel
-from sparsenlms.filters import row_dot
 from sparsenlms.config import ExperimentConfig
 from sparsenlms.harness import _observe, training_chunk
 
@@ -63,7 +62,7 @@ def test_support_positions_are_uniform():
 
 def test_observe_dead_channel():
     x, noise = training_chunk(np.random.default_rng(1), 3, 1, 8)
-    y = _observe(np.zeros((2, 8), complex), np.array([0, 1, 0]), x, noise,
+    y = _observe(np.zeros((2, 8), complex), np.array([0, 1, 0]), x.conj(), noise,
                  np.array([0.0]))
     assert y.shape == (3, 1)
     assert np.all(y == 0)
@@ -73,7 +72,7 @@ def test_observe_selector():
     h = np.zeros((1, 8), dtype=complex)
     h[0, 5] = 1.0
     x = (np.arange(8) + 1j * np.arange(8)).astype(complex)[None, :]
-    y = _observe(h, np.array([0]), x, np.ones(1, complex), np.array([0.0]))
+    y = _observe(h, np.array([0]), x.conj(), np.ones(1, complex), np.array([0.0]))
     assert y[0, 0] == x[0, 5]
 
 
@@ -82,7 +81,7 @@ def test_noise_variance_matches_model():
     variance = ExperimentConfig(n_t=1, tap_length=2).noise_variance(10.0)
     x, noise = training_chunk(np.random.default_rng(104), 100_000, 1, 1)
     scale = np.array([np.sqrt(variance / 2.0)])
-    draws = _observe(np.zeros((1, 1), complex), np.zeros(x.shape[0], int), x,
+    draws = _observe(np.zeros((1, 1), complex), np.zeros(x.shape[0], int), x.conj(),
                      noise, scale)[:, 0]
     sample_variance = np.mean(np.abs(draws) ** 2)
     assert sample_variance == pytest.approx(0.05, rel=0.03)
@@ -99,8 +98,8 @@ def test_noiseless_stream_stays_aligned():
     h = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
     x, noise = training_chunk(rng, 6, 2, 2)
     antennas = np.array([0, 1, 0, 1, 0, 1])
-    y = _observe(h, antennas, x, noise, np.array([0.0, 1.0]))
-    clean = row_dot(h[antennas], x)
+    y = _observe(h, antennas, x.conj(), noise, np.array([0.0, 1.0]))
+    clean = np.array([np.dot(h[a], row) for a, row in zip(antennas, x)])
     assert np.array_equal(y[:, 0], clean)
     assert np.array_equal(y[:, 1], clean + noise)
     assert np.all(y[:, 1] != clean)

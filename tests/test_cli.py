@@ -518,6 +518,21 @@ def test_single_run_and_trace_match_batch_of_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_trace_summary_windows_hold_equal_counts(tmp_path, capsys):
+    # At 16 entries each window holds round(1.6) = 2 of them.
+    assert run_cli(
+        "trace-stepsize", "--out", str(tmp_path), "--override", "algorithms=vss_nlms",
+        "--override", "snr_db=10", "--override", "max_iterations=16",
+    ) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    path = tmp_path / "trace-stepsize_vss_nlms_T1_SNR10.csv"
+    steps = np.loadtxt(path, delimiter=",", skiprows=2)[:, 1]
+    assert steps.size == 16
+    assert line.endswith(
+        f" first10%={steps[:2].mean():.6g} last10%={steps[-2:].mean():.6g}"
+    )
+
+
 def test_manifest_records_checksums(tmp_path, capsys, monkeypatch):
     # Two CPUs, so the three-trial mse-convergence and the ber-sweep run
     # pooled.

@@ -263,7 +263,7 @@ def test_fixed_row_ignores_vss_fields_beside_an_adaptive_row():
         weights, grad_avg = np.zeros((2, 2, 4), complex)
         for x, y in zip(xs, ys):
             _, steps = filters.update_rows(
-                weights, grad_avg, x, x.conj(), filters.row_energy(x), y, params
+                weights, grad_avg, x.conj(), filters.row_energy(x), y, params
             )
             assert steps[0] == 0.2
         runs.append((weights[0].tobytes(), steps[1]))
@@ -272,6 +272,28 @@ def test_fixed_row_ignores_vss_fields_beside_an_adaptive_row():
 
 
 # -- reduction identities -----------------------------------------------------
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e50, 1e150])
+@pytest.mark.parametrize("length", [1, 7, 64])
+def test_row_reductions_equal_one_pair_dot_products_bitwise(scale, length):
+    # A row's trajectory is the same in any batch only if every stacked
+    # row of an (A, B, L) batch reduces as np.vdot / np.dot reduce one pair.
+    rng = np.random.default_rng(2024)
+    weights = complex_normal(rng, (3, 5, length), scale)
+    x = complex_normal(rng, (3, 1, length), scale)
+    y = complex_normal(rng, (3, 5))
+    params = filters.RowParams(["iss_nlms"] * 5, **ORACLE_DEFAULTS)
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy = filters.row_energy(weights)
+        errors, _ = filters.update_rows(
+            weights.copy(), np.zeros_like(weights), x.conj(), filters.row_energy(x),
+            y, params,
+        )
+        for a, b in np.ndindex(3, 5):
+            row = weights[a, b]
+            assert energy[a, b].tobytes() == np.vdot(row, row).real.tobytes()
+            assert errors[a, b].tobytes() == (y[a, b] - np.dot(row, x[a, 0])).tobytes()
 
 
 def run_variant(variant, regressors, observations, **kwargs):

@@ -54,6 +54,7 @@ import contextlib, io, sys
 
 def check(step):
     assert "numpy" not in sys.modules, f"numpy loaded by {step}"
+    assert "hashlib" not in sys.modules, f"hashlib loaded by {step}"
 
 import sparsenlms
 check("import sparsenlms")
