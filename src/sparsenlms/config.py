@@ -160,8 +160,9 @@ class ExperimentConfig:
                     raise ValueError(
                         f"{name} {value:g} dB gives a noise level that overflows"
                     ) from None
-        if self.n_t < 1 or self.n_r < 1:
-            raise ValueError("n_t and n_r must be at least 1")
+        for name in ("n_t", "n_r"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
         if self.tap_length < 1:
             raise ValueError("tap_length must be at least 1")
         if not 1 <= self.sparsity <= self.tap_length:
@@ -176,7 +177,9 @@ class ExperimentConfig:
         # Filter parameters are checked whichever variants run, and NaN
         # fails every check.  An infinite mu or epsilon_rza makes the taps
         # NaN through the penalty strengths, an infinite c_threshold pins
-        # the adaptive step at 0, and a mu_max above 2 is unstable.
+        # the adaptive step at 0, and mu_max is capped at 2 so the adaptive
+        # step is stable by construction.  A fixed mu above 2 diverges and
+        # is reported; the tests run 2.5 and 50 on purpose.
         for name in ("mu", "epsilon_rza"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
@@ -206,8 +209,9 @@ class ExperimentConfig:
                 )
         if self.ber_num_channels < 1:
             raise ValueError("ber_num_channels must be at least 1")
-        if self.ber_min_errors < 0 or self.ber_min_bits < 0:
-            raise ValueError("ber stopping thresholds must be nonnegative")
+        for name in ("ber_min_errors", "ber_min_bits"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
         if self.ber_max_frames < 1:
             raise ValueError("ber_max_frames must be at least 1")
 

@@ -81,20 +81,22 @@ per-antenna filters never interact, so each Python step is one round of
 ``n_r`` consecutive iterations: one ``update_rows`` call on the antenna
 axis updates antenna ``a`` of every row with iteration ``a``'s regressor
 and observation, ``ceil(max_iterations / n_r)`` calls per trial.
-Training data are drawn a chunk at a time as one ``(C, 2L + 2)`` block of
-normals per trial, where ``C`` is the largest multiple of ``n_r`` not
-above ``CHUNK_ITERATIONS`` (at least ``n_r``), so every chunk starts at
-antenna 0.  Row ``i`` of the block holds iteration ``i``'s real parts,
-imaginary parts and noise pair, which is exactly the order in which
-drawing them one iteration at a time consumes the stream, so the
-regressors and noise are unchanged bit for bit.  Each row's noise is
-the shared unit pair scaled by its own SNR.  The error metric is always
-computed, incrementally: after each round the updated antennas' errors
-are rescored into an ``(n_r, B)`` per-antenna table for that round.  At
-chunk end one index rule reads each iteration's error: at chunk
-iteration ``i`` antenna ``a`` holds its error after round ``(i - a) //
-n_r + 1`` (round 0 being the chunk's start), and the antennas are summed
-one by one.  Every trial runs all ``max_iterations`` updates.  A trial
+Training data are drawn ``CHUNK_ROUNDS`` whole rounds at a time (fewer
+at the end) as one ``(rounds, n_r, 2L + 2)`` block of normals, so entry
+``[r, a]`` is antenna ``a``'s data in round ``r``: its iteration's real
+parts, imaginary parts and noise pair, the order in which drawing one
+iteration at a time consumes the stream.  So the regressors and noise
+are unchanged bit for bit, and a partial final round's spare draws come
+after every value used.  Regressors are kept as the conjugates the
+kernel reads, and one broadcast ``np.vecdot`` observes a whole chunk.
+Each row's noise is the shared unit pair scaled by its own SNR.  The
+error metric is always computed, incrementally: after each round the
+updated antennas' errors are rescored into an ``(n_r, B)`` per-antenna
+table for that round.  At chunk end one index rule reads each
+iteration's error: at chunk iteration ``i`` antenna ``a`` holds its
+error after round ``(i - a) // n_r + 1`` (round 0 being the chunk's
+start), and the antennas are summed one by one.  Every trial runs all
+``max_iterations`` updates.  A trial
 whose final error is not finite counts as diverged, and one whose final
 error is finite but exceeds the all-zero estimator's ``n_r`` as worse
 than zero: a stable filter at low SNR can settle there.
@@ -129,12 +131,12 @@ import numpy as np
 from . import filters
 from .channel import generate_sparse_channel
 from .config import TRUE_CHANNEL
-from .modem import code_bit_errors, qam_constellation, qam_demodulate, qam_modulate
+from .modem import qam_constellation, qam_demodulate, qam_modulate
 
-# Iterations whose training data are drawn and post-processed at once,
-# rounded down to whole antenna rounds (at least one).  Larger chunks cut
-# per-chunk overhead but raise peak memory.
-CHUNK_ITERATIONS = 100
+# Antenna rounds whose training data are drawn and post-processed at
+# once (100 iterations at n_r = 4).  Larger chunks cut per-chunk overhead
+# but raise peak memory.
+CHUNK_ROUNDS = 25
 
 # OFDM frames simulated at once in the BER sweep.  Each frame keeps its
 # own seeded stream; larger blocks cut per-frame overhead but raise peak
@@ -235,35 +237,30 @@ def row_params(config, pairs):
     )
 
 
-def training_chunk(rng, count, n_t, tap_length):
-    """Regressors and unit noise for ``count`` consecutive iterations.
+def training_chunk(rng, rounds, n_r, n_t, tap_length):
+    """Conjugate regressors and unit noise for ``rounds`` whole antenna rounds.
 
-    Returns ``(x, noise)``: ``x`` is ``(count, n_t * tap_length)`` with
-    unit expected row energy, and ``noise[i] = a + 1j b`` with ``a, b``
-    standard normal, to be scaled by ``sqrt(variance / 2)``.  One
-    ``(count, 2 L + 2)`` block of normals is drawn; per iteration it
-    holds the real parts, the imaginary parts, then the noise pair,
-    which is the order in which drawing one regressor's real and
-    imaginary vectors and then the noise pair, iteration by iteration,
-    consumes the stream.  Splitting a run into chunks of any size
-    therefore leaves every value unchanged.
+    Returns ``(x_conj, noise)``, shaped ``(rounds, n_r, n_t *
+    tap_length)`` and ``(rounds, n_r)``; entry ``[r, a]`` is iteration
+    ``r * n_r + a``.  ``x_conj`` holds the conjugates of regressors with
+    unit expected energy, and ``noise[r, a] = c + 1j d`` with ``c, d``
+    standard normal, to be scaled by ``sqrt(variance / 2)``.  Per
+    iteration the block of normals holds the real parts, the imaginary
+    parts, then the noise pair: the order in which drawing them one
+    iteration at a time consumes the stream.  Negating the imaginary
+    parts is exact, so chunks of any number of rounds leave every value
+    unchanged.
     """
     length = n_t * tap_length
-    draws = rng.standard_normal((count, 2 * length + 2))
+    draws = rng.standard_normal((rounds, n_r, 2 * length + 2))
     scale = np.sqrt(0.5 / length)
-    x = np.empty((count, length), dtype=np.complex128)
-    x.real = scale * draws[:, :length]
-    x.imag = scale * draws[:, length : 2 * length]
-    noise = np.empty(count, dtype=np.complex128)
-    noise.real = draws[:, 2 * length]
-    noise.imag = draws[:, 2 * length + 1]
-    return x, noise
-
-
-def _observe(channel, antennas, x_conj, noise, noise_scale):
-    """Observations ``h_a . x + scale * noise``, ``(count, B)``, given ``conj(x)``."""
-    clean = np.vecdot(x_conj, channel[antennas])
-    return clean[:, None] + noise[:, None] * noise_scale
+    x_conj = np.empty((rounds, n_r, length), dtype=np.complex128)
+    x_conj.real = scale * draws[..., :length]
+    x_conj.imag = -scale * draws[..., length : 2 * length]
+    noise = np.empty((rounds, n_r), dtype=np.complex128)
+    noise.real = draws[..., 2 * length]
+    noise.imag = draws[..., 2 * length + 1]
+    return x_conj, noise
 
 
 def run_trial_rows(config, trial_index, pairs):
@@ -284,8 +281,7 @@ def run_trial_rows(config, trial_index, pairs):
     rows = len(pairs)
     params = row_params(config, pairs)
     noise_scale = np.sqrt([config.noise_variance(snr) / 2.0 for _, snr in pairs])
-    # Whole rounds, so every chunk starts at antenna 0.
-    chunk = n_r * max(1, CHUNK_ITERATIONS // n_r)
+    chunk = CHUNK_ROUNDS * n_r
     entries = channel[:, None, :]
 
     weights = np.zeros((n_r, rows, length), dtype=np.complex128)
@@ -294,27 +290,27 @@ def run_trial_rows(config, trial_index, pairs):
     step_trace = np.empty((total, rows))
     # Error of every antenna's row after each round of the current
     # chunk; entry 0 holds the errors the chunk starts from.
-    round_error = np.empty((chunk // n_r + 1, n_r, rows))
+    round_error = np.empty((CHUNK_ROUNDS + 1, n_r, rows))
     round_error[0] = filters.row_energy(channel)[:, None]
-    antennas = np.arange(chunk) % n_r
 
     # A diverging row overflows to NaN, which the CLI reports; numpy's
     # warnings, printed once per process, would repeat per pool worker.
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, total, chunk):
             count = min(chunk, total - start)
-            x, noise = training_chunk(rng_data, count, config.n_t, config.tap_length)
-            x_conj = x.conj()
-            y = _observe(channel, antennas[:count], x_conj, noise, noise_scale)
-            energy = filters.row_energy(x)[:, None]
-            x_conj = x_conj[:, None, :]
+            x_conj, noise = training_chunk(
+                rng_data, -(-count // n_r), n_r, config.n_t, config.tap_length
+            )
+            # Antenna a observes through channel row a: (rounds, n_r, B).
+            y = np.vecdot(x_conj, channel)[..., None] + noise[..., None] * noise_scale
+            energy = filters.row_energy(x_conj)[..., None]
+            x_conj = x_conj[..., None, :]
             for r, i in enumerate(range(0, count, n_r)):
                 # One round: antenna a takes iteration start + i + a.
                 m = min(n_r, count - i)
                 w = weights[:m]
                 _, step_trace[start + i : start + i + m] = filters.update_rows(
-                    w, grad_avg[:m], x_conj[i : i + m], energy[i : i + m],
-                    y[i : i + m], params,
+                    w, grad_avg[:m], x_conj[r, :m], energy[r, :m], y[r, :m], params
                 )
                 # A partial final round leaves the later antennas' entries
                 # unset; no iteration of that round reads them.
@@ -463,7 +459,7 @@ def _simulate_frames(config, order, point_index, n0, first, count, tables):
         "bijk,bjk->bik", responses[trials], qam_modulate(tx_codes, order)
     ) + np.fft.fft(noise, axis=2) / np.sqrt(k)
     detected = np.einsum("bdijk,bjk->bdik", pinvs[trials], rx_freq)
-    bit_errors = code_bit_errors(tx_codes[:, None], qam_demodulate(detected, order))
+    bit_errors = np.bitwise_count(tx_codes[:, None] ^ qam_demodulate(detected, order))
     # Every bit of an erased subcarrier counts as an error.
     erased = failed[trials][:, :, None, :]
     bit_errors = np.where(erased, table.bits_per_symbol, bit_errors)

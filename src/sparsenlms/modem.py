@@ -7,7 +7,7 @@ Gray-codes the in-phase level and the low half the quadrature level, and
 the lattice is scaled to unit mean symbol energy.  Axis-adjacent
 constellation points therefore differ in exactly one bit, and the bit
 errors of a decision are the set bits of the XOR of the sent and decided
-codes (:func:`code_bit_errors`).
+codes, ``np.bitwise_count(sent ^ decided)``.
 :func:`qam_modulate` maps codes to symbols and :func:`qam_demodulate`
 maps symbols back to codes; both keep the array's shape.
 
@@ -73,15 +73,6 @@ def qam_constellation(order):
 def qam_modulate(codes, order):
     """Map integer symbol codes in ``[0, order)`` of any shape to symbols."""
     return qam_constellation(order).points[codes]
-
-
-# Set bits of each byte value.
-_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-
-
-def code_bit_errors(sent, decided):
-    """Bit errors of each decision: the set bits of ``sent ^ decided`` (codes, broadcast)."""
-    return _POPCOUNT[np.bitwise_xor(sent, decided)]
 
 
 def _nearest_level_codes(values, table):

@@ -1,11 +1,13 @@
 """Unit tests for sparse channel generation and noisy observation."""
 
+import math
+
 import numpy as np
 import pytest
 
 from sparsenlms.channel import generate_sparse_channel
 from sparsenlms.config import ExperimentConfig
-from sparsenlms.harness import _observe, training_chunk
+from sparsenlms.harness import run_trial_rows, training_chunk
 
 
 def test_noise_model_from_snr():
@@ -60,29 +62,12 @@ def test_support_positions_are_uniform():
     assert statistic < 30.578
 
 
-def test_observe_dead_channel():
-    x, noise = training_chunk(np.random.default_rng(1), 3, 1, 8)
-    y = _observe(np.zeros((2, 8), complex), np.array([0, 1, 0]), x.conj(), noise,
-                 np.array([0.0]))
-    assert y.shape == (3, 1)
-    assert np.all(y == 0)
-
-
-def test_observe_selector():
-    h = np.zeros((1, 8), dtype=complex)
-    h[0, 5] = 1.0
-    x = (np.arange(8) + 1j * np.arange(8)).astype(complex)[None, :]
-    y = _observe(h, np.array([0]), x.conj(), np.ones(1, complex), np.array([0.0]))
-    assert y[0, 0] == x[0, 5]
-
-
 def test_noise_variance_matches_model():
-    # Received power 1/2, so 10 dB leaves a noise variance of 0.05.
+    # Received power 1/2, so 10 dB leaves a noise variance of 0.05; the
+    # harness scales each unit noise pair by sqrt(variance / 2).
     variance = ExperimentConfig(n_t=1, tap_length=2).noise_variance(10.0)
-    x, noise = training_chunk(np.random.default_rng(104), 100_000, 1, 1)
-    scale = np.array([np.sqrt(variance / 2.0)])
-    draws = _observe(np.zeros((1, 1), complex), np.zeros(x.shape[0], int), x.conj(),
-                     noise, scale)[:, 0]
+    _, noise = training_chunk(np.random.default_rng(104), 25_000, 4, 1, 1)
+    draws = np.sqrt(variance / 2.0) * noise.ravel()
     sample_variance = np.mean(np.abs(draws) ** 2)
     assert sample_variance == pytest.approx(0.05, rel=0.03)
     # Circular symmetry: real and imaginary parts carry half each.
@@ -93,13 +78,21 @@ def test_noise_variance_matches_model():
 def test_noiseless_stream_stays_aligned():
     # The noise pair is drawn whatever the variance, so rows at every
     # SNR share one stream; a zero-variance row observes exactly the
-    # clean product and a noisy row in the same batch does not.
-    rng = np.random.default_rng(9)
-    h = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
-    x, noise = training_chunk(rng, 6, 2, 2)
-    antennas = np.array([0, 1, 0, 1, 0, 1])
-    y = _observe(h, antennas, x.conj(), noise, np.array([0.0, 1.0]))
-    clean = np.array([np.dot(h[a], row) for a, row in zip(antennas, x)])
-    assert np.array_equal(y[:, 0], clean)
-    assert np.array_equal(y[:, 1], clean + noise)
-    assert np.all(y[:, 1] != clean)
+    # clean product and a noisy row in the same batch does not.  From
+    # zero taps one iss_nlms round sets antenna a's taps to
+    # mu y_a conj(x_a) / ||x_a||^2, which shows each observation y_a.
+    config = ExperimentConfig(
+        n_t=2, n_r=2, tap_length=2, sparsity=2, max_iterations=2, rng_seed=9
+    )
+    pairs = [("iss_nlms", math.inf), ("iss_nlms", 10.0)]
+    trial = run_trial_rows(config, 0, pairs)
+    x_conj, noise = training_chunk(np.random.default_rng([9, 0, 1]), 1, 2, 2, 2)
+    x_conj, noise = x_conj[0], noise[0]
+    h = trial.channel
+    clean = np.array([np.dot(h[a], x_conj[a].conj()) for a in range(2)])
+    scale = np.sqrt(config.noise_variance(10.0) / 2.0)
+    energy = np.array([np.vdot(row, row).real for row in x_conj])
+    for row, y in enumerate((clean, clean + scale * noise)):
+        expected = (config.mu * y / energy)[:, None] * x_conj
+        assert np.array_equal(trial.final_estimate[row], expected)
+    assert np.all(trial.final_estimate[0] != trial.final_estimate[1])
