@@ -210,7 +210,7 @@ def _write_csv(out_dir, name, comment, columns):
 def _run_mse_convergence(subcommand, config):
     import numpy as np
 
-    from .harness import run_monte_carlo_mse, steady_state_mean
+    from .harness import run_monte_carlo_mse
 
     for curve in run_monte_carlo_mse(config):
         with np.errstate(divide="ignore"):
@@ -223,9 +223,7 @@ def _run_mse_convergence(subcommand, config):
             {"iteration": np.arange(1, db.size + 1),
              "mse_linear": curve.values, "mse_db": db},
         )
-        # Final-1% window mean, the quick convergence-quality readout.
-        tail = steady_state_mean(curve.values, fraction=0.01)
-        _summarize_mse(subcommand, curve, tail, config.num_trials)
+        _summarize_mse(subcommand, curve, config.num_trials)
 
 
 def _run_trace_stepsize(subcommand, config):
@@ -243,8 +241,7 @@ def _run_trace_stepsize(subcommand, config):
             f"sparsity={config.sparsity} rng_seed={config.rng_seed}",
             {"iteration": np.arange(1, trace.size + 1), "step_size": trace},
         )
-        # Both windows hold the rounded tenth of the trace (at least 1 entry).
-        count = max(1, round(0.1 * trace.size))
+        count = _window(0.1, trace.size)
         print(
             f"{subcommand} algorithm={algorithm} snr_db={snr:g} "
             f"first10%={float(trace[:count].mean()):.6g} "
@@ -272,22 +269,34 @@ def _run_ber_sweep(subcommand, config):
         label = f"{subcommand} algorithm={curve.algorithm} qam={curve.qam_order}"
         points = " ".join(f"{e:g}dB:{b:.3e}" for e, b in zip(esn0_db, ber))
         print(f"{label} {points}")
-        for count, rule in (
+        _warn(label, config.ber_num_channels, "training channels", (
             (curve.diverged, "diverged (final estimate not finite) "
              "and are erased on every subcarrier"),
             (curve.worse_than_zero, "ended worse than the all-zero estimator "
              "(final estimate finite, final squared error not at most n_r) "
              "and are detected with that estimate"),
-        ):
-            if count:
-                print(
-                    f"warning: {label}: "
-                    f"{count}/{config.ber_num_channels} training channels {rule}",
-                    file=sys.stderr,
-                )
+        ))
 
 
-def _summarize_mse(subcommand, curve, tail, num_trials):
+def _window(fraction, size):
+    """Entries in a summary window: the rounded ``fraction`` of ``size``, at least 1."""
+    return max(1, round(fraction * size))
+
+
+def _warn(label, total, noun, counts):
+    """Print a ``warning:`` line to stderr per ``(count, rule)`` with a nonzero count."""
+    for count, rule in counts:
+        if count:
+            print(f"warning: {label}: {count}/{total} {noun} {rule}", file=sys.stderr)
+
+
+def _summarize_mse(subcommand, curve, num_trials):
+    """Print the curve's final-1% mean and trial counts, and a warning per count."""
+    import numpy as np
+
+    # An overflowed sum reads inf, which diverged= or worse_than_zero= explains.
+    with np.errstate(over="ignore"):
+        tail = float(curve.values[-_window(0.01, curve.values.size):].mean())
     if tail == 0.0:
         db = float("-inf")
     elif math.isfinite(tail):
@@ -300,17 +309,12 @@ def _summarize_mse(subcommand, curve, tail, num_trials):
         f"diverged={curve.diverged}/{num_trials} "
         f"worse_than_zero={curve.worse_than_zero}/{num_trials}"
     )
-    for count, rule in (
-        (curve.diverged, "diverged (final squared error not finite)"),
+    _warn(label, num_trials, "trials", (
+        (curve.diverged, "diverged (final squared error not finite) "
+         "and are averaged into the curve"),
         (curve.worse_than_zero, "ended worse than the all-zero estimator "
-         "(final squared error finite but above n_r)"),
-    ):
-        if count:
-            print(
-                f"warning: {label}: {count}/{num_trials} trials {rule} "
-                "and are averaged into the curve",
-                file=sys.stderr,
-            )
+         "(final squared error finite but above n_r) and are averaged into the curve"),
+    ))
 
 
 # Each runner yields ``(file name, comment line, columns)`` per curve and

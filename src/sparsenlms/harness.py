@@ -202,16 +202,6 @@ class BerCurve:
     worse_than_zero: int
 
 
-# -- metrics -------------------------------------------------------------------
-
-
-def steady_state_mean(values, fraction=0.1):
-    """Mean over the trailing ``fraction`` of a series (at least 1 entry)."""
-    values = np.asarray(values)
-    count = max(1, int(round(fraction * values.size)))
-    return float(values[-count:].mean())
-
-
 # -- estimation experiments ---------------------------------------------------
 
 

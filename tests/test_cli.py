@@ -22,12 +22,7 @@ from sparsenlms.cli import (
     parse_invocation,
 )
 from sparsenlms.config import VARIANTS
-from sparsenlms.harness import (
-    MseCurve,
-    run_ber_sweep,
-    run_monte_carlo_mse,
-    steady_state_mean,
-)
+from sparsenlms.harness import MseCurve, run_ber_sweep, run_monte_carlo_mse
 
 
 def run_cli(*args):
@@ -629,13 +624,47 @@ def test_divergence_is_reported(tmp_path, capsys):
     )
 
 
+def test_overflowing_tail_prints_only_its_warnings(tmp_path, capsys):
+    # mu = 3 is unstable.  Each curve's final squared error is finite, but
+    # the 14 values of its final-1% window sum past the float maximum, so
+    # the tail reads inf; the suite's error::RuntimeWarning filter would
+    # raise numpy's overflow warning.
+    code = run_cli(
+        "single-run", "--out", str(tmp_path),
+        "--override", "algorithms=iss_nlms", "--override", "mu=3",
+        "--override", "n_t=1", "--override", "n_r=1", "--override", "tap_length=4",
+        "--override", "max_iterations=1381",
+    )
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == "".join(
+        f"single-run algorithm=iss_nlms snr_db={snr} final-1% MSE=inf (nan dB) "
+        "diverged=0/1 worse_than_zero=1/1\n"
+        for snr in (10, 20)
+    )
+    assert captured.err == "".join(
+        f"warning: single-run algorithm=iss_nlms snr_db={snr}: 1/1 trials ended "
+        "worse than the all-zero estimator (final squared error finite but "
+        "above n_r) and are averaged into the curve\n"
+        for snr in (10, 20)
+    )
+
+
 def test_non_finite_tail_prints_nan_db(capsys):
     curve = MseCurve(
         values=np.array([1.0, np.inf]), algorithm="vss_nlms", snr_db=10.0, diverged=1
     )
-    tail = steady_state_mean(curve.values, fraction=0.01)
-    _summarize_mse("single-run", curve, tail, 1)
+    _summarize_mse("single-run", curve, 1)
     assert "(nan dB) diverged=1/1" in capsys.readouterr().out
+
+
+def test_summary_window_is_the_rounded_fraction():
+    # The MSE summary reads the final 1%, the step-size trace the first
+    # and last 10%; a window is never empty.
+    values = np.arange(10.0)
+    assert values[-cli._window(0.1, values.size):].mean() == 9.0
+    assert values[-cli._window(0.5, values.size):].mean() == 7.0
+    assert np.array([3.0])[-cli._window(0.1, 1):].mean() == 3.0
 
 
 @pytest.mark.parametrize(
