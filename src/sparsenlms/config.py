@@ -160,11 +160,16 @@ class ExperimentConfig:
                     raise ValueError(
                         f"{name} {value:g} dB gives a noise level that overflows"
                     ) from None
-        for name in ("n_t", "n_r"):
+        # Before c_per_noise, which divides by n_t * tap_length.
+        for name in (
+            "n_t", "n_r", "tap_length", "max_iterations", "num_trials",
+            "ber_num_channels", "ber_max_frames",
+        ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
-        if self.tap_length < 1:
-            raise ValueError("tap_length must be at least 1")
+        for name in ("rng_seed", "ber_min_errors", "ber_min_bits"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
         if not 1 <= self.sparsity <= self.tap_length:
             raise ValueError("sparsity must lie in [1, tap_length]")
         for name in self.algorithms:
@@ -172,21 +177,17 @@ class ExperimentConfig:
                 raise ValueError(
                     f"unknown algorithm {_shown(name)}; expected one of {VARIANTS}"
                 )
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
         # Filter parameters are checked whichever variants run, and NaN
         # fails every check.  An infinite mu or epsilon_rza makes the taps
         # NaN through the penalty strengths, an infinite c_threshold pins
         # the adaptive step at 0, and mu_max is capped at 2 so the adaptive
         # step is stable by construction.  A fixed mu above 2 diverges and
         # is reported; the tests run 2.5 and 50 on purpose.
-        for name in ("mu", "epsilon_rza"):
+        for name in ("mu", "epsilon_rza", "c_threshold"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
         if not 0.0 < self.mu_max <= 2.0:
             raise ValueError("mu_max must lie in (0, 2]")
-        if not 0.0 < self.c_threshold < math.inf:
-            raise ValueError("c_threshold must be positive and finite")
         if self.c_per_noise is not None:
             # At +inf dB c is 0: the step is 0/0 once the gradient vanishes.
             for snr in (*self.snr_db, self.ber_training_snr_db):
@@ -198,22 +199,11 @@ class ExperimentConfig:
                     )
         if not 0.0 <= self.beta < 1.0:
             raise ValueError("beta must lie in [0, 1)")
-        if self.num_trials < 1:
-            raise ValueError("num_trials must be at least 1")
-        if self.rng_seed < 0:
-            raise ValueError("rng_seed must be nonnegative")
         for order in self.qam_orders:
             if order not in QAM_ORDERS:
                 raise ValueError(
                     f"qam order must be one of {QAM_ORDERS}, got {_shown(order)}"
                 )
-        if self.ber_num_channels < 1:
-            raise ValueError("ber_num_channels must be at least 1")
-        for name in ("ber_min_errors", "ber_min_bits"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        if self.ber_max_frames < 1:
-            raise ValueError("ber_max_frames must be at least 1")
 
     # -- resolution helpers -------------------------------------------------
 

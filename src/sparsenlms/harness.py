@@ -124,6 +124,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -350,8 +351,16 @@ def _ordered_map(tasks):
     import multiprocessing
 
     context = multiprocessing.get_context("fork")
-    with concurrent.futures.ProcessPoolExecutor(processes, mp_context=context) as pool:
-        yield pool.map
+    # Python 3.12+ warns when a process with threads forks.  These forks are
+    # safe: the executor forks every worker before it starts its manager
+    # thread, and the only other threads are BLAS workers.
+    with warnings.catch_warnings():
+        warnings.filterwarnings(
+            "ignore", r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)",
+            DeprecationWarning,
+        )
+        with concurrent.futures.ProcessPoolExecutor(processes, mp_context=context) as pool:
+            yield pool.map
 
 
 def run_monte_carlo_mse(config):

@@ -732,12 +732,22 @@ PINNED = (
     "import os, sys; os.sched_setaffinity(0, {int(sys.argv.pop(1))}); "
     "from sparsenlms.cli import entry_point; entry_point()"
 )
+# Run the CLI with an os.fork that warns as Python 3.12+ does in a process
+# with threads.
+FORK_WARNS = (
+    "import os, warnings; fork = os.fork; "
+    "os.fork = lambda: (warnings.warn(f'This process (pid={os.getpid()}) is "
+    "multi-threaded, use of fork() may lead to deadlocks in the child.', "
+    "DeprecationWarning, stacklevel=2), fork())[1]; "
+    "from sparsenlms.cli import entry_point; entry_point()"
+)
 
 
-def pooled_and_serial(argv, tmp_path, *flags):
+def pooled_and_serial(argv, tmp_path, *flags, pooled=("-m", "sparsenlms")):
     """``(status, stdout, stderr, files)`` of a pooled and a one-CPU run.
 
-    Each runs in its own interpreter, started with ``flags``.
+    Each runs in its own interpreter, started with ``flags``; the pooled
+    one runs the CLI through ``pooled``.
     """
     cpus = sorted(getattr(os, "sched_getaffinity", lambda pid: ())(0))
     if len(cpus) < 2 or not hasattr(os, "fork"):
@@ -747,7 +757,7 @@ def pooled_and_serial(argv, tmp_path, *flags):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     runs = []
     for name, prefix in (
-        ("pooled", ["-m", "sparsenlms"]),
+        ("pooled", list(pooled)),
         ("serial", ["-c", PINNED, str(cpus[0])]),
     ):
         out = tmp_path / name
@@ -819,6 +829,18 @@ def test_pooled_run_warns_as_a_serial_one_under_default_filters(tmp_path):
     # The README promises the same standard error pooled and serial.
     argv = ["mse-convergence", "--trials", "3", "--override", "max_iterations=200"]
     pooled, serial = pooled_and_serial(argv, tmp_path, "-W", "default")
+    assert pooled == serial
+
+
+def test_pooled_run_hides_the_fork_with_threads_warning(tmp_path):
+    # Python 3.12+ warns on every fork here, because numpy's BLAS pool is
+    # threads; FORK_WARNS makes any Python do so.  The harness drops that
+    # one warning around its pool, whose forks are safe, so the standard
+    # error stays that of a serial run.
+    argv = ["mse-convergence", "--trials", "3", "--override", "max_iterations=200"]
+    pooled, serial = pooled_and_serial(
+        argv, tmp_path, "-W", "default", pooled=("-c", FORK_WARNS)
+    )
     assert pooled == serial
 
 

@@ -7,7 +7,9 @@ take the order and the noise level directly.  The module imports only
 checks.
 
 References: Sayed, *Fundamentals of Adaptive Filtering* (2003), for the
-NLMS learning curve; Chen, Gu and Hero, "Sparse LMS for system
+NLMS learning curve; Shin, Sayed and Song, "Variable step-size NLMS and
+affine projection algorithms" (IEEE SPL, 2004), for the steady state of
+the variable step; Chen, Gu and Hero, "Sparse LMS for system
 identification" (ICASSP 2009), for the bias of zero attraction;
 Proakis, *Digital Communications*, for the decision regions of Gray
 square QAM.
@@ -92,13 +94,59 @@ def nlms_envelope(config, snr_db, mus):
     return nlms_curve(config, snr_db, mus).min(axis=1)
 
 
-def nlms_steady_state(config, snr_db):
-    """The limit of :func:`nlms_curve` for ``0 < mu < 2``: its fixed point on each antenna."""
-    mu, length = config.mu, config.filter_length()
+def nlms_steady_state(config, snr_db, mu=None):
+    """The limit of :func:`nlms_curve` for ``0 < mu < 2``: its fixed point on each antenna.
+
+    ``mu`` defaults to ``config.mu``.
+    """
+    mu = config.mu if mu is None else mu
+    length = config.filter_length()
     return (
         config.n_r * mu * config.noise_variance(snr_db) * length**2
         / ((2.0 - mu) * (length - 1))
     )
+
+
+def vss_steady_step(config, snr_db):
+    """The step ``vss_nlms`` settles at: the fixed point of its law in steady state.
+
+    Following Shin, Sayed and Song, the law ``mu = mu_max s / (s + c)``
+    is solved with ``s = E||p||^2`` at the step it yields.  For a fixed
+    ``mu`` the smoothed gradient telescopes: the misalignment moves by
+    ``v(n + 1) = v(n) - mu g(n)``, so
+        p(n) = -((1 - beta) / mu) (v(n + 1) - vbar(n)),
+    with ``vbar`` the beta-weighted average of past ``v``.  Modelling
+    ``v`` as AR(1), with lag factor ``r = 1 - mu / L`` (one update's mean
+    contraction) and energy ``D`` (one antenna's share of
+    :func:`nlms_steady_state` at ``mu``), gives
+        s = ((1 - beta) / mu)^2 D [1 - 2 (1 - beta) r / (1 - beta r)
+            + (1 - beta) (1 + beta r) / ((1 + beta) (1 - beta r))].
+    ``c`` is ``c_per_noise`` times the noise variance when set, else
+    ``c_threshold``; with ``c_per_noise`` the step does not depend on
+    ``snr_db``.  Treating the gradients as independent instead gives
+    ``s = (1 - beta) / (1 + beta) * noise_var L / (L - 1)`` and, under
+    ``configs/paper.json``, a step 11% higher.
+    """
+    beta, length = config.beta, config.filter_length()
+    c = config.c_threshold
+    if config.c_per_noise is not None:
+        c = config.c_per_noise * config.noise_variance(snr_db)
+
+    def law(mu):
+        r = 1.0 - mu / length
+        d = nlms_steady_state(config, snr_db, mu) / config.n_r
+        s = ((1.0 - beta) / mu) ** 2 * d * (
+            1.0 - 2.0 * (1.0 - beta) * r / (1.0 - beta * r)
+            + (1.0 - beta) * (1.0 + beta * r) / ((1.0 + beta) * (1.0 - beta * r))
+        )
+        return config.mu_max * s / (s + c)
+
+    # law(mu) - mu is positive near 0 and negative at mu_max: bisect.
+    low, high = 0.0, config.mu_max
+    for _ in range(100):
+        middle = (low + high) / 2.0
+        low, high = (middle, high) if law(middle) > middle else (low, middle)
+    return (low + high) / 2.0
 
 
 def za_bias(config, snr_db):
