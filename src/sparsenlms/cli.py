@@ -39,7 +39,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .config import TRUE_CHANNEL, ExperimentConfig, _shown
+from .config import ExperimentConfig, _shown
 
 
 class CliError(Exception):
@@ -132,13 +132,20 @@ def build_config(invocation):
         data["num_trials"] = invocation.trials
     try:
         config = ExperimentConfig.from_dict(data)
-        if invocation.subcommand == "ber-sweep":
-            config.validate_ofdm()
     except (ValueError, TypeError) as exc:
         raise CliError(str(exc)) from exc
+    # The config rejects a repeated SNR; file names also print two SNRs
+    # that differ past their {:g} digits alike, as 10 and 10.000001.
+    printed = set()
+    for name in (f"{snr:g}" for snr in config.snr_db):
+        if name in printed:
+            raise CliError(
+                f"snr_db {_shown(list(config.snr_db))} has two SNRs that file "
+                f"names print as {name}"
+            )
+        printed.add(name)
     if invocation.subcommand in ("single-run", "trace-stepsize"):
         config = replace(config, num_trials=1)  # trial 0 alone, once checked
-    _reject_shared_files(invocation.subcommand, config)
     return config
 
 
@@ -147,31 +154,6 @@ def _artifact_name(subcommand, algorithm, config, snr_db, qam_order=None):
     if qam_order is not None:
         name += f"_QAM{qam_order}"
     return name + ".csv"
-
-
-def _reject_shared_files(subcommand, config):
-    """Reject a config under which two of the subcommand's curves share a file."""
-    if subcommand == "ber-sweep":
-        other, snr = "qam_orders", config.ber_training_snr_db
-        names = [
-            _artifact_name(subcommand, detector, config, snr, order)
-            for order in config.qam_orders
-            for detector in (TRUE_CHANNEL, *config.algorithms)
-        ]
-    else:
-        # SNRs that differ only past the name's {:g} digits collide too.
-        other = "snr_db"
-        names = [
-            _artifact_name(subcommand, algorithm, config, snr)
-            for algorithm in config.algorithms
-            for snr in config.snr_db
-        ]
-    if len(set(names)) < len(names):
-        name = next(name for i, name in enumerate(names) if name in names[:i])
-        raise CliError(
-            f"algorithms {_shown(list(config.algorithms))} and {other} "
-            f"{_shown(list(getattr(config, other)))} give two curves the file {name}"
-        )
 
 
 # Rows formatted per write: whole 100k-row curves would hold every row

@@ -1,11 +1,11 @@
 """Experiment configuration and its input checks, on the standard library alone.
 
 :class:`ExperimentConfig` describes one experiment, and its
-``__post_init__`` checks every field.  ``validate_ofdm`` adds the OFDM
-size checks, which ``cli.build_config`` runs for ``ber-sweep`` and
-``harness.run_ber_sweep`` runs itself; the command line also rejects a
-config under which two curves share a file.  The other modules trust
-their arguments.  The facts that the checks need are written here once:
+``__post_init__`` checks every field, the OFDM sizes included, so a
+config is valid or not whatever runs it.  The command line adds one
+check of its own: two SNRs that its file names would print alike.  The
+other modules trust their arguments.  The facts that the checks need are
+written here once:
 ``_LAWS``, the table of filter variants, and :data:`VARIANTS`, its names
 in default order; :data:`QAM_ORDERS`; :data:`TRUE_CHANNEL`, the genie
 detector's name.
@@ -143,7 +143,10 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must not be empty")
             if not all(valid(v) for v in values):
                 raise ValueError(f"{name} must hold {noun}, got {_shown(values)}")
-            object.__setattr__(self, name, tuple(kind(v) for v in values))
+            stored = tuple(kind(v) for v in values)
+            if len(set(stored)) < len(stored):  # one curve or point twice
+                raise ValueError(f"{name} must not repeat a value, got {_shown(values)}")
+            object.__setattr__(self, name, stored)
         # +inf dB is the noiseless case; NaN and -inf have no noise level,
         # and below about -3083 dB the noise level overflows.
         for name, values in (
@@ -204,6 +207,15 @@ class ExperimentConfig:
                 raise ValueError(
                     f"qam order must be one of {QAM_ORDERS}, got {_shown(order)}"
                 )
+        # Every experiment's channel is the OFDM system's: the cyclic
+        # prefix covers the channel memory, so convolution is circular.
+        if self.cp_length < self.tap_length - 1:
+            raise ValueError(
+                f"cp_length {_shown(self.cp_length)} shorter than channel memory "
+                f"{_shown(self.tap_length - 1)}"
+            )
+        if self.subcarrier_count < self.tap_length:
+            raise ValueError("subcarrier_count must be at least tap_length")
 
     # -- resolution helpers -------------------------------------------------
 
@@ -213,15 +225,6 @@ class ExperimentConfig:
     def noise_variance(self, snr_db):
         """Received signal power ``1 / filter_length()`` times ``10**(-snr_db / 10)``."""
         return (1.0 / self.filter_length()) * 10.0 ** (-snr_db / 10.0)
-
-    def validate_ofdm(self):
-        if self.cp_length < self.tap_length - 1:
-            raise ValueError(
-                f"cp_length {_shown(self.cp_length)} shorter than channel memory "
-                f"{_shown(self.tap_length - 1)}"
-            )
-        if self.subcarrier_count < self.tap_length:
-            raise ValueError("subcarrier_count must be at least tap_length")
 
     # -- serialization ------------------------------------------------------
 

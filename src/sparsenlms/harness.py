@@ -7,10 +7,9 @@ fresh unit-power training regressor and a noisy observation through the
 true channel.  Identification quality is tracked per iteration as the
 squared Frobenius distance between the true and estimated matrices, and
 averaged across trials elementwise.  Every function takes a
-:class:`sparsenlms.config.ExperimentConfig`, checked by its
-``__post_init__`` and, for the OFDM sizes, by ``validate_ofdm``, which
-``run_ber_sweep`` calls.  Past those checks the harness, ``channel``
-and ``modem`` trust their arguments.  The config lives in
+:class:`sparsenlms.config.ExperimentConfig`, which its ``__post_init__``
+checks whole, the OFDM sizes included; past that check the harness,
+``channel`` and ``modem`` trust their arguments.  The config lives in
 its own module, which imports no numpy; this one loads numpy, so the
 command line imports it only when a run starts.
 
@@ -40,7 +39,7 @@ noise, so BER differences reflect only channel-estimate quality.
 
 Frames are synthesized directly in the frequency domain.  Because the
 cyclic prefix is at least as long as the channel memory (``cp_length
->= tap_length - 1``, enforced by ``validate_ofdm``), the linear
+>= tap_length - 1``, which every config enforces), the linear
 convolution of a prefixed block with each link's impulse response is
 circular over the kept ``K`` samples, so subcarrier ``k`` sees exactly
 ``Y_k = H_k X_k + N_k``.  ``H_k`` is the ``K``-point DFT of the impulse
@@ -511,7 +510,6 @@ def run_ber_sweep(config):
     The channels, then the (order, E_s/N_0) points, run on one process
     per CPU; the curves do not depend on the count.
     """
-    config.validate_ofdm()
     detectors = [TRUE_CHANNEL] + list(config.algorithms)
     k, n_t, n_r = config.subcarrier_count, config.n_t, config.n_r
 

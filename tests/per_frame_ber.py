@@ -56,7 +56,6 @@ def demodulate_bits(symbols, order):
 
 def per_frame_ber_sweep(config):
     """``{(detector, order): (bit_errors, bits_total)}``, one frame per pass."""
-    config.validate_ofdm()
     detectors = [TRUE_CHANNEL] + list(config.algorithms)
     k, cp = config.subcarrier_count, config.cp_length
     n_t, n_r = config.n_t, config.n_r

@@ -21,7 +21,6 @@ from sparsenlms.cli import (
     parse_and_dispatch,
     parse_invocation,
 )
-from sparsenlms.config import VARIANTS
 from sparsenlms.harness import MseCurve, run_ber_sweep, run_monte_carlo_mse
 
 
@@ -374,55 +373,78 @@ def test_unknown_subcommand_lists_the_runners_in_order(capsys):
     assert captured.out == ""
 
 
+# OFDM sizes, repeated list values, SNRs that print alike and a bad mu,
+# each checked alike for every subcommand; only the last set is valid.
+OVERRIDE_SETS = [
+    ["cp_length=2"],
+    ["subcarrier_count=0"],
+    ["tap_length=18"],
+    ["snr_db=[10,10.000001]"],
+    ["qam_orders=[16,16]"],
+    ['algorithms=["vss_nlms","vss_nlms"]'],
+    ["esn0_range_db=[12,12]"],
+    ["mu=-1"],
+    ["tap_length=18", "cp_length=17"],
+]
+
+
+def test_validity_does_not_depend_on_the_subcommand(capsys):
+    # What one subcommand accepts, and the config it dumps, every one accepts.
+    for overrides in OVERRIDE_SETS:
+        outcomes = set()
+        for subcommand in cli._RUNNERS:
+            argv = [subcommand, "--dump-config"]
+            for override in overrides:
+                argv += ["--override", override]
+            code = run_cli(*argv)
+            outcomes.add((code, capsys.readouterr().err))
+        assert len(outcomes) == 1, (overrides, outcomes)
+        ((code, err),) = outcomes
+        if overrides is OVERRIDE_SETS[-1]:
+            assert (code, err) == (0, "")
+        else:
+            assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
-    "argv, name, field",
+    "argv, err",
     [
         # File names print the SNR with {:g}: 10.000001 becomes 10.
         (
             ["mse-convergence", "--trials", "1", "--override", "max_iterations=50",
              "--override", "snr_db=[10, 10.000001]"],
-            "mse-convergence_iss_nlms_T1_SNR10.csv",
-            "snr_db",
+            "snr_db [10.0, 10.000001] has two SNRs that file names print as 10",
         ),
         (
             ["ber-sweep", "--override", "qam_orders=[16,16]",
              "--override", "ber_num_channels=1", "--override", "max_iterations=50",
              "--override", "esn0_range_db=[20]", "--override", "ber_max_frames=2"],
-            "ber-sweep_true_channel_T1_SNR10_QAM16.csv",
-            "qam_orders",
+            "qam_orders must not repeat a value, got [16, 16]",
         ),
         (
             ["trace-stepsize", "--override", "max_iterations=50",
              "--override", 'algorithms=["vss_nlms","vss_nlms"]'],
-            "trace-stepsize_vss_nlms_T1_SNR10.csv",
-            "algorithms",
+            "algorithms must not repeat a value, got ['vss_nlms', 'vss_nlms']",
         ),
     ],
     ids=["mse-snr", "ber-order", "trace-algorithm"],
 )
-def test_curves_sharing_a_file_are_rejected(argv, name, field, tmp_path, capsys):
+def test_curves_sharing_a_file_are_rejected(argv, err, tmp_path, capsys):
     # Otherwise the later curve would silently overwrite the earlier one.
     code = run_cli(*argv, "--out", str(tmp_path / "out"))
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.err.startswith("error: ")
-    assert captured.err.count("\n") == 1
-    assert name in captured.err
-    assert f"{field} [" in captured.err
+    assert captured.err == f"error: {err}\n"
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
 
 
 def test_curves_sharing_a_file_cut_long_lists(capsys):
-    # 100 SNRs named alike; the default algorithm list is 85 characters.
+    # 100 equal SNRs: the message shows the list as given, cut to 60 characters.
     snrs = ",".join(["10"] * 100)
     assert run_cli("single-run", "--dump-config", "--override", f"snr_db=[{snrs}]") == 2
     err = capsys.readouterr().err
-    assert err == (
-        f"error: algorithms {str(list(VARIANTS))[:57]}... and snr_db "
-        f"{str([10.0] * 100)[:57]}... give two curves the file "
-        "single-run_iss_nlms_T1_SNR10.csv\n"
-    )
+    assert err == f"error: snr_db must not repeat a value, got {str([10] * 100)[:57]}...\n"
 
 
 @pytest.mark.parametrize(

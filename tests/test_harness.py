@@ -859,7 +859,7 @@ def test_config_validation_errors():
     with pytest.raises(ValueError, match="qam order"):
         ExperimentConfig(qam_orders=[32])
     with pytest.raises(ValueError, match="cp_length"):
-        ExperimentConfig(cp_length=3).validate_ofdm()
+        ExperimentConfig(cp_length=3)
     with pytest.raises(ValueError, match="c_per_noise"):
         ExperimentConfig(c_per_noise=0.0)
     # An assigned field would skip the check, so no field can be assigned.
@@ -882,11 +882,27 @@ def test_config_validation_errors():
         ("ber_min_bits", -1),
         ("ber_max_frames", 0),
         ("subcarrier_count", 15),  # below the default tap_length 16
+        ("cp_length", -1),  # below the default channel memory 15
     ],
 )
 def test_count_bounds_are_rejected_by_name(name, value):
     with pytest.raises(ValueError, match=f"^{name} "):
-        ExperimentConfig(**{name: value}).validate_ofdm()
+        ExperimentConfig(**{name: value})
+
+
+@pytest.mark.parametrize(
+    "name, values",
+    [
+        ("snr_db", [10, 20, 10.0]),  # compared as stored: 10 is 10.0
+        ("esn0_range_db", [12, 12]),
+        ("qam_orders", [16, 64, 16]),
+        ("algorithms", ["vss_nlms", "vss_nlms"]),
+    ],
+)
+def test_repeated_list_value_is_rejected_by_name(name, values):
+    # A repeat would only draw one curve or one point twice.
+    with pytest.raises(ValueError, match=f"^{name} must not repeat a value"):
+        ExperimentConfig(**{name: values})
 
 
 def test_list_fields_cannot_be_changed_in_place():

@@ -68,9 +68,15 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
         cli.parse_and_dispatch(["mse-convergence", "--dump-config"]),
         cli.parse_and_dispatch(["--help"]),
         cli.parse_and_dispatch(["mse-convergence", "--override", "mu=-1"]),
+        cli.parse_and_dispatch(
+            ["mse-convergence", "--dump-config", "--override", "cp_length=-1"]
+        ),
+        cli.parse_and_dispatch(
+            ["trace-stepsize", "--dump-config", "--override", "qam_orders=[16,16]"]
+        ),
     ]
-assert statuses == [0, 0, 2], statuses
-check("--dump-config, --help and a rejected override")
+assert statuses == [0, 0, 2, 2, 2], statuses
+check("--dump-config, --help and rejected overrides")
 """
 
 
